@@ -15,30 +15,34 @@ from .errors import (ConfigError, FitDiverged, GeometryMismatch,
                      GridTooCoarse, InvariantViolation, MissingGFactor,
                      NotIdentifiable, NumericalBlowup, SpinDiffError,
                      UnphysicalShift)
-from .kinetics import (DecayFit, DiffusionFit, RiseFit, fit_diffusion_coefficient,
-                       fit_exponential_decay, fit_exponential_rise,
-                       run_sequence, simulate_decay_curve, time_to_level)
+from .kinetics import (DecayFit, DiffusionFit, RiseFit, decay_samples,
+                       fit_diffusion_coefficient, fit_exponential_decay,
+                       fit_exponential_rise, run_sequence,
+                       simulate_decay_curve, time_to_level)
 from .observables import (OverhauserState, electron_zeeman,
                           exciton_zeeman_splitting, ohs_max,
                           overhauser_field, overhauser_state,
                           polarization_degree)
-from .solver import (BoundaryMode, Grid, PolarizationField, SolverConfig,
-                     auto_dt, build_grid, dot_average, evolve, simulate_dark,
-                     simulate_pump, step, total_spin)
+from .solver import (BoundaryMode, DarkSampler, Grid, PolarizationField,
+                     SolverConfig, auto_dt, build_grid, dark_sample_times,
+                     dot_average, evolve, simulate_dark, simulate_pump, step,
+                     total_spin)
 from .units import (MU_B_UEV_PER_T, diffusion_cm2s_to_nm2s,
                     diffusion_nm2s_to_cm2s)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryMode", "ConfigError", "DecayFit", "DecaySeries", "DiffusionFit",
-    "DotGeometry", "FitDiverged", "GeometryMismatch", "Grid", "GridTooCoarse",
+    "BoundaryMode", "ConfigError", "DarkSampler", "DecayFit", "DecaySeries",
+    "DiffusionFit", "DotGeometry", "FitDiverged", "GeometryMismatch", "Grid",
+    "GridTooCoarse",
     "Helicity", "InvariantViolation", "MaterialParams", "MissingGFactor",
     "MU_B_UEV_PER_T", "NotIdentifiable", "NumericalBlowup",
     "OverhauserState", "PolarizationField", "PulseSegment", "PulseSequence",
     "RiseFit", "RunConfig", "SegmentKind", "SolverConfig", "SpinDiffError",
-    "UnphysicalShift", "YKind", "auto_dt", "build_grid",
-    "diffusion_cm2s_to_nm2s", "diffusion_nm2s_to_cm2s", "dot_average",
+    "UnphysicalShift", "YKind", "auto_dt", "build_grid", "dark_sample_times",
+    "decay_samples", "diffusion_cm2s_to_nm2s", "diffusion_nm2s_to_cm2s",
+    "dot_average",
     "electron_zeeman", "evolve", "exciton_zeeman_splitting",
     "fit_diffusion_coefficient", "fit_exponential_decay",
     "fit_exponential_rise", "load_config", "ohs_max", "overhauser_field",

@@ -18,15 +18,14 @@ from . import kinetics
 from .config import RunConfig, load_config
 from .dataio import (read_measured_csv, write_fit_report, write_table)
 from .domain import DotGeometry, MaterialParams
-from .errors import (ConfigError, FitDiverged, GeometryMismatch,
-                     GridTooCoarse, InvariantViolation, MissingGFactor,
-                     NotIdentifiable, NumericalBlowup, UnphysicalShift)
+from .errors import (ConfigError, MissingGFactor, SpinDiffError,
+                     UnphysicalShift)
 from .kinetics import (fit_diffusion_coefficient, fit_exponential_rise,
                        simulate_decay_curve)
 from .observables import (exciton_zeeman_splitting, ohs_max,
                           overhauser_field, polarization_degree)
-from .solver import (BoundaryMode, Grid, SolverConfig, _iterate_dark,
-                     build_grid, dot_average, simulate_pump)
+from .solver import (BoundaryMode, DarkSampler, Grid, SolverConfig,
+                     build_grid, dark_sample_times, simulate_pump)
 from .units import MU_B_UEV_PER_T, diffusion_cm2s_to_nm2s
 
 _DEFAULT_D_BOUNDS = (1e-16, 1e-11)
@@ -69,30 +68,24 @@ def cmd_simulate(args) -> int:
     grid = _grid_for(rc)
     cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
                        t1_uniform=rc.t1_s, dt=rc.dt_s)
-    field = simulate_pump(rc.geometry, cfg, rc.t_pump_s, grid)
-
-    ts: list[float] = []
-    ps: list[float] = []
-    pending = sorted(rc.snapshot_times_s)
-    snap_cols: dict[str, list[float]] = {"t_s": [], "r_nm": [], "z_nm": [],
-                                         "s": []}
-    for t, f in _iterate_dark(field, cfg, t_dark, rc.sample_every_s,
-                              rc.geometry):
-        ts.append(t)
-        ps.append(dot_average(f, rc.geometry))
-        while pending and t >= pending[0] - 1e-9:
-            pending.pop(0)
-            rr, zz = np.meshgrid(grid.r_centers, grid.z_centers,
-                                 indexing="ij")
-            snap_cols["t_s"].extend([t] * rr.size)
-            snap_cols["r_nm"].extend(rr.ravel())
-            snap_cols["z_nm"].extend(zz.ravel())
-            snap_cols["s"].extend(f.values.ravel())
-
-    p = np.array(ps)
+    dark = DarkSampler(simulate_pump(rc.geometry, cfg, rc.t_pump_s, grid), cfg)
+    ts = dark_sample_times(t_dark, rc.sample_every_s)
+    p = dark.dot_averages(ts, rc.geometry)
     if p[0] != 0:
         p = p / p[0]
-    columns: dict[str, np.ndarray] = {"t_s": np.array(ts), "dot_average": p}
+
+    # a snapshot requested at time T is taken at the first sample >= T
+    idx = np.searchsorted(ts, np.sort(rc.snapshot_times_s) - 1e-9)
+    snap_t = ts[idx[idx < ts.size]]
+    n_cells = grid.nr * grid.nz
+    snap_cols = {
+        "t_s": np.repeat(snap_t, n_cells),
+        "r_nm": np.tile(np.repeat(grid.r_centers, grid.nz), snap_t.size),
+        "z_nm": np.tile(grid.z_centers, grid.nr * snap_t.size),
+        "s": np.array([dark.field_at(t).values for t in snap_t]).ravel(),
+    }
+
+    columns: dict[str, np.ndarray] = {"t_s": ts, "dot_average": p}
     have_g = (rc.material.g_e_abs is not None
               and rc.material.g_h_abs is not None)
     if have_g:
@@ -149,16 +142,17 @@ def cmd_fit_d(args) -> int:
     out = _out_dir(args, rc)
     grid = _grid_for(rc)
     fit = fit_diffusion_coefficient(measured, rc.t_pump_s, rc.geometry, grid,
-                                    d_bounds, dt=rc.dt_s)
+                                    d_bounds, dt=rc.dt_s, t1_uniform=rc.t1_s)
     report_path = os.path.join(out, "fit.json")
     write_fit_report(report_path, d_qd_cm2s=fit.d_qd, scale_uev=fit.scale,
                      offset_uev=fit.offset, sse=fit.sse,
                      warnings=fit.warnings, d_grid_cm2s=fit.d_grid)
+    # the same arguments as the fit's last solve, so this is a cache hit
     model = (fit.offset + fit.scale
-             * kinetics._decay_samples(fit.d_qd, rc.t_pump_s,
-                                       tuple(float(x) for x in measured.t),
-                                       rc.geometry, grid, rc.dt_s,
-                                       BoundaryMode.DIRICHLET_ZERO))
+             * kinetics.decay_samples(fit.d_qd, rc.t_pump_s,
+                                      tuple(float(x) for x in measured.t),
+                                      rc.geometry, grid, rc.dt_s,
+                                      BoundaryMode.DIRICHLET_ZERO, rc.t1_s))
     overlay_path = os.path.join(out, "fit_overlay.csv")
     write_table(overlay_path, {"t_s": measured.t, "measured": measured.y,
                                "model": model},
@@ -270,19 +264,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except SpinDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MissingGFactor, UnphysicalShift, GeometryMismatch,
-            GridTooCoarse, InvariantViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotIdentifiable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NumericalBlowup, FitDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

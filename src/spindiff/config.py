@@ -11,12 +11,14 @@ Sections and keys (units embedded in the names):
     [output]     dir, sample_every_s, snapshot_times_s
 
 Unknown sections or keys are rejected. All numeric values accept
-scientific notation. At most one of d_cm2s / d_list_cm2s / d_bounds_cm2s
-may be given; which one is required depends on the command.
+scientific notation and must be finite. At most one of d_cm2s /
+d_list_cm2s / d_bounds_cm2s may be given; which one is required depends
+on the command.
 """
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -64,10 +66,13 @@ class RunConfig:
 
 def _get_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(
             f"[{section}] {key}: not a number: '{raw}'") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not finite: '{raw}'")
+    return value
 
 
 def _get_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:

@@ -1,13 +1,17 @@
 """Exception hierarchy shared across the package.
 
 Validation failures carry the name of the first violated invariant so
-callers (and the CLI) can report it without string-parsing.
+callers (and the CLI) can report it without string-parsing. Each class's
+``exit_code`` is the CLI exit status it maps to: 2 invalid input or
+configuration, 3 numerical failure, 4 fit not identifiable.
 """
 from __future__ import annotations
 
 
 class SpinDiffError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class InvariantViolation(SpinDiffError):
@@ -33,6 +37,8 @@ class GeometryMismatch(SpinDiffError):
 class NumericalBlowup(SpinDiffError):
     """Non-finite values appeared during time stepping."""
 
+    exit_code = 3
+
 
 class UnphysicalShift(SpinDiffError):
     """Overhauser shift exceeds the fully polarized maximum."""
@@ -45,9 +51,13 @@ class MissingGFactor(SpinDiffError):
 class NotIdentifiable(SpinDiffError):
     """Fit input carries no usable signal (constant data, flat objective)."""
 
+    exit_code = 4
+
 
 class FitDiverged(SpinDiffError):
     """Nonlinear fit failed to converge within the iteration budget."""
+
+    exit_code = 3
 
 
 class ConfigError(SpinDiffError):

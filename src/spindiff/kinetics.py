@@ -18,8 +18,8 @@ from scipy.optimize import curve_fit
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
 from .errors import FitDiverged, InvariantViolation, NotIdentifiable
-from .solver import (BoundaryMode, Grid, PolarizationField, SolverConfig,
-                     _iterate_dark, dot_average, evolve, simulate_dark,
+from .solver import (BoundaryMode, DarkSampler, Grid, PolarizationField,
+                     SolverConfig, dark_sample_times, dot_average, evolve,
                      simulate_pump)
 from .units import diffusion_cm2s_to_nm2s
 
@@ -89,11 +89,10 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
     ts: list[float] = []
     ys: list[float] = []
 
-    def record(f: PolarizationField) -> None:
-        if ts and f.time == ts[-1]:
-            return
-        ts.append(f.time)
-        ys.append(dot_average(f, geometry))
+    def record(t: float, y: float) -> None:
+        if not ts or t != ts[-1]:
+            ts.append(t)
+            ys.append(y)
 
     for seg in seq.segments:
         if seg.kind is SegmentKind.ERASE:
@@ -105,15 +104,16 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
             field = PolarizationField(grid, v, field.time)
             field = evolve(field, cfg, seg.duration, clamp=geometry)
         elif seg.kind is SegmentKind.DARK:
-            if dark_sample_every is not None:
-                for _, f in _iterate_dark(field, cfg, seg.duration,
-                                          dark_sample_every, geometry):
-                    record(f)
-                    field = f
+            dark = DarkSampler(field, cfg)
+            if dark_sample_every is None:
+                field = dark.field_at(seg.duration)
             else:
-                field = evolve(field, cfg, seg.duration)
+                times = dark_sample_times(seg.duration, dark_sample_every)
+                for t, y in zip(times, dark.dot_averages(times, geometry)):
+                    record(field.time + t, y)
+                field = dark.field_at(times[-1])
         elif seg.kind is SegmentKind.PROBE:
-            record(field)
+            record(field.time, dot_average(field, geometry))
             field = evolve(field, cfg, seg.duration)
     if not ts:
         raise InvariantViolation(
@@ -129,14 +129,13 @@ def simulate_decay_curve(d_cm2s: float, t_pump: float, t_max: float,
                          t1_uniform: float | None = None,
                          boundary: BoundaryMode = BoundaryMode.DIRICHLET_ZERO
                          ) -> DecaySeries:
-    """Pump for ``t_pump``, then free decay sampled every ``sample_every``
-    up to ``t_max``; the series is normalized to start at 1."""
-    cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
-                       t1_uniform=t1_uniform, dt=dt, boundary=boundary)
-    field = simulate_pump(geometry, cfg, t_pump, grid)
-    series = simulate_dark(field, cfg, t_max, sample_every, geometry)
-    y = series.y if series.y[0] == 0 else series.y / series.y[0]
-    return DecaySeries(t=series.t, y=y, y_kind=YKind.DOT_AVERAGE,
+    """Pump for ``t_pump``, then free decay sampled at
+    ``dark_sample_times(t_max, sample_every)``; the series is normalized
+    to start at 1."""
+    t = dark_sample_times(t_max, sample_every)
+    y = decay_samples(d_cm2s, t_pump, tuple(t.tolist()), geometry, grid, dt,
+                      boundary, t1_uniform)
+    return DecaySeries(t=t, y=y, y_kind=YKind.DOT_AVERAGE,
                        metadata={"d_cm2s": d_cm2s, "t_pump_s": t_pump})
 
 
@@ -209,23 +208,22 @@ def fit_exponential_decay(series: DecaySeries) -> DecayFit:
 
 
 @lru_cache(maxsize=512)
-def _decay_samples(d_cm2s: float, t_pump: float, t_points: tuple[float, ...],
-                   geometry: DotGeometry, grid: Grid, dt: float | None,
-                   boundary: BoundaryMode) -> np.ndarray:
-    """Normalized dot-average decay P(t; D) sampled exactly at the given
-    (possibly irregular) times since the end of the pump."""
-    if t_points[0] < 0:
-        raise InvariantViolation("NegativeTime", f"t[0] = {t_points[0]}")
-    cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s), dt=dt,
-                       boundary=boundary)
+def decay_samples(d_cm2s: float, t_pump: float, t_points: tuple[float, ...],
+                  geometry: DotGeometry, grid: Grid, dt: float | None,
+                  boundary: BoundaryMode,
+                  t1_uniform: float | None) -> np.ndarray:
+    """Forward model of the decay fits: pump for ``t_pump``, then the dot
+    average at the given (possibly irregular) times since the end of the
+    pump, normalized by its value at the end of the pump.
+
+    Results are cached and read-only. The arguments are the cache key, so
+    callers that should share a solve pass all of them positionally.
+    """
+    cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
+                       t1_uniform=t1_uniform, dt=dt, boundary=boundary)
     field = simulate_pump(geometry, cfg, t_pump, grid)
     p0 = dot_average(field, geometry)
-    out = np.empty(len(t_points))
-    t_prev = 0.0
-    for i, t in enumerate(t_points):
-        field = evolve(field, cfg, t - t_prev)
-        out[i] = dot_average(field, geometry)
-        t_prev = t
+    out = DarkSampler(field, cfg).dot_averages(t_points, geometry)
     if p0 != 0:
         out /= p0
     out.setflags(write=False)
@@ -244,15 +242,18 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                               geometry: DotGeometry, grid: Grid,
                               d_bounds: tuple[float, float], *,
                               dt: float | None = None,
+                              t1_uniform: float | None = None,
                               boundary: BoundaryMode = BoundaryMode.DIRICHLET_ZERO
                               ) -> DiffusionFit:
     """Fit the diffusion coefficient to a measured decay series.
 
     Scans log10 D on a coarse grid (>= 8 candidates per decade), solving
     scale and offset by linear least squares at each candidate, then
-    refines around the best candidate by golden-section search. A flat
-    objective raises NotIdentifiable; a minimum pinned at a search bound
-    is reported via the ``BoundaryMinimum`` warning.
+    refines around the best candidate by golden-section search. The model
+    is ``decay_samples`` with the given pump step ``dt``, uniform
+    relaxation ``t1_uniform`` and ``boundary``. A flat objective raises
+    NotIdentifiable; a minimum pinned at a search bound is reported via
+    the ``BoundaryMinimum`` warning.
     """
     t, y = measured.t, measured.y
     if len(t) < 5:
@@ -268,8 +269,8 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     t_key = tuple(float(x) for x in t)
 
     def objective(log_d: float) -> float:
-        p = _decay_samples(10.0 ** log_d, t_pump, t_key, geometry, grid, dt,
-                           boundary)
+        p = decay_samples(10.0 ** log_d, t_pump, t_key, geometry, grid, dt,
+                          boundary, t1_uniform)
         return _affine_lsq(p, y)[2]
 
     logs = np.linspace(math.log10(d_lo), math.log10(d_hi),
@@ -302,8 +303,8 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
             fd = objective(d)
     log_best = c if fc < fd else d
     log_best = min(max(log_best, math.log10(d_lo)), math.log10(d_hi))
-    p_best = _decay_samples(10.0 ** log_best, t_pump, t_key, geometry, grid,
-                            dt, boundary)
+    p_best = decay_samples(10.0 ** log_best, t_pump, t_key, geometry, grid,
+                           dt, boundary, t1_uniform)
     scale, offset, sse = _affine_lsq(p_best, y)
 
     warnings: tuple[str, ...] = ()

@@ -1,9 +1,22 @@
 """Axisymmetric finite-difference diffusion solver.
 
-Solves dS/dt = D * [ (1/r) d_r(r d_r S) + d2_z S ] on a uniform
-cell-centered (r, z) grid with a Crank-Nicolson scheme, split into two
-tridiagonal sweeps per step (Peaceman-Rachford ADI). The scheme is
-unconditionally stable and second-order in space and time.
+Solves dS/dt = D * [ (1/r) d_r(r d_r S) + d2_z S ] - S / T1 on a uniform
+cell-centered (r, z) grid, with second-order conservative differences in
+space. Time is advanced in one of two ways:
+
+  * Dot unclamped (dark delays, probes): the spatial operator is separable,
+    D (A_r x I + I x A_z), so any interval is propagated exactly in the
+    eigenbasis of the two 1-D operators, the fast-diagonalization method of
+    Lynch, Rice & Thomas (Numer. Math. 6, 1964). A_z is symmetric; A_r is
+    symmetric after weighting with sqrt(r). The eigenbasis is built on the
+    first unclamped propagation and cached per (grid, boundary). There is
+    no time step and no time-discretization error; ``DarkSampler`` reads
+    the dot average at any list of times from one modal transform.
+  * Dot clamped at S = 1 (the pump): Crank-Nicolson split into two
+    tridiagonal sweeps per step (Peaceman-Rachford ADI), unconditionally
+    stable, followed by resetting the dot cells to S = 1. That projection
+    makes the pump first-order in dt, and the staircase dot boundary
+    makes it first-order in dr.
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -18,13 +31,13 @@ Discretization notes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .domain import DecaySeries, DotGeometry, YKind
 from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
@@ -58,7 +71,7 @@ class Grid:
     z_min: float
 
     def __post_init__(self):
-        if self.dr <= 0 or self.dz <= 0:
+        if not (self.dr > 0 and self.dz > 0):
             raise InvariantViolation("NonPositiveSpacing",
                                      f"dr = {self.dr}, dz = {self.dz}")
         if self.nr < 8 or self.nz < 8:
@@ -81,10 +94,17 @@ class Grid:
     def z_centers(self) -> np.ndarray:
         return self.z_min + (np.arange(self.nz) + 0.5) * self.dz
 
-    def dot_mask(self, geometry: DotGeometry) -> np.ndarray:
-        """Boolean (nr, nz) mask of cells whose centers lie inside the disk."""
+    def dot_axes(self,
+                 geometry: DotGeometry) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean masks of the radial and axial cell centers inside the
+        disk; the dot is their outer product."""
         r_in = self.r_centers < geometry.radius
         z_in = np.abs(self.z_centers - geometry.z_center) < geometry.height / 2
+        return r_in, z_in
+
+    def dot_mask(self, geometry: DotGeometry) -> np.ndarray:
+        """Boolean (nr, nz) mask of cells whose centers lie inside the disk."""
+        r_in, z_in = self.dot_axes(geometry)
         return r_in[:, None] & z_in[None, :]
 
     def require_dot_inside(self, geometry: DotGeometry) -> None:
@@ -117,9 +137,10 @@ class PolarizationField:
 class SolverConfig:
     """Diffusion coefficient in nm^2/s plus stepping and boundary options.
 
-    ``dt = None`` picks the accuracy-driven default
-    min(dr, dz)^2 / (2 D), capped at 10 ms. ``t1_uniform`` adds a uniform
-    exp(-t/T1) relaxation of all unclamped cells.
+    ``dt`` is the step of the clamped pump; ``None`` picks the
+    accuracy-driven default min(dr, dz)^2 / (2 D), capped at 10 ms.
+    Unclamped intervals are exact and take no step. ``t1_uniform`` adds a
+    uniform exp(-t/T1) relaxation of all unclamped cells.
     """
 
     d_qd: float
@@ -128,12 +149,12 @@ class SolverConfig:
     boundary: BoundaryMode = BoundaryMode.DIRICHLET_ZERO
 
     def __post_init__(self):
-        if self.d_qd < 0:
+        if not (self.d_qd >= 0):
             raise InvariantViolation("NegativeDiffusion", f"d_qd = {self.d_qd}")
-        if self.t1_uniform is not None and self.t1_uniform <= 0:
+        if self.t1_uniform is not None and not (self.t1_uniform > 0):
             raise InvariantViolation("NonPositiveRelaxationTime",
                                      f"t1_uniform = {self.t1_uniform}")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not (self.dt > 0):
             raise InvariantViolation("NonPositiveTimeStep", f"dt = {self.dt}")
 
 
@@ -145,10 +166,10 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
     The z grid is aligned so the dot mid-plane falls on a cell face, which
     makes the default 20 nm x 5 nm disk resolve exactly at dr = dz = 0.5.
     """
-    if extent_factor < 5:
+    if not (extent_factor >= 5):
         raise InvariantViolation("ExtentFactorTooSmall",
                                  f"extent_factor = {extent_factor}, need >= 5")
-    if dr <= 0 or dz <= 0:
+    if not (dr > 0 and dz > 0):
         raise InvariantViolation("NonPositiveSpacing", f"dr = {dr}, dz = {dz}")
     cells_across_radius = int(np.ceil(geometry.radius / dr - 0.5))
     cells_across_height = 2 * int(np.ceil(geometry.height / (2 * dz) - 0.5))
@@ -167,8 +188,8 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
 
 
 def auto_dt(grid: Grid, d_qd: float, sample_every: float | None = None) -> float:
-    """Default time step: accuracy budget min(dr,dz)^2/(2 D), capped at
-    DT_CAP and never larger than the sampling interval."""
+    """Default pump time step: accuracy budget min(dr,dz)^2/(2 D), capped
+    at DT_CAP and never larger than ``sample_every`` when given."""
     dt = min(grid.dr, grid.dz) ** 2 / (2.0 * max(d_qd, _D_FLOOR))
     dt = min(dt, DT_CAP)
     if sample_every is not None:
@@ -244,9 +265,33 @@ def _apply_z(S, coeffs, out):
     return out
 
 
+@lru_cache(maxsize=8)
+def _eigenbasis(grid: Grid, boundary: BoundaryMode):
+    """Eigenpairs of the unclamped operator per unit D.
+
+    Returns (lam_r, q_r, lam_z, q_z, sqrt_r) with
+    A_r = diag(1/sqrt_r) q_r diag(lam_r) q_r^T diag(sqrt_r) and
+    A_z = q_z diag(lam_z) q_z^T, q_r and q_z orthogonal. Weighting the
+    radial operator with sqrt(r) makes it symmetric: its off-diagonal
+    pair becomes sqrt(hi[i] * lo[i+1]). The axial operator is symmetric
+    already, and the same formula returns its off-diagonal unchanged.
+    """
+    out = []
+    for lo, di, hi in (_radial_coeffs(grid.nr, grid.dr, boundary),
+                       _axial_coeffs(grid.nz, grid.dz, boundary)):
+        out.extend(eigh_tridiagonal(di, np.sqrt(hi[:-1] * lo[1:])))
+    return (*out, np.sqrt(grid.r_centers))
+
+
+def _check_time(name: str, t: float) -> None:
+    if not (0 <= t < math.inf):
+        raise InvariantViolation("NegativeDuration", f"{name} = {t}")
+
+
 def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-             n_steps: int, clamp_mask: np.ndarray | None) -> np.ndarray:
-    """Run ``n_steps`` ADI steps of size ``dt`` on a copy of ``values``."""
+             n_steps: int, clamp_mask: np.ndarray) -> np.ndarray:
+    """Run ``n_steps`` ADI steps of size ``dt`` on a copy of ``values``,
+    resetting the cells of ``clamp_mask`` to S = 1 after each step."""
     S = np.array(values, dtype=float)
     if n_steps <= 0:
         return S
@@ -269,40 +314,125 @@ def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
                              check_finite=False).T
         if decay is not None:
             S *= decay
-        if clamp_mask is not None:
-            S[clamp_mask] = 1.0
+        S[clamp_mask] = 1.0
         if not np.isfinite(S).all():
             raise NumericalBlowup(
                 f"non-finite polarization after step of dt = {dt}")
     return np.ascontiguousarray(S)
 
 
+class DarkSampler:
+    """Exact free evolution of one field with the dot unclamped.
+
+    Construction transforms the field, taken as dark time t = 0, into
+    modal coefficients once. ``dot_averages`` then reads the dot average
+    at any times as e_r(t)^T G e_z(t), where G holds the coefficients
+    weighted by the separable dot functional and e_r, e_z are the modal
+    decay factors, without rebuilding the field. ``field_at`` rebuilds
+    the field at one time. The uniform T1 factor exp(-t/T1) is applied
+    exactly. At t = 0, and for every t when D = 0, the input field is
+    used directly, without transforms.
+    """
+
+    def __init__(self, field: PolarizationField, cfg: SolverConfig):
+        self.field = field
+        self.cfg = cfg
+        self._basis = self._coef = None
+        if cfg.d_qd > 0:
+            self._basis = _eigenbasis(field.grid, cfg.boundary)
+            _, q_r, _, q_z, sqrt_r = self._basis
+            self._coef = q_r.T @ (sqrt_r[:, None] * field.values) @ q_z
+
+    def _relax(self, t: float) -> float:
+        _check_time("t", t)
+        t1 = self.cfg.t1_uniform
+        return math.exp(-t / t1) if t1 else 1.0
+
+    def _modal_factors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e_r, e_z) at time t, with the T1 factor folded into e_r."""
+        lam_r, _, lam_z, _, _ = self._basis
+        tau = self.cfg.d_qd * t
+        return self._relax(t) * np.exp(tau * lam_r), np.exp(tau * lam_z)
+
+    def field_at(self, t: float) -> PolarizationField:
+        """The field ``t`` after the sampler's start."""
+        if t == 0:
+            return self.field
+        if self._basis is None:
+            values = self.field.values * self._relax(t)
+        else:
+            _, q_r, _, q_z, sqrt_r = self._basis
+            e_r, e_z = self._modal_factors(t)
+            values = (q_r @ (e_r[:, None] * self._coef * e_z) @ q_z.T
+                      / sqrt_r[:, None])
+        return PolarizationField(self.field.grid, values, self.field.time + t)
+
+    def dot_averages(self, times, geometry: DotGeometry) -> np.ndarray:
+        """Dot average (as ``dot_average``) at each of ``times`` after the
+        sampler's start. Each value depends only on its own time."""
+        p0 = dot_average(self.field, geometry)
+        if self._basis is None:
+            return np.array([p0 * self._relax(t) for t in times])
+        grid = self.field.grid
+        _, q_r, _, q_z, sqrt_r = self._basis
+        r_in, z_in = grid.dot_axes(geometry)
+        # sum of r * S over the dot, mode by mode, over the sum of r
+        a = sqrt_r[r_in] @ q_r[r_in]
+        b = q_z[z_in].sum(axis=0)
+        norm = grid.r_centers[r_in].sum() * np.count_nonzero(z_in)
+        g = a[:, None] * self._coef * b / norm
+        out = np.empty(len(times))
+        for i, t in enumerate(times):
+            if t == 0:
+                out[i] = p0
+            else:
+                e_r, e_z = self._modal_factors(t)
+                out[i] = e_r @ g @ e_z
+        return out
+
+
+def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
+    """Sampling instants of a dark interval: 0, sample_every,
+    2*sample_every, ... up to ``t_dark``, plus ``t_dark`` itself when it
+    falls off the cadence."""
+    _check_time("t_dark", t_dark)
+    if not (sample_every > 0):
+        raise InvariantViolation("NonPositiveSampleInterval",
+                                 f"sample_every = {sample_every}")
+    n_samples = int(np.floor(t_dark / sample_every + 1e-9))
+    t = np.arange(n_samples + 1) * sample_every
+    if t_dark - n_samples * sample_every > 1e-9 * max(t_dark, 1.0):
+        t = np.append(t, t_dark)
+    return t
+
+
 def step(field: PolarizationField, cfg: SolverConfig,
          clamp: DotGeometry | None = None) -> PolarizationField:
-    """Advance one time step (cfg.dt, or the automatic default).
-
-    With ``clamp``, cells inside the disk are reset to S = 1 after the
-    step; the uniform T1 factor, when configured, multiplies everything
-    else.
-    """
+    """Advance by one time step (cfg.dt, or the automatic default), as
+    ``evolve`` does."""
     dt = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd)
-    mask = field.grid.dot_mask(clamp) if clamp is not None else None
-    out = _advance(field.values, field.grid, cfg, dt, 1, mask)
-    return PolarizationField(grid=field.grid, values=out, time=field.time + dt)
+    return evolve(field, cfg, dt, clamp)
 
 
 def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
            clamp: DotGeometry | None = None) -> PolarizationField:
-    """Advance by ``duration`` using automatic sub-steps that land exactly
-    on the requested time."""
-    if duration < 0:
-        raise InvariantViolation("NegativeDuration", f"duration = {duration}")
+    """Advance by ``duration``.
+
+    Unclamped, the propagation is exact (``DarkSampler``). With
+    ``clamp``, ADI sub-steps of at most cfg.dt (or the automatic default)
+    land exactly on the requested time; cells inside the disk are reset
+    to S = 1 after each, and the uniform T1 factor, when configured,
+    multiplies everything else.
+    """
+    _check_time("duration", duration)
     if duration == 0:
         return field
+    if clamp is None:
+        return DarkSampler(field, cfg).field_at(duration)
     dt_req = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd)
     n = int(np.ceil(duration / dt_req))
-    mask = field.grid.dot_mask(clamp) if clamp is not None else None
-    out = _advance(field.values, field.grid, cfg, duration / n, n, mask)
+    out = _advance(field.values, field.grid, cfg, duration / n, n,
+                   field.grid.dot_mask(clamp))
     return PolarizationField(grid=field.grid, values=out,
                              time=field.time + duration)
 
@@ -311,62 +441,24 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
                   grid: Grid) -> PolarizationField:
     """Pump phase: from an unpolarized medium, saturate the dot instantly
     and hold it at S = 1 for ``t_pump`` while diffusion feeds the halo."""
-    if t_pump < 0:
-        raise InvariantViolation("NegativeDuration", f"t_pump = {t_pump}")
+    _check_time("t_pump", t_pump)
     grid.require_dot_inside(geometry)
     mask = grid.dot_mask(geometry)
     if not mask.any():
         raise GeometryMismatch("no cell centers fall inside the dot")
     values = np.zeros((grid.nr, grid.nz))
     values[mask] = 1.0
-    if t_pump > 0:
-        dt_req = cfg.dt if cfg.dt is not None else auto_dt(grid, cfg.d_qd)
-        n = int(np.ceil(t_pump / dt_req))
-        values = _advance(values, grid, cfg, t_pump / n, n, mask)
-    return PolarizationField(grid=grid, values=values, time=t_pump)
-
-
-def _iterate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,
-                  sample_every: float,
-                  geometry: DotGeometry) -> Iterator[tuple[float, PolarizationField]]:
-    """Yield (t since dark start, field) at each sampling instant,
-    starting with the input field at t = 0."""
-    if t_dark < 0:
-        raise InvariantViolation("NegativeDuration", f"t_dark = {t_dark}")
-    if sample_every <= 0:
-        raise InvariantViolation("NonPositiveSampleInterval",
-                                 f"sample_every = {sample_every}")
-    field.grid.require_dot_inside(geometry)
-    yield 0.0, field
-    dt_req = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd,
-                                                       sample_every)
-    values = field.values
-    n_samples = int(np.floor(t_dark / sample_every + 1e-9))
-    n_sub = max(1, int(np.ceil(sample_every / dt_req)))
-    for k in range(1, n_samples + 1):
-        values = _advance(values, field.grid, cfg, sample_every / n_sub,
-                          n_sub, None)
-        t = k * sample_every
-        yield t, PolarizationField(field.grid, values, field.time + t)
-    remainder = t_dark - n_samples * sample_every
-    if remainder > 1e-9 * max(t_dark, 1.0):
-        n_sub = max(1, int(np.ceil(remainder / dt_req)))
-        values = _advance(values, field.grid, cfg, remainder / n_sub, n_sub,
-                          None)
-        yield t_dark, PolarizationField(field.grid, values,
-                                        field.time + t_dark)
+    field = PolarizationField(grid=grid, values=values)
+    return evolve(field, cfg, t_pump, clamp=geometry)
 
 
 def simulate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,
                   sample_every: float, geometry: DotGeometry) -> DecaySeries:
-    """Free decay: evolve without clamping and record the dot average at
-    the sampling cadence. The first sample, at t = 0, is the input field's."""
-    ts, ys = [], []
-    for t, f in _iterate_dark(field, cfg, t_dark, sample_every, geometry):
-        ts.append(t)
-        ys.append(dot_average(f, geometry))
-    return DecaySeries(t=np.array(ts), y=np.array(ys),
-                       y_kind=YKind.DOT_AVERAGE)
+    """Free decay: the dot average at ``dark_sample_times(t_dark,
+    sample_every)``. The first sample, at t = 0, is the input field's."""
+    t = dark_sample_times(t_dark, sample_every)
+    y = DarkSampler(field, cfg).dot_averages(t, geometry)
+    return DecaySeries(t=t, y=y, y_kind=YKind.DOT_AVERAGE)
 
 
 def dot_average(field: PolarizationField, geometry: DotGeometry) -> float:

@@ -36,6 +36,33 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+MEASURED_ROWS = "0,98\n10,90\n20,85\n30,80\n40,75\n"
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("dt_s = 0.05", "dt_s = nan", "dt_s"),
+    ("dr_nm = 1.0", "dr_nm = nan", "dr_nm"),
+    ("extent_factor = 6", "extent_factor = nan", "extent_factor"),
+    ("sample_every_s = 1.0", "sample_every_s = nan", "sample_every_s"),
+    ("d_cm2s = 1e-13", "d_cm2s = nan", "d_cm2s"),
+    ("t_dark_s = 4", "t_dark_s = inf", "t_dark_s"),
+    ("40,75", "inf,75", "delay_s"),
+    ("20,85", "20,nan", "value"),
+])
+def test_non_finite_input_exits_2_naming_field(tmp_path, capsys, old, new,
+                                               field):
+    # config cases edit the config, measured-data cases the CSV rows
+    cfg = write_config(tmp_path, FAST_SOLVER.replace(old, new))
+    measured = tmp_path / "measured.csv"
+    measured.write_text("# y_kind=zeeman_splitting_uev\ndelay_s,value\n"
+                        + MEASURED_ROWS.replace(old, new), encoding="utf-8")
+    command = (["fit-d", str(measured)] if old in MEASURED_ROWS
+               else ["simulate"])
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "out"),
+                           "--quiet"]) == 2
+    assert field in capsys.readouterr().err
+
+
 class TestConvert:
     def test_ohs_to_degree(self, capsys):
         assert main(["convert", "38"]) == 0
@@ -247,6 +274,23 @@ t_pump_s = 10
         assert list(overlay) == ["t_s", "measured", "model"]
         rms = np.sqrt(np.mean((overlay["measured"] - overlay["model"]) ** 2))
         assert rms < 0.1
+
+    def test_fit_honours_t1(self, tmp_path):
+        from spindiff import DotGeometry, build_grid, simulate_decay_curve
+        grid = build_grid(DotGeometry(), 1.0, 0.625, extent_factor=5.0)
+        s = simulate_decay_curve(4e-15, 10.0, 60.0, 5.0, DotGeometry(), grid,
+                                 dt=0.2, t1_uniform=60.0)
+        path = tmp_path / "measured.csv"
+        write_measured_csv(path, DecaySeries(
+            t=s.t, y=60.0 + 38.0 * s.y, y_kind=YKind.ZEEMAN_SPLITTING_UEV))
+        cfg = write_config(tmp_path, self.FIT_CONFIG.replace(
+            "dt_s = 0.2", "dt_s = 0.2\nt1_s = 60"))
+        out = str(tmp_path / "out")
+        assert main(["fit-d", str(path), "--config", cfg, "--out", out,
+                     "--quiet"]) == 0
+        report = read_fit_report(tmp_path / "out" / "fit.json")
+        # abs=0: approx's default absolute slack of 1e-12 exceeds any D here
+        assert report["d_qd_cm2s"] == pytest.approx(4e-15, rel=0.05, abs=0)
 
     def test_constant_csv_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, self.FIT_CONFIG)

@@ -13,7 +13,7 @@ from spindiff import (DecaySeries, DotGeometry, Helicity, InvariantViolation,
                       fit_diffusion_coefficient, fit_exponential_decay,
                       fit_exponential_rise, paper_decay_sequence,
                       run_sequence, simulate_decay_curve, time_to_level)
-from spindiff.kinetics import _affine_lsq, _decay_samples
+from spindiff.kinetics import _affine_lsq, decay_samples
 
 GEO = DotGeometry()
 
@@ -222,8 +222,8 @@ class TestDiffusionFit:
 
     def test_affine_separability_exact(self, coarse_grid):
         t_key = tuple(np.arange(0.0, 40.0, 5.0))
-        p = _decay_samples(5e-15, 10.0, t_key, GEO, coarse_grid, 0.2,
-                           SolverConfig(d_qd=0.0).boundary)
+        p = decay_samples(5e-15, 10.0, t_key, GEO, coarse_grid, 0.2,
+                          SolverConfig(d_qd=0.0).boundary, None)
         scale, offset, sse = _affine_lsq(p, 60.0 + 38.0 * p)
         assert scale == pytest.approx(38.0, rel=1e-10)
         assert offset == pytest.approx(60.0, rel=1e-10)

@@ -6,16 +6,20 @@ Oracles used here, all closed-form:
   * 1D slab in a reflective box: Neumann cosine series for a step initial
     profile, averaged over the slab;
   * exact conservation of the discrete volume integral under reflective
-    boundaries, and the discrete maximum principle at the automatic step.
+    boundaries, and the discrete maximum principle at the automatic step;
+  * the matrix exponential of the assembled 2-D operator, which the
+    modal propagation of unclamped intervals must reproduce.
 """
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from spindiff import (BoundaryMode, DotGeometry, GeometryMismatch,
-                      GridTooCoarse, Grid, InvariantViolation,
-                      PolarizationField, SolverConfig, auto_dt, build_grid,
-                      dot_average, evolve, simulate_dark, simulate_pump,
-                      step, total_spin)
+from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
+                      GeometryMismatch, GridTooCoarse, Grid,
+                      InvariantViolation, PolarizationField, SolverConfig,
+                      auto_dt, build_grid, dot_average, evolve,
+                      simulate_dark, simulate_pump, step, total_spin)
+from spindiff.solver import _axial_coeffs, _radial_coeffs
 
 GEO = DotGeometry()
 
@@ -199,6 +203,58 @@ class TestTrivialDynamics:
         assert out.time == pytest.approx(1.35, rel=1e-15)
 
 
+def tridiagonal(coeffs):
+    lo, di, hi = coeffs
+    return np.diag(di) + np.diag(lo[1:], -1) + np.diag(hi[:-1], 1)
+
+
+class TestModalPropagation:
+    GRID = Grid(nr=10, nz=12, dr=1.0, dz=0.8, z_min=-4.8)
+    GEO = DotGeometry(radius=3.0, height=2.0)
+
+    def random_field(self, seed=11):
+        rng = np.random.default_rng(seed)
+        return PolarizationField(self.GRID,
+                                 rng.random((self.GRID.nr, self.GRID.nz)))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_matches_expm_of_assembled_operator(self, boundary):
+        g = self.GRID
+        a_r = tridiagonal(_radial_coeffs(g.nr, g.dr, boundary))
+        a_z = tridiagonal(_axial_coeffs(g.nz, g.dz, boundary))
+        # values[i, j] flattens to i * nz + j
+        op = np.kron(a_r, np.eye(g.nz)) + np.kron(np.eye(g.nr), a_z)
+        d, t, t1 = 3.0, 0.7, 2.5
+        field = self.random_field()
+        out = evolve(field, SolverConfig(d_qd=d, t1_uniform=t1,
+                                         boundary=boundary), t)
+        want = expm(t * d * op) @ field.values.ravel() * np.exp(-t / t1)
+        np.testing.assert_allclose(out.values.ravel(), want, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_semigroup(self, boundary):
+        cfg = SolverConfig(d_qd=2.0, boundary=boundary)
+        field = self.random_field(5)
+        two = evolve(evolve(field, cfg, 0.3), cfg, 1.1)
+        one = evolve(field, cfg, 1.4)
+        np.testing.assert_allclose(two.values, one.values, rtol=0, atol=1e-12)
+        assert two.time == pytest.approx(one.time, rel=1e-15)
+
+    def test_modal_dot_average_matches_rebuilt_field(self):
+        cfg = SolverConfig(d_qd=1.5, t1_uniform=4.0)
+        sampler = DarkSampler(self.random_field(8), cfg)
+        times = [0.0, 0.05, 0.4, 2.0, 9.0]
+        got = sampler.dot_averages(times, self.GEO)
+        want = [dot_average(sampler.field_at(t), self.GEO) for t in times]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_negative_time_rejected(self):
+        sampler = DarkSampler(self.random_field(), SolverConfig(d_qd=1.0))
+        with pytest.raises(InvariantViolation):
+            sampler.dot_averages([0.0, -1.0], self.GEO)
+
+
 class TestPumpAndDark:
     def test_instant_pump_is_dot_indicator(self):
         grid = build_grid(GEO, 0.5, 0.5, extent_factor=5.0)
@@ -244,3 +300,14 @@ class TestPumpAndDark:
     def test_negative_diffusion_rejected(self):
         with pytest.raises(InvariantViolation):
             SolverConfig(d_qd=-1.0)
+
+    def test_nan_inputs_rejected(self):
+        nan = float("nan")
+        for kwargs in ({"d_qd": nan}, {"d_qd": 1.0, "t1_uniform": nan},
+                       {"d_qd": 1.0, "dt": nan}):
+            with pytest.raises(InvariantViolation):
+                SolverConfig(**kwargs)
+        with pytest.raises(InvariantViolation):
+            Grid(nr=16, nz=16, dr=nan, dz=1.0, z_min=-8.0)
+        with pytest.raises(InvariantViolation):
+            build_grid(GEO, 0.5, 0.5, extent_factor=nan)
