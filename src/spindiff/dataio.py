@@ -20,6 +20,7 @@ from .domain import DecaySeries, YKind
 from .errors import ConfigError
 
 _FMT = "%.17g"
+_BLOCK_ROWS = 4096
 
 MEASURED_COLUMNS = ("delay_s", "value", "sigma")
 
@@ -38,8 +39,12 @@ def write_table(path: str | os.PathLike, columns: Mapping[str, Sequence[float]],
         for key, val in (metadata or {}).items():
             fh.write(f"# {key}={val}\n")
         fh.write(",".join(names) + "\n")
-        for i in range(n_rows):
-            fh.write(",".join(_FMT % a[i] for a in arrays) + "\n")
+        # one % call per block of rows; stacking per block, not the whole
+        # table, keeps the extra memory to one block
+        row_fmt = ",".join([_FMT] * len(arrays)) + "\n"
+        for i in range(0, n_rows, _BLOCK_ROWS):
+            block = np.column_stack([a[i:i + _BLOCK_ROWS] for a in arrays])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],

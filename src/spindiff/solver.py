@@ -2,21 +2,23 @@
 
 Solves dS/dt = D * [ (1/r) d_r(r d_r S) + d2_z S ] - S / T1 on a uniform
 cell-centered (r, z) grid, with second-order conservative differences in
-space. Time is advanced in one of two ways:
+space. The spatial operator is separable, D (A_r x I + I x A_z); A_z is
+symmetric and A_r is symmetric after weighting with sqrt(r). Both ways
+of advancing time work in the eigenbasis of the two 1-D operators, the
+fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
+1964), built on first use and cached per (grid, boundary):
 
-  * Dot unclamped (dark delays, probes): the spatial operator is separable,
-    D (A_r x I + I x A_z), so any interval is propagated exactly in the
-    eigenbasis of the two 1-D operators, the fast-diagonalization method of
-    Lynch, Rice & Thomas (Numer. Math. 6, 1964). A_z is symmetric; A_r is
-    symmetric after weighting with sqrt(r). The eigenbasis is built on the
-    first unclamped propagation and cached per (grid, boundary). There is
-    no time step and no time-discretization error; ``DarkSampler`` reads
-    the dot average at any list of times from one modal transform.
-  * Dot clamped at S = 1 (the pump): Crank-Nicolson split into two
-    tridiagonal sweeps per step (Peaceman-Rachford ADI), unconditionally
-    stable, followed by resetting the dot cells to S = 1. That projection
-    makes the pump first-order in dt, and the staircase dot boundary
-    makes it first-order in dr.
+  * Dot unclamped (dark delays, probes): any interval is propagated
+    exactly. There is no time step and no time-discretization error;
+    ``DarkSampler`` reads the dot average at any list of times from one
+    modal transform.
+  * Dot clamped at S = 1 (the pump): Crank-Nicolson in its
+    Peaceman-Rachford split, unconditionally stable, each step followed
+    by resetting the dot cells to S = 1. The step is diagonal on the
+    modes and the reset is a low-rank correction through the dot
+    rectangle, so the recurrence is carried in modal coefficients and
+    transformed back once. The reset makes the pump first-order in dt,
+    and the staircase dot boundary makes it first-order in dr.
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -37,7 +39,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .domain import DecaySeries, DotGeometry, YKind
 from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
@@ -238,33 +240,6 @@ def _axial_coeffs(nz: int, dz: float, boundary: BoundaryMode):
     return lo, di, hi
 
 
-def _banded(coeffs, mu: float) -> np.ndarray:
-    """(I - mu*A) as the ab matrix expected by solve_banded."""
-    lo, di, hi = coeffs
-    n = di.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -mu * hi[:-1]
-    ab[1, :] = 1.0 - mu * di
-    ab[2, :-1] = -mu * lo[1:]
-    return ab
-
-
-def _apply_r(S, coeffs, out):
-    lo, di, hi = coeffs
-    np.multiply(di[:, None], S, out=out)
-    out[1:] += lo[1:, None] * S[:-1]
-    out[:-1] += hi[:-1, None] * S[1:]
-    return out
-
-
-def _apply_z(S, coeffs, out):
-    lo, di, hi = coeffs
-    np.multiply(di[None, :], S, out=out)
-    out[:, 1:] += lo[None, 1:] * S[:, :-1]
-    out[:, :-1] += hi[None, :-1] * S[:, 1:]
-    return out
-
-
 @lru_cache(maxsize=8)
 def _eigenbasis(grid: Grid, boundary: BoundaryMode):
     """Eigenpairs of the unclamped operator per unit D.
@@ -288,37 +263,64 @@ def _check_time(name: str, t: float) -> None:
         raise InvariantViolation("NegativeDuration", f"{name} = {t}")
 
 
+def _to_modes(values: np.ndarray, basis) -> np.ndarray:
+    """Modal coefficients q_r^T (sqrt(r) S) q_z of a field."""
+    _, q_r, _, q_z, sqrt_r = basis
+    return q_r.T @ (sqrt_r[:, None] * values) @ q_z
+
+
 def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-             n_steps: int, clamp_mask: np.ndarray) -> np.ndarray:
-    """Run ``n_steps`` ADI steps of size ``dt`` on a copy of ``values``,
-    resetting the cells of ``clamp_mask`` to S = 1 after each step."""
-    S = np.array(values, dtype=float)
-    if n_steps <= 0:
-        return S
-    decay = np.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else None
+             n_steps: int, clamp: DotGeometry) -> np.ndarray:
+    """Run ``n_steps`` >= 1 Crank-Nicolson steps of size ``dt`` from
+    ``values`` (not modified), resetting the dot cells to S = 1 after each.
+
+    Each step is S <- reset(decay * M S) with the Peaceman-Rachford
+    factor M = (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
+    A_r x I and I x A_z commute, so M is diagonal on the eigenbasis
+    modes, and the step is carried in modal coefficients c: c <- rho * c,
+    then the reset adds sqrt(r) (1 - S) on the dot rectangle back through
+    the rows of q_r and q_z inside it, a low-rank correction (the
+    capacitance-matrix idea of Buzbee, Dorr, George & Golub, SIAM J.
+    Numer. Anal. 8, 1971). With D = 0 a step is the T1 factor and the
+    reset.
+    """
+    decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     mu = 0.5 * cfg.d_qd * dt
     if mu > 0.0:
-        cr = _radial_coeffs(grid.nr, grid.dr, cfg.boundary)
-        cz = _axial_coeffs(grid.nz, grid.dz, cfg.boundary)
-        ab_r = _banded(cr, mu)
-        ab_z = _banded(cz, mu)
-        scratch = np.empty_like(S)
-    for _ in range(n_steps):
-        if mu > 0.0:
-            # half-sweep 1: implicit in r, explicit in z
-            rhs = S + mu * _apply_z(S, cz, scratch)
-            S = solve_banded((1, 1), ab_r, rhs, check_finite=False)
-            # half-sweep 2: implicit in z, explicit in r
-            rhs = S + mu * _apply_r(S, cr, scratch)
-            S = solve_banded((1, 1), ab_z, np.ascontiguousarray(rhs.T),
-                             check_finite=False).T
-        if decay is not None:
-            S *= decay
-        S[clamp_mask] = 1.0
-        if not np.isfinite(S).all():
-            raise NumericalBlowup(
-                f"non-finite polarization after step of dt = {dt}")
-    return np.ascontiguousarray(S)
+        basis = _eigenbasis(grid, cfg.boundary)
+        lam_r, q_r, lam_z, q_z, sqrt_r = basis
+        rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
+            * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
+        r_in, z_in = grid.dot_axes(clamp)
+        a, b, w = q_r[r_in], q_z[z_in], sqrt_r[r_in, None]
+        # Row blocks of at most 2^18 multiply-adds per product, which
+        # OpenBLAS runs on one thread: threads do not pay off on these
+        # thin products and stall whenever another process holds a core.
+        rows = max(1, 2 ** 18 // (b.size or 1))
+        blocks = [slice(i, i + rows) for i in range(0, grid.nr, rows)]
+        coef = _to_modes(values, basis)
+        read = np.empty((grid.nr, len(b)))
+        views = [(coef[k], read[k], k) for k in blocks]
+        for _ in range(n_steps):
+            coef *= rho
+            for c, r, _ in views:
+                np.matmul(c, b.T, out=r)
+            y = a.T @ (w - a @ read)
+            for c, _, k in views:
+                c += y[k] @ b
+            _require_finite(coef, dt)
+        S = q_r @ coef @ q_z.T / sqrt_r[:, None]
+    else:
+        S = values * decay ** n_steps
+        _require_finite(S, dt)
+    S[grid.dot_mask(clamp)] = 1.0
+    return S
+
+
+def _require_finite(x: np.ndarray, dt: float) -> None:
+    if not np.isfinite(x).all():
+        raise NumericalBlowup(
+            f"non-finite polarization after step of dt = {dt}")
 
 
 class DarkSampler:
@@ -340,8 +342,7 @@ class DarkSampler:
         self._basis = self._coef = None
         if cfg.d_qd > 0:
             self._basis = _eigenbasis(field.grid, cfg.boundary)
-            _, q_r, _, q_z, sqrt_r = self._basis
-            self._coef = q_r.T @ (sqrt_r[:, None] * field.values) @ q_z
+            self._coef = _to_modes(field.values, self._basis)
 
     def _relax(self, t: float) -> float:
         _check_time("t", t)
@@ -419,10 +420,11 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
     """Advance by ``duration``.
 
     Unclamped, the propagation is exact (``DarkSampler``). With
-    ``clamp``, ADI sub-steps of at most cfg.dt (or the automatic default)
-    land exactly on the requested time; cells inside the disk are reset
-    to S = 1 after each, and the uniform T1 factor, when configured,
-    multiplies everything else.
+    ``clamp``, first-order Crank-Nicolson sub-steps of at most cfg.dt (or
+    the automatic default) land exactly on the requested time; cells
+    inside the disk are reset to S = 1 after each, and the uniform T1
+    factor, when configured, multiplies everything else. The sub-steps
+    are carried in the modal basis (``_advance``).
     """
     _check_time("duration", duration)
     if duration == 0:
@@ -431,8 +433,7 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
         return DarkSampler(field, cfg).field_at(duration)
     dt_req = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd)
     n = int(np.ceil(duration / dt_req))
-    out = _advance(field.values, field.grid, cfg, duration / n, n,
-                   field.grid.dot_mask(clamp))
+    out = _advance(field.values, field.grid, cfg, duration / n, n, clamp)
     return PolarizationField(grid=field.grid, values=out,
                              time=field.time + duration)
 

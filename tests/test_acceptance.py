@@ -206,11 +206,11 @@ def test_criterion_07a_fit_d_within_5pct_noiseless_25pct_noisy():
     d_true = 4e-15
     fit = fit_diffusion_coefficient(synthetic_zeeman(d_true), T_PUMP, GEO,
                                     COARSE_GRID, (1e-15, 1e-14), dt=0.2)
-    assert fit.d_qd == pytest.approx(d_true, rel=0.05)
+    assert fit.d_qd == pytest.approx(d_true, rel=0.05, abs=0)
     noisy = synthetic_zeeman(d_true, rng=np.random.default_rng(20260814))
     fit_n = fit_diffusion_coefficient(noisy, T_PUMP, GEO, COARSE_GRID,
                                       (1e-15, 1e-14), dt=0.2)
-    assert fit_n.d_qd == pytest.approx(d_true, rel=0.25)
+    assert fit_n.d_qd == pytest.approx(d_true, rel=0.25, abs=0)
 
 
 def test_criterion_07b_fit_rise_within_01pct_noiseless_10pct_noisy():
@@ -337,7 +337,7 @@ def test_criterion_09_cli_contract_and_csv_round_trips(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "d_qd_cm2s = " in stdout
     report = read_fit_report(fit_out / "fit.json")
-    assert report["d_qd_cm2s"] == pytest.approx(4e-15, rel=0.05)
+    assert report["d_qd_cm2s"] == pytest.approx(4e-15, rel=0.05, abs=0)
     assert_round_trips(fit_out / "fit_overlay.csv", tmp_path)
 
     const = tmp_path / "const.csv"

@@ -266,7 +266,7 @@ t_pump_s = 10
         stdout = capsys.readouterr().out
         assert "d_qd_cm2s = " in stdout
         report = read_fit_report(tmp_path / "out" / "fit.json")
-        assert report["d_qd_cm2s"] == pytest.approx(4e-15, rel=0.05)
+        assert report["d_qd_cm2s"] == pytest.approx(4e-15, rel=0.05, abs=0)
         assert report["scale_uev"] == pytest.approx(38.0, rel=0.02)
         assert report["offset_uev"] == pytest.approx(60.0, rel=0.02)
         assert report["warnings"] == []

@@ -21,6 +21,32 @@ class TestTableRoundTrip:
             np.testing.assert_array_equal(back[k], cols[k])
         assert meta == {"tag": "x", "n": "50"}
 
+    @staticmethod
+    def write_table_per_cell(path, columns, metadata):
+        """Reference writer: one % call per cell."""
+        arrays = [np.asarray(v, dtype=float) for v in columns.values()]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for key, val in metadata.items():
+                fh.write(f"# {key}={val}\n")
+            fh.write(",".join(columns) + "\n")
+            for i in range(arrays[0].size):
+                fh.write(",".join("%.17g" % a[i] for a in arrays) + "\n")
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 2 * 4096 + 17])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        special = np.array([-0.0, 0.0, 1e-300, -5.1e-16, 2.2e-16, 1e300,
+                            -1e300, 5e-324, 0.1, 1.0 / 3.0])
+        a = np.resize(special, n_rows)
+        cols = {"a": a, "b": rng.standard_normal(n_rows) * 1e-16,
+                "c": rng.random(n_rows) * 10.0 ** rng.integers(-300, 300,
+                                                               n_rows)}
+        meta = {"grid": "24x30", "n": n_rows}
+        write_table(tmp_path / "fast.csv", cols, meta)
+        self.write_table_per_cell(tmp_path / "ref.csv", cols, meta)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
     def test_lf_endings_and_comment_metadata(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, {"x": [1.0]}, {"y_kind": "dot_average"})

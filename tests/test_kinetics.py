@@ -185,7 +185,7 @@ class TestDiffusionFit:
         measured = self.synthetic(coarse_grid)
         fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
                                         (1e-16, 1e-13), dt=0.2)
-        assert fit.d_qd == pytest.approx(2e-15, rel=0.05)
+        assert fit.d_qd == pytest.approx(2e-15, rel=0.05, abs=0)
         assert fit.scale == pytest.approx(38.0, rel=0.01)
         assert fit.offset == pytest.approx(60.0, rel=0.01)
         assert not fit.warnings

@@ -8,11 +8,13 @@ Oracles used here, all closed-form:
   * exact conservation of the discrete volume integral under reflective
     boundaries, and the discrete maximum principle at the automatic step;
   * the matrix exponential of the assembled 2-D operator, which the
-    modal propagation of unclamped intervals must reproduce.
+    modal propagation of unclamped intervals must reproduce;
+  * a Peaceman-Rachford ADI step with tridiagonal solves in physical
+    space, which the modal clamped pump must reproduce step for step.
 """
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_banded
 
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       GeometryMismatch, GridTooCoarse, Grid,
@@ -253,6 +255,75 @@ class TestModalPropagation:
         sampler = DarkSampler(self.random_field(), SolverConfig(d_qd=1.0))
         with pytest.raises(InvariantViolation):
             sampler.dot_averages([0.0, -1.0], self.GEO)
+
+
+def adi_clamped(values, grid, cfg, dt, n_steps, mask):
+    """Reference pump: Peaceman-Rachford sweeps implicit in r, then in z,
+    with banded solves, the T1 factor, and the dot reset after each step."""
+    mu = 0.5 * cfg.d_qd * dt
+    decay = np.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
+    a_r = tridiagonal(_radial_coeffs(grid.nr, grid.dr, cfg.boundary))
+    a_z = tridiagonal(_axial_coeffs(grid.nz, grid.dz, cfg.boundary))
+
+    def banded(a):
+        m = np.eye(len(a)) - mu * a
+        return np.array([np.append(0.0, np.diag(m, 1)), np.diag(m),
+                         np.append(np.diag(m, -1), 0.0)])
+
+    ab_r, ab_z = banded(a_r), banded(a_z)
+    S = np.array(values, dtype=float)
+    for _ in range(n_steps):
+        S = solve_banded((1, 1), ab_r, S + mu * (S @ a_z.T))
+        S = solve_banded((1, 1), ab_z, (S + mu * (a_r @ S)).T).T
+        S *= decay
+        S[mask] = 1.0
+    return S
+
+
+class TestModalPump:
+    GRID = Grid(nr=24, nz=30, dr=0.5, dz=0.5, z_min=-7.5)
+    GEO = DotGeometry(radius=4.0, height=3.0)
+
+    @pytest.mark.parametrize("t1", [None, 0.8])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_matches_adi_reference(self, boundary, t1):
+        g, n, dt = self.GRID, 250, 0.004
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, dt=dt,
+                           boundary=boundary)
+        start = np.random.default_rng(17).random((g.nr, g.nz))
+        out = evolve(PolarizationField(g, start), cfg, n * dt, clamp=self.GEO)
+        want = adi_clamped(start, g, cfg, dt, n, g.dot_mask(self.GEO))
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
+
+    def test_tall_grid_in_row_blocks_matches_adi_reference(self):
+        # 60 axial dot cells on 400 axial cells make the pump split the
+        # 24 radial rows into blocks
+        g = Grid(nr=24, nz=400, dr=0.5, dz=0.05, z_min=-10.0)
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=0.8, dt=0.004)
+        start = np.random.default_rng(23).random((g.nr, g.nz))
+        out = evolve(PolarizationField(g, start), cfg, 0.8, clamp=self.GEO)
+        want = adi_clamped(start, g, cfg, 0.004, 200, g.dot_mask(self.GEO))
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
+
+    def test_dot_cells_exactly_one(self):
+        g = self.GRID
+        start = np.random.default_rng(4).random((g.nr, g.nz))
+        out = evolve(PolarizationField(g, start),
+                     SolverConfig(d_qd=3.0, t1_uniform=2.0, dt=0.01), 0.37,
+                     clamp=self.GEO)
+        mask = g.dot_mask(self.GEO)
+        assert np.all(out.values[mask] == 1.0)
+        assert np.all(out.values[~mask] < 1.0)
+
+    def test_zero_diffusion_is_relaxation_and_reset(self):
+        g = self.GRID
+        start = np.random.default_rng(9).random((g.nr, g.nz))
+        cfg = SolverConfig(d_qd=0.0, t1_uniform=2.0, dt=0.1)
+        out = evolve(PolarizationField(g, start), cfg, 1.0, clamp=self.GEO)
+        mask = g.dot_mask(self.GEO)
+        want = np.where(mask, 1.0, start * np.exp(-0.1 / 2.0) ** 10)
+        np.testing.assert_allclose(out.values, want, rtol=1e-14, atol=0)
+        assert np.all(out.values[mask] == 1.0)
 
 
 class TestPumpAndDark:
