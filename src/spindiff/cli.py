@@ -146,7 +146,9 @@ def cmd_fit_d(args) -> int:
     report_path = os.path.join(out, "fit.json")
     write_fit_report(report_path, d_qd_cm2s=fit.d_qd, scale_uev=fit.scale,
                      offset_uev=fit.offset, sse=fit.sse,
-                     warnings=fit.warnings, d_grid_cm2s=fit.d_grid)
+                     warnings=fit.warnings, d_grid_cm2s=fit.d_grid,
+                     sse_grid=fit.sse_grid,
+                     forward_solves=fit.forward_solves)
     # the same arguments as the fit's last solve, so this is a cache hit
     model = (fit.offset + fit.scale
              * kinetics.decay_samples(fit.d_qd, rc.t_pump_s,

@@ -14,6 +14,10 @@ Unknown sections or keys are rejected. All numeric values accept
 scientific notation and must be finite. At most one of d_cm2s /
 d_list_cm2s / d_bounds_cm2s may be given; which one is required depends
 on the command.
+
+``[protocol] t_erase_s`` and ``t_probe_s`` are parsed and validated but
+inert: no CLI command runs an erase or a probe segment, so neither
+changes what a run does.
 """
 from __future__ import annotations
 

@@ -140,8 +140,12 @@ def read_measured_csv(path: str | os.PathLike) -> DecaySeries:
 def write_fit_report(path: str | os.PathLike, *, d_qd_cm2s: float,
                      scale_uev: float, offset_uev: float, sse: float,
                      warnings: Sequence[str],
-                     d_grid_cm2s: Sequence[float]) -> None:
-    """Write the structured diffusion-fit report as JSON."""
+                     d_grid_cm2s: Sequence[float],
+                     sse_grid: Sequence[float] = (),
+                     forward_solves: int = 0) -> None:
+    """Write the structured diffusion-fit report as JSON. ``sse_grid``
+    holds the SSE of each ``d_grid_cm2s`` candidate, ``forward_solves``
+    the number of forward-model evaluations of the fit."""
     report = {
         "d_qd_cm2s": d_qd_cm2s,
         "scale_uev": scale_uev,
@@ -149,6 +153,8 @@ def write_fit_report(path: str | os.PathLike, *, d_qd_cm2s: float,
         "sse": sse,
         "warnings": list(warnings),
         "d_grid_cm2s": [float(d) for d in d_grid_cm2s],
+        "sse_grid": [float(s) for s in sse_grid],
+        "forward_solves": int(forward_solves),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
@@ -57,7 +56,13 @@ class DecayFit:
 @dataclass(frozen=True)
 class DiffusionFit:
     """Best diffusion coefficient (cm^2/s) with the affine nuisance pair
-    y ~ offset + scale * P(t; D) and the candidate grid examined."""
+    y ~ offset + scale * P(t; D) and the candidate grid examined.
+
+    ``sse`` and ``sse_grid`` (one value per ``d_grid`` candidate) are
+    sums of squared residuals, each residual divided by its sigma when
+    the data carry one. ``forward_solves`` counts the evaluations of the
+    forward model: the scan, the golden-section steps and the final one.
+    """
 
     d_qd: float
     scale: float
@@ -65,6 +70,8 @@ class DiffusionFit:
     sse: float
     d_grid: tuple[float, ...]
     warnings: tuple[str, ...] = ()
+    sse_grid: tuple[float, ...] = ()
+    forward_solves: int = 0
 
     def __post_init__(self):
         if not self.d_qd > 0:
@@ -164,6 +171,8 @@ def fit_exponential_rise(series: DecaySeries) -> RiseFit:
     if np.ptp(y) == 0:
         raise NotIdentifiable("constant series has no rise time")
 
+    from scipy.optimize import curve_fit  # slow to import, rarely used
+
     def model(t, offset, amplitude, tau):
         return offset + amplitude * (1.0 - np.exp(-t / tau))
 
@@ -190,6 +199,8 @@ def fit_exponential_decay(series: DecaySeries) -> DecayFit:
                                  f"need >= 3 points, got {len(t)}")
     if np.ptp(y) == 0:
         raise NotIdentifiable("constant series has no decay time")
+
+    from scipy.optimize import curve_fit  # slow to import, rarely used
 
     def model(t, amplitude, tau):
         return amplitude * np.exp(-t / tau)
@@ -223,16 +234,25 @@ def decay_samples(d_cm2s: float, t_pump: float, t_points: tuple[float, ...],
                        t1_uniform=t1_uniform, dt=dt, boundary=boundary)
     field = simulate_pump(geometry, cfg, t_pump, grid)
     p0 = dot_average(field, geometry)
-    out = DarkSampler(field, cfg).dot_averages(t_points, geometry)
+    # the dark readout runs on the nonzero times only, so that p0 is
+    # read once and the samples at t = 0 are exactly 1
+    t = np.asarray(t_points, dtype=float)
+    out = np.full(t.size, p0)
+    later = t != 0
+    out[later] = DarkSampler(field, cfg).dot_averages(t[later], geometry)
     if p0 != 0:
         out /= p0
     out.setflags(write=False)
     return out
 
 
-def _affine_lsq(p: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Best (scale, offset) for y ~ offset + scale*p, plus the SSE."""
+def _affine_lsq(p: np.ndarray, y: np.ndarray, weight: np.ndarray | None = None
+                ) -> tuple[float, float, float]:
+    """Best (scale, offset) for y ~ offset + scale*p, plus the SSE; with
+    ``weight``, each residual is multiplied by its weight (1/sigma)."""
     a = np.column_stack([p, np.ones_like(p)])
+    if weight is not None:
+        a, y = a * weight[:, None], y * weight
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     res = y - a @ coef
     return float(coef[0]), float(coef[1]), float(res @ res)
@@ -251,14 +271,25 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     scale and offset by linear least squares at each candidate, then
     refines around the best candidate by golden-section search. The model
     is ``decay_samples`` with the given pump step ``dt``, uniform
-    relaxation ``t1_uniform`` and ``boundary``. A flat objective raises
-    NotIdentifiable; a minimum pinned at a search bound is reported via
-    the ``BoundaryMinimum`` warning.
+    relaxation ``t1_uniform`` and ``boundary``. When the series carries
+    a ``sigma`` per sample in its metadata (as ``read_measured_csv``
+    puts it there), each residual is divided by its sigma. A flat
+    objective raises NotIdentifiable; a minimum pinned at a search bound
+    is reported via the ``BoundaryMinimum`` warning.
     """
     t, y = measured.t, measured.y
     if len(t) < 5:
         raise InvariantViolation("TooFewPoints",
                                  f"need >= 5 points, got {len(t)}")
+    weight = None
+    if "sigma" in measured.metadata:
+        sigma = np.asarray(measured.metadata["sigma"], dtype=float)
+        if sigma.shape != y.shape or not np.all((sigma > 0)
+                                                & (sigma < math.inf)):
+            raise InvariantViolation(
+                "BadSigma", "sigma needs one positive, finite value per "
+                f"sample, got {measured.metadata['sigma']!r}")
+        weight = 1.0 / sigma
     d_lo, d_hi = d_bounds
     if not (0 < d_lo < d_hi):
         raise InvariantViolation("BadBounds", f"d_bounds = {d_bounds}")
@@ -267,18 +298,25 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
         raise InvariantViolation("BadBounds",
                                  "d_bounds must span a positive range")
     t_key = tuple(float(x) for x in t)
+    solves = 0
 
-    def objective(log_d: float) -> float:
+    def affine_fit(log_d: float) -> tuple[float, float, float]:
+        nonlocal solves
+        solves += 1
         p = decay_samples(10.0 ** log_d, t_pump, t_key, geometry, grid, dt,
                           boundary, t1_uniform)
-        return _affine_lsq(p, y)[2]
+        return _affine_lsq(p, y, weight)
+
+    def objective(log_d: float) -> float:
+        return affine_fit(log_d)[2]
 
     logs = np.linspace(math.log10(d_lo), math.log10(d_hi),
                        int(np.ceil(8 * decades)) + 1)
     sses = np.array([objective(l) for l in logs])
     # flat objective: no candidate is meaningfully better, either in
     # relative terms or because every candidate fits to round-off
-    perfect = (1e-10 * max(float(np.abs(y).max()), 1.0)) ** 2 * y.size
+    y_w = y if weight is None else y * weight
+    perfect = (1e-10 * max(float(np.abs(y_w).max()), 1.0)) ** 2 * y.size
     if (sses.max() <= perfect
             or sses.max() - sses.min() < 1e-3 * max(sses.max(), 1e-300)):
         raise NotIdentifiable(
@@ -303,9 +341,7 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
             fd = objective(d)
     log_best = c if fc < fd else d
     log_best = min(max(log_best, math.log10(d_lo)), math.log10(d_hi))
-    p_best = decay_samples(10.0 ** log_best, t_pump, t_key, geometry, grid,
-                           dt, boundary, t1_uniform)
-    scale, offset, sse = _affine_lsq(p_best, y)
+    scale, offset, sse = affine_fit(log_best)
 
     warnings: tuple[str, ...] = ()
     edge = _LOG_D_TOL * 2
@@ -314,4 +350,6 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
         warnings = ("BoundaryMinimum",)
     return DiffusionFit(d_qd=10.0 ** log_best, scale=scale, offset=offset,
                         sse=sse, d_grid=tuple(10.0 ** logs),
-                        warnings=warnings)
+                        warnings=warnings,
+                        sse_grid=tuple(float(x) for x in sses),
+                        forward_solves=solves)

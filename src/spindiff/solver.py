@@ -11,14 +11,20 @@ fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
   * Dot unclamped (dark delays, probes): any interval is propagated
     exactly. There is no time step and no time-discretization error;
     ``DarkSampler`` reads the dot average at any list of times from one
-    modal transform.
+    modal transform, all times in one vectorized pass.
   * Dot clamped at S = 1 (the pump): Crank-Nicolson in its
     Peaceman-Rachford split, unconditionally stable, each step followed
     by resetting the dot cells to S = 1. The step is diagonal on the
     modes and the reset is a low-rank correction through the dot
     rectangle, so the recurrence is carried in modal coefficients and
-    transformed back once. The reset makes the pump first-order in dt,
-    and the staircase dot boundary makes it first-order in dr.
+    transformed back once; the coefficients are checked for non-finite
+    values once, after the last step. The reset makes the pump
+    first-order in dt, and the staircase dot boundary makes it
+    first-order in dr.
+
+The dot is a rectangle of cells in index space (the radial and axial
+masks of ``Grid.dot_axes``), built once per (grid, geometry) and cached
+read-only, so the readout and the reset touch only its cells.
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -48,6 +54,10 @@ from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
 # Accuracy-driven default step cap; Crank-Nicolson needs no stability bound.
 DT_CAP = 0.010
 _D_FLOOR = 1e-30
+# Multiply-adds per matrix product that OpenBLAS keeps on one thread:
+# threads do not pay off on the thin products here and stall whenever
+# another process holds a core.
+_ONE_THREAD_MADDS = 2 ** 18
 
 
 class BoundaryMode(Enum):
@@ -99,10 +109,9 @@ class Grid:
     def dot_axes(self,
                  geometry: DotGeometry) -> tuple[np.ndarray, np.ndarray]:
         """Boolean masks of the radial and axial cell centers inside the
-        disk; the dot is their outer product."""
-        r_in = self.r_centers < geometry.radius
-        z_in = np.abs(self.z_centers - geometry.z_center) < geometry.height / 2
-        return r_in, z_in
+        disk; the dot is their outer product. The masks are cached and
+        read-only."""
+        return _dot_cells(self, geometry)[:2]
 
     def dot_mask(self, geometry: DotGeometry) -> np.ndarray:
         """Boolean (nr, nz) mask of cells whose centers lie inside the disk."""
@@ -258,6 +267,35 @@ def _eigenbasis(grid: Grid, boundary: BoundaryMode):
     return (*out, np.sqrt(grid.r_centers))
 
 
+@lru_cache(maxsize=64)
+def _dot_cells(grid: Grid, geometry: DotGeometry):
+    """The dot's cells, read-only: (r_in, z_in, cells, w, w_sum).
+
+    r_in and z_in are the masks of ``Grid.dot_axes``. Both select one
+    contiguous run of indices (r < radius is a prefix, |z - z_c| < h/2
+    an interval), so ``cells`` indexes the dot rectangle with two slices.
+    w holds the volume weight r of each dot cell and w_sum their sum.
+    """
+    r_in = grid.r_centers < geometry.radius
+    z_in = np.abs(grid.z_centers - geometry.z_center) < geometry.height / 2
+    cells = tuple(slice(k[0], k[-1] + 1) if k.size else slice(0, 0)
+                  for k in (np.flatnonzero(r_in), np.flatnonzero(z_in)))
+    w = np.repeat(grid.r_centers[cells[0], None], np.count_nonzero(z_in), 1)
+    for a in (r_in, z_in, w):
+        a.setflags(write=False)
+    return r_in, z_in, cells, w, float(w.sum())
+
+
+def _checked_dot(grid: Grid, geometry: DotGeometry):
+    """``_dot_cells`` of a dot that lies inside the grid and holds at
+    least one cell center."""
+    grid.require_dot_inside(geometry)
+    dot = _dot_cells(grid, geometry)
+    if not dot[3].size:
+        raise GeometryMismatch("no cell centers fall inside the dot")
+    return dot
+
+
 def _check_time(name: str, t: float) -> None:
     if not (0 <= t < math.inf):
         raise InvariantViolation("NegativeDuration", f"{name} = {t}")
@@ -283,7 +321,12 @@ def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     capacitance-matrix idea of Buzbee, Dorr, George & Golub, SIAM J.
     Numer. Anal. 8, 1971). With D = 0 a step is the T1 factor and the
     reset.
+
+    Non-finite values are checked once, after the last step: a NaN or
+    inf coefficient stays non-finite under the scaling, the products and
+    the additions of the loop, and |rho| <= 1 keeps finite ones finite.
     """
+    r_in, z_in, cells, _, _ = _dot_cells(grid, clamp)
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     mu = 0.5 * cfg.d_qd * dt
     if mu > 0.0:
@@ -291,12 +334,9 @@ def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
         lam_r, q_r, lam_z, q_z, sqrt_r = basis
         rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
             * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
-        r_in, z_in = grid.dot_axes(clamp)
         a, b, w = q_r[r_in], q_z[z_in], sqrt_r[r_in, None]
-        # Row blocks of at most 2^18 multiply-adds per product, which
-        # OpenBLAS runs on one thread: threads do not pay off on these
-        # thin products and stall whenever another process holds a core.
-        rows = max(1, 2 ** 18 // (b.size or 1))
+        # row blocks keep each product on one OpenBLAS thread
+        rows = max(1, _ONE_THREAD_MADDS // (b.size or 1))
         blocks = [slice(i, i + rows) for i in range(0, grid.nr, rows)]
         coef = _to_modes(values, basis)
         read = np.empty((grid.nr, len(b)))
@@ -308,12 +348,12 @@ def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
             y = a.T @ (w - a @ read)
             for c, _, k in views:
                 c += y[k] @ b
-            _require_finite(coef, dt)
+        _require_finite(coef, dt)
         S = q_r @ coef @ q_z.T / sqrt_r[:, None]
     else:
         S = values * decay ** n_steps
         _require_finite(S, dt)
-    S[grid.dot_mask(clamp)] = 1.0
+    S[cells] = 1.0
     return S
 
 
@@ -330,10 +370,12 @@ class DarkSampler:
     modal coefficients once. ``dot_averages`` then reads the dot average
     at any times as e_r(t)^T G e_z(t), where G holds the coefficients
     weighted by the separable dot functional and e_r, e_z are the modal
-    decay factors, without rebuilding the field. ``field_at`` rebuilds
-    the field at one time. The uniform T1 factor exp(-t/T1) is applied
-    exactly. At t = 0, and for every t when D = 0, the input field is
-    used directly, without transforms.
+    decay factors, without rebuilding the field. It stacks the factors
+    of a block of times as rows, E_r and E_z, and reads the whole block
+    as the row sums of (E_r G) * E_z. ``field_at`` rebuilds the field at
+    one time. The uniform T1 factor exp(-t/T1) is applied exactly. At
+    t = 0, and for every t when D = 0, the dot average of the input
+    field is used directly, without transforms.
     """
 
     def __init__(self, field: PolarizationField, cfg: SolverConfig):
@@ -371,24 +413,32 @@ class DarkSampler:
     def dot_averages(self, times, geometry: DotGeometry) -> np.ndarray:
         """Dot average (as ``dot_average``) at each of ``times`` after the
         sampler's start. Each value depends only on its own time."""
-        p0 = dot_average(self.field, geometry)
+        t = np.asarray(times, dtype=float).reshape(-1)
+        bad = ~((t >= 0) & (t < math.inf))
+        if bad.any():
+            _check_time("t", float(t[bad][0]))
+        t1 = self.cfg.t1_uniform
+        relax = np.exp(-t / t1) if t1 else np.ones(t.size)
         if self._basis is None:
-            return np.array([p0 * self._relax(t) for t in times])
-        grid = self.field.grid
-        _, q_r, _, q_z, sqrt_r = self._basis
-        r_in, z_in = grid.dot_axes(geometry)
+            return dot_average(self.field, geometry) * relax
+        lam_r, q_r, lam_z, q_z, sqrt_r = self._basis
+        r_in, z_in, _, _, w_sum = _checked_dot(self.field.grid, geometry)
         # sum of r * S over the dot, mode by mode, over the sum of r
         a = sqrt_r[r_in] @ q_r[r_in]
         b = q_z[z_in].sum(axis=0)
-        norm = grid.r_centers[r_in].sum() * np.count_nonzero(z_in)
-        g = a[:, None] * self._coef * b / norm
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            if t == 0:
-                out[i] = p0
-            else:
-                e_r, e_z = self._modal_factors(t)
-                out[i] = e_r @ g @ e_z
+        g = a[:, None] * self._coef * b / w_sum
+        tau = self.cfg.d_qd * t
+        out = np.empty(t.size)
+        # blocks of times keep E_r @ g on one thread and bound the memory
+        rows = max(1, _ONE_THREAD_MADDS // g.size)
+        for k in range(0, t.size, rows):
+            blk = slice(k, k + rows)
+            e_r = relax[blk, None] * np.exp(tau[blk, None] * lam_r)
+            e_z = np.exp(tau[blk, None] * lam_z)
+            out[blk] = ((e_r @ g) * e_z).sum(axis=1)
+        zero = t == 0
+        if zero.any():
+            out[zero] = dot_average(self.field, geometry)
         return out
 
 
@@ -443,12 +493,8 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
     """Pump phase: from an unpolarized medium, saturate the dot instantly
     and hold it at S = 1 for ``t_pump`` while diffusion feeds the halo."""
     _check_time("t_pump", t_pump)
-    grid.require_dot_inside(geometry)
-    mask = grid.dot_mask(geometry)
-    if not mask.any():
-        raise GeometryMismatch("no cell centers fall inside the dot")
     values = np.zeros((grid.nr, grid.nz))
-    values[mask] = 1.0
+    values[_checked_dot(grid, geometry)[2]] = 1.0
     field = PolarizationField(grid=grid, values=values)
     return evolve(field, cfg, t_pump, clamp=geometry)
 
@@ -465,13 +511,8 @@ def simulate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,
 def dot_average(field: PolarizationField, geometry: DotGeometry) -> float:
     """Volume-weighted mean polarization over the dot disk
     (cell volumes proportional to r * dr * dz)."""
-    grid = field.grid
-    grid.require_dot_inside(geometry)
-    mask = grid.dot_mask(geometry)
-    if not mask.any():
-        raise GeometryMismatch("no cell centers fall inside the dot")
-    w = np.broadcast_to(grid.r_centers[:, None], mask.shape)[mask]
-    return float(np.sum(field.values[mask] * w) / np.sum(w))
+    _, _, cells, w, w_sum = _checked_dot(field.grid, geometry)
+    return float(np.sum(field.values[cells] * w) / w_sum)
 
 
 def total_spin(field: PolarizationField) -> float:

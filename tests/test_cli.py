@@ -3,6 +3,10 @@
 All commands run in-process through spindiff.cli.main. Solver-backed
 commands use a coarse, small-extent grid to stay fast.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -270,6 +274,8 @@ t_pump_s = 10
         assert report["scale_uev"] == pytest.approx(38.0, rel=0.02)
         assert report["offset_uev"] == pytest.approx(60.0, rel=0.02)
         assert report["warnings"] == []
+        assert len(report["sse_grid"]) == len(report["d_grid_cm2s"]) == 9
+        assert report["forward_solves"] > len(report["sse_grid"])
         overlay, _ = read_table(tmp_path / "out" / "fit_overlay.csv")
         assert list(overlay) == ["t_s", "measured", "model"]
         rms = np.sqrt(np.mean((overlay["measured"] - overlay["model"]) ** 2))
@@ -292,6 +298,28 @@ t_pump_s = 10
         # abs=0: approx's default absolute slack of 1e-12 exceeds any D here
         assert report["d_qd_cm2s"] == pytest.approx(4e-15, rel=0.05, abs=0)
 
+    def test_sigma_column_weights_residuals(self, tmp_path):
+        from spindiff import DotGeometry, build_grid, simulate_decay_curve
+        grid = build_grid(DotGeometry(), 1.0, 0.625, extent_factor=5.0)
+        s = simulate_decay_curve(4e-15, 10.0, 60.0, 5.0, DotGeometry(), grid,
+                                 dt=0.2)
+        y = 60.0 + 38.0 * s.y
+        y[[2, 5]] += (6.0, -5.0)
+        sigma = np.where(np.isin(np.arange(y.size), [2, 5]), 100.0, 0.1)
+        cfg = write_config(tmp_path, self.FIT_CONFIG)
+        fitted = []
+        for name, sig in (("plain.csv", None), ("sigma.csv", sigma)):
+            path = tmp_path / name
+            write_measured_csv(path, DecaySeries(
+                t=s.t, y=y, y_kind=YKind.ZEEMAN_SPLITTING_UEV), sigma=sig)
+            out = str(tmp_path / name[:-4])
+            assert main(["fit-d", str(path), "--config", cfg, "--out", out,
+                         "--quiet"]) == 0
+            fitted.append(read_fit_report(os.path.join(out, "fit.json"))
+                          ["d_qd_cm2s"])
+        assert abs(fitted[0] / 4e-15 - 1.0) > 0.1
+        assert fitted[1] == pytest.approx(4e-15, rel=0.02, abs=0)
+
     def test_constant_csv_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, self.FIT_CONFIG)
         path = tmp_path / "const.csv"
@@ -309,3 +337,15 @@ t_pump_s = 10
                         encoding="utf-8")
         assert main(["fit-d", str(path), "--config", cfg, "--quiet",
                      "--out", str(tmp_path)]) == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes about a third of a second to import and only
+    # the exponential fits use it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys, spindiff.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -154,3 +154,13 @@ class TestFitReport:
         assert report["sse"] == 1.5e-4
         assert report["warnings"] == ["BoundaryMinimum"]
         assert report["d_grid_cm2s"] == [1e-15, 1e-14]
+
+    def test_sse_grid_and_forward_solves(self, tmp_path):
+        path = tmp_path / "fit.json"
+        write_fit_report(path, d_qd_cm2s=2e-15, scale_uev=38.0,
+                         offset_uev=60.0, sse=1.5e-4, warnings=[],
+                         d_grid_cm2s=[1e-15, 1e-14], sse_grid=[0.25, 3.5],
+                         forward_solves=17)
+        report = read_fit_report(path)
+        assert report["sse_grid"] == [0.25, 3.5]
+        assert report["forward_solves"] == 17

@@ -13,6 +13,7 @@ from spindiff import (DecaySeries, DotGeometry, Helicity, InvariantViolation,
                       fit_diffusion_coefficient, fit_exponential_decay,
                       fit_exponential_rise, paper_decay_sequence,
                       run_sequence, simulate_decay_curve, time_to_level)
+from spindiff import kinetics
 from spindiff.kinetics import _affine_lsq, decay_samples
 
 GEO = DotGeometry()
@@ -219,6 +220,84 @@ class TestDiffusionFit:
         with pytest.raises(InvariantViolation):
             fit_diffusion_coefficient(s, 10.0, GEO, coarse_grid,
                                       (1e-16, 1e-13))
+
+    @pytest.mark.parametrize("t1", [None, 30.0])
+    def test_forward_model_starts_at_one_exactly(self, coarse_grid, t1):
+        boundary = SolverConfig(d_qd=0.0).boundary
+        for d in (1e-15, 1e-13):
+            p = decay_samples(d, 10.0, (0.0, 5.0, 20.0), GEO, coarse_grid,
+                              0.2, boundary, t1)
+            assert p[0] == 1.0
+            assert np.all(np.diff(p) < 0)
+
+    def test_forward_model_rejects_negative_times(self, coarse_grid):
+        with pytest.raises(InvariantViolation, match="NegativeDuration"):
+            decay_samples(1e-14, 10.0, (0.0, -5.0), GEO, coarse_grid, 0.2,
+                          SolverConfig(d_qd=0.0).boundary, None)
+
+    def test_sse_grid_and_forward_solves(self, coarse_grid, monkeypatch):
+        calls = []
+        model = kinetics.decay_samples
+
+        def counted(*args):
+            calls.append(args[0])
+            return model(*args)
+
+        measured = self.synthetic(coarse_grid)
+        monkeypatch.setattr(kinetics, "decay_samples", counted)
+        fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
+                                        (1e-16, 1e-13), dt=0.2)
+        assert len(fit.sse_grid) == len(fit.d_grid) == 25
+        assert fit.d_grid[int(np.argmin(fit.sse_grid))] == pytest.approx(
+            2e-15, rel=0.2, abs=0)
+        # the golden-section bracket spans two grid steps and shrinks by
+        # the golden ratio per step until it is below the tolerance
+        width, golden = 2 * 3 / 24, 0
+        while width > kinetics._LOG_D_TOL:
+            width *= kinetics._GOLDEN
+            golden += 1
+        assert fit.forward_solves == len(calls) == 25 + 2 + golden + 1
+        assert calls[-1] == fit.d_qd
+
+    def sigma_series(self, measured, sigma):
+        return DecaySeries(t=measured.t, y=measured.y, y_kind=measured.y_kind,
+                           metadata={"sigma": tuple(sigma)})
+
+    def test_uniform_sigma_changes_nothing_but_the_sse_scale(self,
+                                                            coarse_grid):
+        measured = self.synthetic(coarse_grid, noise=0.3, seed=5)
+        plain = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
+                                          (1e-16, 1e-13), dt=0.2)
+        weighted = fit_diffusion_coefficient(
+            self.sigma_series(measured, [0.25] * len(measured)), 10.0, GEO,
+            coarse_grid, (1e-16, 1e-13), dt=0.2)
+        assert weighted.d_qd == pytest.approx(plain.d_qd, rel=1e-9, abs=0)
+        assert weighted.scale == pytest.approx(plain.scale, rel=1e-9)
+        assert weighted.sse == pytest.approx(16.0 * plain.sse, rel=1e-9)
+
+    def test_outliers_with_large_sigma_do_not_pull_d(self, coarse_grid):
+        measured = self.synthetic(coarse_grid)
+        y = measured.y.copy()
+        y[[3, 6, 9]] += (8.0, -6.0, 7.0)
+        sigma = np.full(y.size, 0.1)
+        sigma[[3, 6, 9]] = 100.0
+        spoiled = DecaySeries(t=measured.t, y=y, y_kind=measured.y_kind)
+        plain = fit_diffusion_coefficient(spoiled, 10.0, GEO, coarse_grid,
+                                          (1e-16, 1e-13), dt=0.2)
+        weighted = fit_diffusion_coefficient(
+            self.sigma_series(spoiled, sigma), 10.0, GEO, coarse_grid,
+            (1e-16, 1e-13), dt=0.2)
+        assert abs(plain.d_qd / 2e-15 - 1.0) > 0.2
+        assert weighted.d_qd == pytest.approx(2e-15, rel=0.02, abs=0)
+
+    @pytest.mark.parametrize("sigma", [[1.0] * 5, [1.0] * 12 + [0.0],
+                                       [1.0] * 12 + [float("inf")]])
+    def test_bad_sigma_rejected(self, coarse_grid, sigma):
+        measured = self.synthetic(coarse_grid)
+        with pytest.raises(InvariantViolation, match="BadSigma"):
+            fit_diffusion_coefficient(self.sigma_series(measured, sigma),
+                                      10.0, GEO, coarse_grid,
+                                      (1e-16, 1e-13), dt=0.2)
 
     def test_affine_separability_exact(self, coarse_grid):
         t_key = tuple(np.arange(0.0, 40.0, 5.0))

@@ -18,7 +18,8 @@ from scipy.linalg import expm, solve_banded
 
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       GeometryMismatch, GridTooCoarse, Grid,
-                      InvariantViolation, PolarizationField, SolverConfig,
+                      InvariantViolation, NumericalBlowup,
+                      PolarizationField, SolverConfig,
                       auto_dt, build_grid, dot_average, evolve,
                       simulate_dark, simulate_pump, step, total_spin)
 from spindiff.solver import _axial_coeffs, _radial_coeffs
@@ -54,6 +55,16 @@ class TestGrid:
         assert grid.r_max >= 100.0
         assert np.sum(grid.r_centers < GEO.radius) == 20
         assert grid.z_min == -50.0 and grid.z_max == 50.0
+
+    def test_dot_axes_cached_and_read_only(self):
+        grid = build_grid(GEO, 0.5, 0.5, extent_factor=5.0)
+        r_in, z_in = grid.dot_axes(GEO)
+        assert grid.dot_axes(GEO)[0] is r_in
+        for axis in (r_in, z_in):
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0] = not axis[0]
+        assert np.count_nonzero(r_in) == 20 and np.count_nonzero(z_in) == 10
 
     def test_default_dot_resolves_exactly(self):
         grid = build_grid(GEO, 0.5, 0.5)
@@ -256,6 +267,55 @@ class TestModalPropagation:
         with pytest.raises(InvariantViolation):
             sampler.dot_averages([0.0, -1.0], self.GEO)
 
+    @pytest.mark.parametrize("d", [1.0, 0.0])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_or_negative_time_rejected(self, d, bad):
+        sampler = DarkSampler(self.random_field(), SolverConfig(d_qd=d))
+        with pytest.raises(InvariantViolation, match="NegativeDuration"):
+            sampler.dot_averages([0.0, 0.5, bad, 1.0], self.GEO)
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_times_as_any_sequence(self, kind):
+        sampler = DarkSampler(self.random_field(3), SolverConfig(d_qd=1.5))
+        times = [0.0, 0.3, 1.2]
+        got = sampler.dot_averages(kind(times), self.GEO)
+        want = [dot_average(sampler.field_at(t), self.GEO) for t in times]
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1.0, 0.0])
+    def test_empty_times(self, d):
+        sampler = DarkSampler(self.random_field(), SolverConfig(d_qd=d))
+        for times in ([], (), np.array([])):
+            assert sampler.dot_averages(times, self.GEO).shape == (0,)
+
+    def test_zero_time_is_input_dot_average_exactly(self):
+        field = self.random_field(6)
+        got = DarkSampler(field, SolverConfig(d_qd=2.0, t1_uniform=3.0)) \
+            .dot_averages([0.5, 0.0, 2.0, 0.0], self.GEO)
+        assert got[1] == got[3] == dot_average(field, self.GEO)
+
+    def test_zero_diffusion_with_t1(self):
+        field = self.random_field(7)
+        times = np.array([0.0, 0.5, 3.0])
+        got = DarkSampler(field, SolverConfig(d_qd=0.0, t1_uniform=2.0)) \
+            .dot_averages(times, self.GEO)
+        p0 = dot_average(field, self.GEO)
+        assert got[0] == p0
+        np.testing.assert_allclose(got, p0 * np.exp(-times / 2.0),
+                                   rtol=1e-15, atol=0)
+
+    def test_times_beyond_one_block(self):
+        # more times than one block holds on this grid (2^18 / 120)
+        cfg = SolverConfig(d_qd=1.5, t1_uniform=4.0)
+        sampler = DarkSampler(self.random_field(9), cfg)
+        times = np.linspace(0.0, 3.0, 5001)
+        got = sampler.dot_averages(times, self.GEO)
+        for i in (0, 1, 2183, 2184, 2185, 4368, 5000):
+            want = dot_average(sampler.field_at(times[i]), self.GEO)
+            assert got[i] == pytest.approx(want, rel=0, abs=1e-13)
+
 
 def adi_clamped(values, grid, cfg, dt, n_steps, mask):
     """Reference pump: Peaceman-Rachford sweeps implicit in r, then in z,
@@ -314,6 +374,15 @@ class TestModalPump:
         mask = g.dot_mask(self.GEO)
         assert np.all(out.values[mask] == 1.0)
         assert np.all(out.values[~mask] < 1.0)
+
+    @pytest.mark.parametrize("d", [10.0, 0.0])
+    def test_non_finite_start_raises(self, d):
+        g = self.GRID
+        start = np.random.default_rng(2).random((g.nr, g.nz))
+        start[3, 5] = np.nan
+        with pytest.raises(NumericalBlowup, match="non-finite polarization"):
+            evolve(PolarizationField(g, start), SolverConfig(d_qd=d, dt=0.01),
+                   0.2, clamp=self.GEO)
 
     def test_zero_diffusion_is_relaxation_and_reset(self):
         g = self.GRID
