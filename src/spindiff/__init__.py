@@ -17,7 +17,7 @@ from .errors import (ConfigError, FitDiverged, GeometryMismatch,
                      UnphysicalShift)
 from .kinetics import (DecayFit, DiffusionFit, RiseFit, decay_samples,
                        fit_diffusion_coefficient, fit_exponential_decay,
-                       fit_exponential_rise, run_sequence,
+                       fit_exponential_rise, pumped_sampler, run_sequence,
                        simulate_decay_curve, time_to_level)
 from .observables import (OverhauserState, electron_zeeman,
                           exciton_zeeman_splitting, ohs_max,
@@ -47,7 +47,8 @@ __all__ = [
     "fit_diffusion_coefficient", "fit_exponential_decay",
     "fit_exponential_rise", "load_config", "ohs_max", "overhauser_field",
     "overhauser_state", "paper_decay_sequence", "polarization_degree",
-    "read_fit_report", "read_measured_csv", "read_table", "run_sequence",
+    "pumped_sampler", "read_fit_report", "read_measured_csv", "read_table",
+    "run_sequence",
     "simulate_dark", "simulate_decay_curve", "simulate_pump", "step",
     "time_to_level", "total_spin", "validate_material", "write_fit_report",
     "write_measured_csv", "write_table",

@@ -14,19 +14,17 @@ import sys
 
 import numpy as np
 
-from . import kinetics
 from .config import RunConfig, load_config
 from .dataio import (read_measured_csv, write_fit_report, write_table)
 from .domain import DotGeometry, MaterialParams
 from .errors import (ConfigError, MissingGFactor, SpinDiffError,
                      UnphysicalShift)
 from .kinetics import (fit_diffusion_coefficient, fit_exponential_rise,
-                       simulate_decay_curve)
+                       pumped_sampler, simulate_decay_curve)
 from .observables import (exciton_zeeman_splitting, ohs_max,
                           overhauser_field, polarization_degree)
-from .solver import (BoundaryMode, DarkSampler, Grid, SolverConfig,
-                     build_grid, dark_sample_times, simulate_pump)
-from .units import MU_B_UEV_PER_T, diffusion_cm2s_to_nm2s
+from .solver import Grid, build_grid, dark_sample_times
+from .units import MU_B_UEV_PER_T
 
 _DEFAULT_D_BOUNDS = (1e-16, 1e-11)
 
@@ -60,19 +58,17 @@ def _require(rc_value, section: str, key: str):
 
 def cmd_simulate(args) -> int:
     """Run the pump/dark preset at a single D; write decay.csv and
-    field_snapshots.csv."""
+    field_snapshots.csv. The pump leaves the dot at S = 1, so the
+    ``dot_average`` column starts at exactly 1."""
     rc = _require_config(args)
     d_cm2s = _require(rc.d_cm2s, "solver", "d_cm2s")
     t_dark = _require(rc.t_dark_s, "protocol", "t_dark_s")
     out = _out_dir(args, rc)
     grid = _grid_for(rc)
-    cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
-                       t1_uniform=rc.t1_s, dt=rc.dt_s)
-    dark = DarkSampler(simulate_pump(rc.geometry, cfg, rc.t_pump_s, grid), cfg)
+    dark = pumped_sampler(d_cm2s, rc.t_pump_s, rc.geometry, grid, rc.dt_s,
+                          rc.t1_s)
     ts = dark_sample_times(t_dark, rc.sample_every_s)
     p = dark.dot_averages(ts, rc.geometry)
-    if p[0] != 0:
-        p = p / p[0]
 
     # a snapshot requested at time T is taken at the first sample >= T
     idx = np.searchsorted(ts, np.sort(rc.snapshot_times_s) - 1e-9)
@@ -149,15 +145,9 @@ def cmd_fit_d(args) -> int:
                      warnings=fit.warnings, d_grid_cm2s=fit.d_grid,
                      sse_grid=fit.sse_grid,
                      forward_solves=fit.forward_solves)
-    # the same arguments as the fit's last solve, so this is a cache hit
-    model = (fit.offset + fit.scale
-             * kinetics.decay_samples(fit.d_qd, rc.t_pump_s,
-                                      tuple(float(x) for x in measured.t),
-                                      rc.geometry, grid, rc.dt_s,
-                                      BoundaryMode.DIRICHLET_ZERO, rc.t1_s))
     overlay_path = os.path.join(out, "fit_overlay.csv")
     write_table(overlay_path, {"t_s": measured.t, "measured": measured.y,
-                               "model": model},
+                               "model": fit.model},
                 {"d_qd_cm2s": repr(fit.d_qd)})
     print(f"d_qd_cm2s = {fit.d_qd:.6g}")
     for warning in fit.warnings:

@@ -17,9 +17,8 @@ import numpy as np
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
 from .errors import FitDiverged, InvariantViolation, NotIdentifiable
-from .solver import (BoundaryMode, DarkSampler, Grid, PolarizationField,
-                     SolverConfig, dark_sample_times, dot_average, evolve,
-                     simulate_pump)
+from .solver import (DarkSampler, Grid, PolarizationField, SolverConfig,
+                     dark_sample_times, dot_average, evolve, simulate_pump)
 from .units import diffusion_cm2s_to_nm2s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,6 +61,8 @@ class DiffusionFit:
     sums of squared residuals, each residual divided by its sigma when
     the data carry one. ``forward_solves`` counts the evaluations of the
     forward model: the scan, the golden-section steps and the final one.
+    ``model`` is offset + scale * P(t; d_qd) at the measured times, from
+    that final evaluation.
     """
 
     d_qd: float
@@ -72,6 +73,7 @@ class DiffusionFit:
     warnings: tuple[str, ...] = ()
     sse_grid: tuple[float, ...] = ()
     forward_solves: int = 0
+    model: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.d_qd > 0:
@@ -133,15 +135,13 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
 def simulate_decay_curve(d_cm2s: float, t_pump: float, t_max: float,
                          sample_every: float, geometry: DotGeometry,
                          grid: Grid, *, dt: float | None = None,
-                         t1_uniform: float | None = None,
-                         boundary: BoundaryMode = BoundaryMode.DIRICHLET_ZERO
-                         ) -> DecaySeries:
+                         t1_uniform: float | None = None) -> DecaySeries:
     """Pump for ``t_pump``, then free decay sampled at
-    ``dark_sample_times(t_max, sample_every)``; the series is normalized
-    to start at 1."""
+    ``dark_sample_times(t_max, sample_every)``. The pump leaves the dot
+    at S = 1, so the series starts at exactly 1."""
     t = dark_sample_times(t_max, sample_every)
     y = decay_samples(d_cm2s, t_pump, tuple(t.tolist()), geometry, grid, dt,
-                      boundary, t1_uniform)
+                      t1_uniform)
     return DecaySeries(t=t, y=y, y_kind=YKind.DOT_AVERAGE,
                        metadata={"d_cm2s": d_cm2s, "t_pump_s": t_pump})
 
@@ -162,86 +162,82 @@ def time_to_level(series: DecaySeries, level: float) -> float:
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
-def fit_exponential_rise(series: DecaySeries) -> RiseFit:
-    """Fit y = offset + amplitude*(1 - exp(-t/tau)) by least squares."""
+def _fit_tau(series: DecaySeries, model, min_points: int, what: str,
+             guess) -> tuple[np.ndarray, float]:
+    """Least-squares fit of ``model(t, *params, tau)`` to ``series``:
+    the fitted parameters (tau last, bounded below by 1e-12) and the
+    residual RMS. ``guess(y)`` starts the parameters before tau; tau
+    starts at a third of the time span."""
     t, y = series.t, series.y
-    if len(t) < 4:
+    if len(t) < min_points:
         raise InvariantViolation("TooFewPoints",
-                                 f"need >= 4 points, got {len(t)}")
+                                 f"need >= {min_points} points, got {len(t)}")
     if np.ptp(y) == 0:
-        raise NotIdentifiable("constant series has no rise time")
+        raise NotIdentifiable(f"constant series has no {what} time")
 
     from scipy.optimize import curve_fit  # slow to import, rarely used
 
+    p0 = (*guess(y), max(float(t[-1] - t[0]) / 3.0, 1e-6))
+    lower = [-np.inf] * (len(p0) - 1) + [1e-12]
+    try:
+        popt, _ = curve_fit(model, t, y, p0=p0,
+                            bounds=(lower, [np.inf] * len(p0)),
+                            maxfev=20000)
+    except RuntimeError as exc:
+        raise FitDiverged(f"{what} fit did not converge: {exc}") from exc
+    res = y - model(t, *popt)
+    return popt, float(np.sqrt(np.mean(res ** 2)))
+
+
+def fit_exponential_rise(series: DecaySeries) -> RiseFit:
+    """Fit y = offset + amplitude*(1 - exp(-t/tau)) by least squares."""
     def model(t, offset, amplitude, tau):
         return offset + amplitude * (1.0 - np.exp(-t / tau))
 
-    span = float(t[-1] - t[0])
-    p0 = (float(y[0]), float(y[-1] - y[0]), max(span / 3.0, 1e-6))
-    try:
-        popt, _ = curve_fit(model, t, y, p0=p0,
-                            bounds=([-np.inf, -np.inf, 1e-12],
-                                    [np.inf, np.inf, np.inf]),
-                            maxfev=20000)
-    except RuntimeError as exc:
-        raise FitDiverged(f"rise fit did not converge: {exc}") from exc
-    res = y - model(t, *popt)
-    return RiseFit(amplitude=float(popt[1]), tau=float(popt[2]),
-                   offset=float(popt[0]),
-                   residual_rms=float(np.sqrt(np.mean(res ** 2))))
+    (offset, amplitude, tau), rms = _fit_tau(
+        series, model, 4, "rise", lambda y: (float(y[0]), float(y[-1] - y[0])))
+    return RiseFit(amplitude=float(amplitude), tau=float(tau),
+                   offset=float(offset), residual_rms=rms)
 
 
 def fit_exponential_decay(series: DecaySeries) -> DecayFit:
     """Fit y = amplitude * exp(-t/tau) (no offset) by least squares."""
-    t, y = series.t, series.y
-    if len(t) < 3:
-        raise InvariantViolation("TooFewPoints",
-                                 f"need >= 3 points, got {len(t)}")
-    if np.ptp(y) == 0:
-        raise NotIdentifiable("constant series has no decay time")
-
-    from scipy.optimize import curve_fit  # slow to import, rarely used
-
     def model(t, amplitude, tau):
         return amplitude * np.exp(-t / tau)
 
-    span = float(t[-1] - t[0])
-    p0 = (float(y[0]), max(span / 3.0, 1e-6))
-    try:
-        popt, _ = curve_fit(model, t, y, p0=p0,
-                            bounds=([-np.inf, 1e-12], [np.inf, np.inf]),
-                            maxfev=20000)
-    except RuntimeError as exc:
-        raise FitDiverged(f"decay fit did not converge: {exc}") from exc
-    res = y - model(t, *popt)
-    return DecayFit(amplitude=float(popt[0]), tau=float(popt[1]),
-                    residual_rms=float(np.sqrt(np.mean(res ** 2))))
+    (amplitude, tau), rms = _fit_tau(series, model, 3, "decay",
+                                     lambda y: (float(y[0]),))
+    return DecayFit(amplitude=float(amplitude), tau=float(tau),
+                    residual_rms=rms)
+
+
+def pumped_sampler(d_cm2s: float, t_pump: float, geometry: DotGeometry,
+                   grid: Grid, dt: float | None = None,
+                   t1_uniform: float | None = None) -> DarkSampler:
+    """The pump->dark forward model at D = ``d_cm2s`` (cm^2/s): pump an
+    unpolarized medium for ``t_pump`` with step ``dt`` (``None``: the
+    automatic default) and uniform relaxation ``t1_uniform``, and return
+    the free evolution from the end of the pump. The pump leaves the dot
+    at exactly S = 1, so the dot average at dark time 0 is exactly 1."""
+    cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
+                       t1_uniform=t1_uniform, dt=dt)
+    return DarkSampler(simulate_pump(geometry, cfg, t_pump, grid), cfg)
 
 
 @lru_cache(maxsize=512)
 def decay_samples(d_cm2s: float, t_pump: float, t_points: tuple[float, ...],
                   geometry: DotGeometry, grid: Grid, dt: float | None,
-                  boundary: BoundaryMode,
                   t1_uniform: float | None) -> np.ndarray:
-    """Forward model of the decay fits: pump for ``t_pump``, then the dot
-    average at the given (possibly irregular) times since the end of the
-    pump, normalized by its value at the end of the pump.
+    """Forward model of the decay fits: the dot average of
+    ``pumped_sampler`` at the given (possibly irregular) times since the
+    end of the pump. It starts at exactly 1 at t = 0, because the pump
+    leaves the dot at S = 1.
 
     Results are cached and read-only. The arguments are the cache key, so
     callers that should share a solve pass all of them positionally.
     """
-    cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
-                       t1_uniform=t1_uniform, dt=dt, boundary=boundary)
-    field = simulate_pump(geometry, cfg, t_pump, grid)
-    p0 = dot_average(field, geometry)
-    # the dark readout runs on the nonzero times only, so that p0 is
-    # read once and the samples at t = 0 are exactly 1
-    t = np.asarray(t_points, dtype=float)
-    out = np.full(t.size, p0)
-    later = t != 0
-    out[later] = DarkSampler(field, cfg).dot_averages(t[later], geometry)
-    if p0 != 0:
-        out /= p0
+    out = pumped_sampler(d_cm2s, t_pump, geometry, grid, dt,
+                         t1_uniform).dot_averages(t_points, geometry)
     out.setflags(write=False)
     return out
 
@@ -262,20 +258,19 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                               geometry: DotGeometry, grid: Grid,
                               d_bounds: tuple[float, float], *,
                               dt: float | None = None,
-                              t1_uniform: float | None = None,
-                              boundary: BoundaryMode = BoundaryMode.DIRICHLET_ZERO
+                              t1_uniform: float | None = None
                               ) -> DiffusionFit:
     """Fit the diffusion coefficient to a measured decay series.
 
     Scans log10 D on a coarse grid (>= 8 candidates per decade), solving
     scale and offset by linear least squares at each candidate, then
     refines around the best candidate by golden-section search. The model
-    is ``decay_samples`` with the given pump step ``dt``, uniform
-    relaxation ``t1_uniform`` and ``boundary``. When the series carries
-    a ``sigma`` per sample in its metadata (as ``read_measured_csv``
-    puts it there), each residual is divided by its sigma. A flat
-    objective raises NotIdentifiable; a minimum pinned at a search bound
-    is reported via the ``BoundaryMinimum`` warning.
+    is ``decay_samples`` with the given pump step ``dt`` and uniform
+    relaxation ``t1_uniform``. When the series carries a ``sigma`` per
+    sample in its metadata (as ``read_measured_csv`` puts it there), each
+    residual is divided by its sigma. A flat objective raises
+    NotIdentifiable; a minimum pinned at a search bound is reported via
+    the ``BoundaryMinimum`` warning.
     """
     t, y = measured.t, measured.y
     if len(t) < 5:
@@ -300,15 +295,14 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     t_key = tuple(float(x) for x in t)
     solves = 0
 
-    def affine_fit(log_d: float) -> tuple[float, float, float]:
+    def forward(log_d: float) -> np.ndarray:
         nonlocal solves
         solves += 1
-        p = decay_samples(10.0 ** log_d, t_pump, t_key, geometry, grid, dt,
-                          boundary, t1_uniform)
-        return _affine_lsq(p, y, weight)
+        return decay_samples(10.0 ** log_d, t_pump, t_key, geometry, grid, dt,
+                             t1_uniform)
 
     def objective(log_d: float) -> float:
-        return affine_fit(log_d)[2]
+        return _affine_lsq(forward(log_d), y, weight)[2]
 
     logs = np.linspace(math.log10(d_lo), math.log10(d_hi),
                        int(np.ceil(8 * decades)) + 1)
@@ -341,7 +335,8 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
             fd = objective(d)
     log_best = c if fc < fd else d
     log_best = min(max(log_best, math.log10(d_lo)), math.log10(d_hi))
-    scale, offset, sse = affine_fit(log_best)
+    p = forward(log_best)
+    scale, offset, sse = _affine_lsq(p, y, weight)
 
     warnings: tuple[str, ...] = ()
     edge = _LOG_D_TOL * 2
@@ -352,4 +347,5 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                         sse=sse, d_grid=tuple(10.0 ** logs),
                         warnings=warnings,
                         sse_grid=tuple(float(x) for x in sses),
-                        forward_solves=solves)
+                        forward_solves=solves,
+                        model=tuple((offset + scale * p).tolist()))

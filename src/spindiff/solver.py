@@ -198,14 +198,11 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
                 z_min=geometry.z_center - nz_half * dz)
 
 
-def auto_dt(grid: Grid, d_qd: float, sample_every: float | None = None) -> float:
+def auto_dt(grid: Grid, d_qd: float) -> float:
     """Default pump time step: accuracy budget min(dr,dz)^2/(2 D), capped
-    at DT_CAP and never larger than ``sample_every`` when given."""
-    dt = min(grid.dr, grid.dz) ** 2 / (2.0 * max(d_qd, _D_FLOOR))
-    dt = min(dt, DT_CAP)
-    if sample_every is not None:
-        dt = min(dt, sample_every)
-    return dt
+    at DT_CAP."""
+    return min(min(grid.dr, grid.dz) ** 2 / (2.0 * max(d_qd, _D_FLOOR)),
+               DT_CAP)
 
 
 @lru_cache(maxsize=64)

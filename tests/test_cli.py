@@ -281,6 +281,25 @@ t_pump_s = 10
         rms = np.sqrt(np.mean((overlay["measured"] - overlay["model"]) ** 2))
         assert rms < 0.1
 
+    def test_overlay_is_the_fits_model(self, tmp_path):
+        from spindiff import (DotGeometry, build_grid, decay_samples,
+                              fit_diffusion_coefficient, read_measured_csv)
+        path = self.synthetic_csv(tmp_path)
+        geo = DotGeometry()
+        grid = build_grid(geo, 1.0, 0.625, extent_factor=5.0)
+        measured = read_measured_csv(path)
+        fit = fit_diffusion_coefficient(measured, 10.0, geo, grid,
+                                        (1e-15, 1e-14), dt=0.2)
+        p = decay_samples(fit.d_qd, 10.0, tuple(measured.t.tolist()), geo,
+                          grid, 0.2, None)
+        assert fit.model == tuple((fit.offset + fit.scale * p).tolist())
+        cfg = write_config(tmp_path, self.FIT_CONFIG)
+        out = str(tmp_path / "out")
+        assert main(["fit-d", path, "--config", cfg, "--out", out,
+                     "--quiet"]) == 0
+        overlay, _ = read_table(tmp_path / "out" / "fit_overlay.csv")
+        assert tuple(overlay["model"].tolist()) == fit.model
+
     def test_fit_honours_t1(self, tmp_path):
         from spindiff import DotGeometry, build_grid, simulate_decay_curve
         grid = build_grid(DotGeometry(), 1.0, 0.625, extent_factor=5.0)

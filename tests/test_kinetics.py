@@ -167,8 +167,16 @@ class TestDecayFit:
 
     def test_constant_not_identifiable(self):
         s = DecaySeries(t=np.arange(5.0), y=np.ones(5))
-        with pytest.raises(NotIdentifiable):
+        with pytest.raises(NotIdentifiable, match="no decay time"):
             fit_exponential_decay(s)
+
+    def test_three_points_suffice(self):
+        t = np.array([0.0, 1.0, 2.0])
+        s = DecaySeries(t=t, y=3.0 * np.exp(-t / 2.2))
+        assert fit_exponential_decay(s).tau == pytest.approx(2.2, rel=1e-6)
+        with pytest.raises(InvariantViolation,
+                           match="need >= 3 points, got 2"):
+            fit_exponential_decay(DecaySeries(t=t[:2], y=s.y[:2]))
 
 
 class TestDiffusionFit:
@@ -223,17 +231,16 @@ class TestDiffusionFit:
 
     @pytest.mark.parametrize("t1", [None, 30.0])
     def test_forward_model_starts_at_one_exactly(self, coarse_grid, t1):
-        boundary = SolverConfig(d_qd=0.0).boundary
         for d in (1e-15, 1e-13):
             p = decay_samples(d, 10.0, (0.0, 5.0, 20.0), GEO, coarse_grid,
-                              0.2, boundary, t1)
+                              0.2, t1)
             assert p[0] == 1.0
             assert np.all(np.diff(p) < 0)
 
     def test_forward_model_rejects_negative_times(self, coarse_grid):
         with pytest.raises(InvariantViolation, match="NegativeDuration"):
             decay_samples(1e-14, 10.0, (0.0, -5.0), GEO, coarse_grid, 0.2,
-                          SolverConfig(d_qd=0.0).boundary, None)
+                          None)
 
     def test_sse_grid_and_forward_solves(self, coarse_grid, monkeypatch):
         calls = []
@@ -301,8 +308,7 @@ class TestDiffusionFit:
 
     def test_affine_separability_exact(self, coarse_grid):
         t_key = tuple(np.arange(0.0, 40.0, 5.0))
-        p = decay_samples(5e-15, 10.0, t_key, GEO, coarse_grid, 0.2,
-                          SolverConfig(d_qd=0.0).boundary, None)
+        p = decay_samples(5e-15, 10.0, t_key, GEO, coarse_grid, 0.2, None)
         scale, offset, sse = _affine_lsq(p, 60.0 + 38.0 * p)
         assert scale == pytest.approx(38.0, rel=1e-10)
         assert offset == pytest.approx(60.0, rel=1e-10)
