@@ -15,7 +15,7 @@ from .errors import (ConfigError, FitDiverged, GeometryMismatch,
                      GridTooCoarse, InvariantViolation, MissingGFactor,
                      NotIdentifiable, NumericalBlowup, SpinDiffError,
                      UnphysicalShift)
-from .kinetics import (DecayFit, DiffusionFit, RiseFit, decay_samples,
+from .kinetics import (DecayFit, DiffusionFit, RiseFit,
                        fit_diffusion_coefficient, fit_exponential_decay,
                        fit_exponential_rise, pumped_sampler, run_sequence,
                        simulate_decay_curve, time_to_level)
@@ -41,8 +41,7 @@ __all__ = [
     "OverhauserState", "PolarizationField", "PulseSegment", "PulseSequence",
     "RiseFit", "RunConfig", "SegmentKind", "SolverConfig", "SpinDiffError",
     "UnphysicalShift", "YKind", "auto_dt", "build_grid", "dark_sample_times",
-    "decay_samples", "diffusion_cm2s_to_nm2s", "diffusion_nm2s_to_cm2s",
-    "dot_average",
+    "diffusion_cm2s_to_nm2s", "diffusion_nm2s_to_cm2s", "dot_average",
     "electron_zeeman", "evolve", "exciton_zeeman_splitting",
     "fit_diffusion_coefficient", "fit_exponential_decay",
     "fit_exponential_rise", "load_config", "ohs_max", "overhauser_field",

@@ -63,6 +63,9 @@ def cmd_simulate(args) -> int:
     rc = _require_config(args)
     d_cm2s = _require(rc.d_cm2s, "solver", "d_cm2s")
     t_dark = _require(rc.t_dark_s, "protocol", "t_dark_s")
+    if any(t > t_dark for t in rc.snapshot_times_s):
+        raise ConfigError("[output] snapshot_times_s: entries must be "
+                          f"<= t_dark_s = {t_dark!r}")
     out = _out_dir(args, rc)
     grid = _grid_for(rc)
     dark = pumped_sampler(d_cm2s, rc.t_pump_s, rc.geometry, grid, rc.dt_s,

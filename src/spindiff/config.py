@@ -6,18 +6,13 @@ Sections and keys (units embedded in the names):
     [geometry]   radius_nm (required), height_nm (required), z_center_nm
     [solver]     d_cm2s | d_list_cm2s | d_bounds_cm2s, t1_s, dr_nm, dz_nm,
                  dt_s, extent_factor
-    [protocol]   preset (= paper-decay), t_dark_s, t_pump_s, t_erase_s,
-                 t_probe_s, pump_helicity
+    [protocol]   preset (= paper-decay), t_dark_s, t_pump_s, pump_helicity
     [output]     dir, sample_every_s, snapshot_times_s
 
 Unknown sections or keys are rejected. All numeric values accept
 scientific notation and must be finite. At most one of d_cm2s /
 d_list_cm2s / d_bounds_cm2s may be given; which one is required depends
 on the command.
-
-``[protocol] t_erase_s`` and ``t_probe_s`` are parsed and validated but
-inert: no CLI command runs an erase or a probe segment, so neither
-changes what a run does.
 """
 from __future__ import annotations
 
@@ -37,8 +32,7 @@ _SCHEMA = {
     "geometry": {"radius_nm", "height_nm", "z_center_nm"},
     "solver": {"d_cm2s", "d_list_cm2s", "d_bounds_cm2s", "t1_s", "dr_nm",
                "dz_nm", "dt_s", "extent_factor"},
-    "protocol": {"preset", "t_dark_s", "t_pump_s", "t_erase_s", "t_probe_s",
-                 "pump_helicity"},
+    "protocol": {"preset", "t_dark_s", "t_pump_s", "pump_helicity"},
     "output": {"dir", "sample_every_s", "snapshot_times_s"},
 }
 
@@ -60,8 +54,6 @@ class RunConfig:
     preset: str = PAPER_DECAY_PRESET
     t_dark_s: float | None = None
     t_pump_s: float = 10.0
-    t_erase_s: float = 10.0
-    t_probe_s: float = 0.1
     pump_helicity: Helicity = Helicity.SIGMA_PLUS
     out_dir: str = "."
     sample_every_s: float = 1.0
@@ -193,8 +185,6 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         preset=preset,
         t_dark_s=num("protocol", "t_dark_s", None),
         t_pump_s=num("protocol", "t_pump_s", 10.0),
-        t_erase_s=num("protocol", "t_erase_s", 10.0),
-        t_probe_s=num("protocol", "t_probe_s", 0.1),
         pump_helicity=pump_helicity,
         out_dir=raw("output", "dir") or ".",
         sample_every_s=num("output", "sample_every_s", 1.0),
@@ -202,11 +192,10 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     )
     if cfg.sample_every_s <= 0:
         raise ConfigError("[output] sample_every_s: must be > 0")
-    for name, value in (("t_pump_s", cfg.t_pump_s),
-                        ("t_erase_s", cfg.t_erase_s),
-                        ("t_probe_s", cfg.t_probe_s)):
-        if value < 0:
-            raise ConfigError(f"[protocol] {name}: must be >= 0")
+    if cfg.t_pump_s < 0:
+        raise ConfigError("[protocol] t_pump_s: must be >= 0")
+    if any(t < 0 for t in cfg.snapshot_times_s):
+        raise ConfigError("[output] snapshot_times_s: entries must be >= 0")
     if cfg.d_cm2s is not None and cfg.d_cm2s < 0:
         raise ConfigError("[solver] d_cm2s: must be >= 0")
     if cfg.d_list_cm2s is not None and any(d < 0 for d in cfg.d_list_cm2s):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,10 +58,10 @@ class DiffusionFit:
 
     ``sse`` and ``sse_grid`` (one value per ``d_grid`` candidate) are
     sums of squared residuals, each residual divided by its sigma when
-    the data carry one. ``forward_solves`` counts the evaluations of the
-    forward model: the scan, the golden-section steps and the final one.
+    the data carry one. ``forward_solves`` counts the forward-model
+    solves the fit ran: the scan and the golden-section steps.
     ``model`` is offset + scale * P(t; d_qd) at the measured times, from
-    that final evaluation.
+    the curve the fit solved at d_qd.
     """
 
     d_qd: float
@@ -136,12 +135,12 @@ def simulate_decay_curve(d_cm2s: float, t_pump: float, t_max: float,
                          sample_every: float, geometry: DotGeometry,
                          grid: Grid, *, dt: float | None = None,
                          t1_uniform: float | None = None) -> DecaySeries:
-    """Pump for ``t_pump``, then free decay sampled at
-    ``dark_sample_times(t_max, sample_every)``. The pump leaves the dot
-    at S = 1, so the series starts at exactly 1."""
+    """The dot average of ``pumped_sampler`` at
+    ``dark_sample_times(t_max, sample_every)`` since the end of the pump.
+    The pump leaves the dot at S = 1, so the series starts at exactly 1."""
     t = dark_sample_times(t_max, sample_every)
-    y = decay_samples(d_cm2s, t_pump, tuple(t.tolist()), geometry, grid, dt,
-                      t1_uniform)
+    y = pumped_sampler(d_cm2s, t_pump, geometry, grid, dt,
+                       t1_uniform).dot_averages(t, geometry)
     return DecaySeries(t=t, y=y, y_kind=YKind.DOT_AVERAGE,
                        metadata={"d_cm2s": d_cm2s, "t_pump_s": t_pump})
 
@@ -224,24 +223,6 @@ def pumped_sampler(d_cm2s: float, t_pump: float, geometry: DotGeometry,
     return DarkSampler(simulate_pump(geometry, cfg, t_pump, grid), cfg)
 
 
-@lru_cache(maxsize=512)
-def decay_samples(d_cm2s: float, t_pump: float, t_points: tuple[float, ...],
-                  geometry: DotGeometry, grid: Grid, dt: float | None,
-                  t1_uniform: float | None) -> np.ndarray:
-    """Forward model of the decay fits: the dot average of
-    ``pumped_sampler`` at the given (possibly irregular) times since the
-    end of the pump. It starts at exactly 1 at t = 0, because the pump
-    leaves the dot at S = 1.
-
-    Results are cached and read-only. The arguments are the cache key, so
-    callers that should share a solve pass all of them positionally.
-    """
-    out = pumped_sampler(d_cm2s, t_pump, geometry, grid, dt,
-                         t1_uniform).dot_averages(t_points, geometry)
-    out.setflags(write=False)
-    return out
-
-
 def _affine_lsq(p: np.ndarray, y: np.ndarray, weight: np.ndarray | None = None
                 ) -> tuple[float, float, float]:
     """Best (scale, offset) for y ~ offset + scale*p, plus the SSE; with
@@ -265,10 +246,11 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     Scans log10 D on a coarse grid (>= 8 candidates per decade), solving
     scale and offset by linear least squares at each candidate, then
     refines around the best candidate by golden-section search. The model
-    is ``decay_samples`` with the given pump step ``dt`` and uniform
-    relaxation ``t1_uniform``. When the series carries a ``sigma`` per
-    sample in its metadata (as ``read_measured_csv`` puts it there), each
-    residual is divided by its sigma. A flat objective raises
+    is the dot average of ``pumped_sampler`` at the measured times, with
+    the given pump step ``dt`` and uniform relaxation ``t1_uniform``; the
+    fit keeps each curve it solves. When the series carries a ``sigma``
+    per sample in its metadata (as ``read_measured_csv`` puts it there),
+    each residual is divided by its sigma. A flat objective raises
     NotIdentifiable; a minimum pinned at a search bound is reported via
     the ``BoundaryMinimum`` warning.
     """
@@ -292,17 +274,13 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     if decades <= 0:
         raise InvariantViolation("BadBounds",
                                  "d_bounds must span a positive range")
-    t_key = tuple(float(x) for x in t)
-    solves = 0
-
-    def forward(log_d: float) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        return decay_samples(10.0 ** log_d, t_pump, t_key, geometry, grid, dt,
-                             t1_uniform)
+    curves: dict[float, np.ndarray] = {}  # log10 D -> forward model at t
 
     def objective(log_d: float) -> float:
-        return _affine_lsq(forward(log_d), y, weight)[2]
+        p = curves[log_d] = pumped_sampler(10.0 ** log_d, t_pump, geometry,
+                                           grid, dt, t1_uniform
+                                           ).dot_averages(t, geometry)
+        return _affine_lsq(p, y, weight)[2]
 
     logs = np.linspace(math.log10(d_lo), math.log10(d_hi),
                        int(np.ceil(8 * decades)) + 1)
@@ -334,8 +312,7 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
             d = a + _GOLDEN * (b - a)
             fd = objective(d)
     log_best = c if fc < fd else d
-    log_best = min(max(log_best, math.log10(d_lo)), math.log10(d_hi))
-    p = forward(log_best)
+    p = curves[log_best]
     scale, offset, sse = _affine_lsq(p, y, weight)
 
     warnings: tuple[str, ...] = ()
@@ -347,5 +324,5 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                         sse=sse, d_grid=tuple(10.0 ** logs),
                         warnings=warnings,
                         sse_grid=tuple(float(x) for x in sses),
-                        forward_solves=solves,
+                        forward_solves=len(curves),
                         model=tuple((offset + scale * p).tolist()))

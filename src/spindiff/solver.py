@@ -205,7 +205,6 @@ def auto_dt(grid: Grid, d_qd: float) -> float:
                DT_CAP)
 
 
-@lru_cache(maxsize=64)
 def _radial_coeffs(nr: int, dr: float, boundary: BoundaryMode):
     """Tridiagonal coefficients (lo, di, hi) of the radial operator
     (1/r) d_r(r d_r .), flux form, per unit D."""
@@ -221,12 +220,9 @@ def _radial_coeffs(nr: int, dr: float, boundary: BoundaryMode):
         di[-1] = -lo[-1]
     hi[-1] = 0.0
     lo[0] = 0.0  # axis face has zero area
-    for a in (lo, di, hi):
-        a.setflags(write=False)
     return lo, di, hi
 
 
-@lru_cache(maxsize=64)
 def _axial_coeffs(nz: int, dz: float, boundary: BoundaryMode):
     """Tridiagonal coefficients of d2_z per unit D."""
     inv = 1.0 / (dz * dz)
@@ -241,8 +237,6 @@ def _axial_coeffs(nz: int, dz: float, boundary: BoundaryMode):
         di[-1] = -inv
     lo[0] = 0.0
     hi[-1] = 0.0
-    for a in (lo, di, hi):
-        a.setflags(write=False)
     return lo, di, hi
 
 

@@ -112,6 +112,23 @@ class TestSimulate:
         snaps, _ = read_table(tmp_path / "out" / "field_snapshots.csv")
         assert set(np.unique(snaps["t_s"])) == {0.0, 4.0}
 
+    def test_negative_snapshot_time_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_SOLVER
+                           + "snapshot_times_s = -4, 2\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "snapshot_times_s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_time_beyond_dark_phase_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_SOLVER
+                           + "snapshot_times_s = 0, 400\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "snapshot_times_s" in err and "t_dark_s" in err
+        assert not out.exists()
+
     def test_zeeman_column_with_g_factors(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVER
                            + "\n[material]\ng_e_abs = 0.54\ng_h_abs = 1.4\n")
@@ -282,16 +299,17 @@ t_pump_s = 10
         assert rms < 0.1
 
     def test_overlay_is_the_fits_model(self, tmp_path):
-        from spindiff import (DotGeometry, build_grid, decay_samples,
-                              fit_diffusion_coefficient, read_measured_csv)
+        from spindiff import (DotGeometry, build_grid,
+                              fit_diffusion_coefficient, pumped_sampler,
+                              read_measured_csv)
         path = self.synthetic_csv(tmp_path)
         geo = DotGeometry()
         grid = build_grid(geo, 1.0, 0.625, extent_factor=5.0)
         measured = read_measured_csv(path)
         fit = fit_diffusion_coefficient(measured, 10.0, geo, grid,
                                         (1e-15, 1e-14), dt=0.2)
-        p = decay_samples(fit.d_qd, 10.0, tuple(measured.t.tolist()), geo,
-                          grid, 0.2, None)
+        p = pumped_sampler(fit.d_qd, 10.0, geo, grid,
+                           0.2).dot_averages(measured.t, geo)
         assert fit.model == tuple((fit.offset + fit.scale * p).tolist())
         cfg = write_config(tmp_path, self.FIT_CONFIG)
         out = str(tmp_path / "out")

@@ -30,8 +30,6 @@ extent_factor = 20
 preset = paper-decay
 t_dark_s = 120
 t_pump_s = 10
-t_erase_s = 10
-t_probe_s = 0.1
 pump_helicity = sigma-
 
 [output]
@@ -66,7 +64,7 @@ class TestLoadConfig:
         assert rc.material.a_ga == 42.0 and rc.material.g_e_abs is None
         assert rc.dr_nm == 0.5 and rc.dz_nm == 0.5
         assert rc.extent_factor == 20.0
-        assert rc.t_pump_s == 10.0 and rc.t_probe_s == pytest.approx(0.1)
+        assert rc.t_pump_s == 10.0
         assert rc.d_cm2s is None and rc.d_list_cm2s is None
         assert rc.sample_every_s == 1.0
 
@@ -95,9 +93,12 @@ class TestLoadConfig:
                                         "height_nm = 5\n[plotting]\nx = 1\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="radius_um"):
-            load_config(write(tmp_path, "[geometry]\nradius_um = 10\n"
-                                        "height_nm = 5\n"))
+        for text, key in (
+                ("[geometry]\nradius_um = 10\nheight_nm = 5\n", "radius_um"),
+                ("[geometry]\nradius_nm = 10\nheight_nm = 5\n"
+                 "[protocol]\nt_erase_s = 10\n", "t_erase_s")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(write(tmp_path, text))
 
     def test_conflicting_d_keys_rejected(self, tmp_path):
         text = ("[geometry]\nradius_nm = 10\nheight_nm = 5\n"

@@ -14,7 +14,7 @@ from spindiff import (DecaySeries, DotGeometry, Helicity, InvariantViolation,
                       fit_exponential_rise, paper_decay_sequence,
                       run_sequence, simulate_decay_curve, time_to_level)
 from spindiff import kinetics
-from spindiff.kinetics import _affine_lsq, decay_samples
+from spindiff.kinetics import _affine_lsq, pumped_sampler
 
 GEO = DotGeometry()
 
@@ -207,6 +207,7 @@ class TestDiffusionFit:
         b = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
                                       (1e-16, 1e-13), dt=0.2)
         assert a.d_qd == b.d_qd and a.sse == b.sse
+        assert a.model == b.model and a.sse_grid == b.sse_grid
 
     def test_constant_series_not_identifiable(self, coarse_grid):
         t = np.arange(0.0, 50.0, 10.0)
@@ -232,26 +233,26 @@ class TestDiffusionFit:
     @pytest.mark.parametrize("t1", [None, 30.0])
     def test_forward_model_starts_at_one_exactly(self, coarse_grid, t1):
         for d in (1e-15, 1e-13):
-            p = decay_samples(d, 10.0, (0.0, 5.0, 20.0), GEO, coarse_grid,
-                              0.2, t1)
+            p = pumped_sampler(d, 10.0, GEO, coarse_grid, 0.2,
+                               t1).dot_averages((0.0, 5.0, 20.0), GEO)
             assert p[0] == 1.0
             assert np.all(np.diff(p) < 0)
 
     def test_forward_model_rejects_negative_times(self, coarse_grid):
         with pytest.raises(InvariantViolation, match="NegativeDuration"):
-            decay_samples(1e-14, 10.0, (0.0, -5.0), GEO, coarse_grid, 0.2,
-                          None)
+            pumped_sampler(1e-14, 10.0, GEO, coarse_grid,
+                           0.2).dot_averages((0.0, -5.0), GEO)
 
     def test_sse_grid_and_forward_solves(self, coarse_grid, monkeypatch):
         calls = []
-        model = kinetics.decay_samples
+        model = kinetics.pumped_sampler
 
         def counted(*args):
             calls.append(args[0])
             return model(*args)
 
         measured = self.synthetic(coarse_grid)
-        monkeypatch.setattr(kinetics, "decay_samples", counted)
+        monkeypatch.setattr(kinetics, "pumped_sampler", counted)
         fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
                                         (1e-16, 1e-13), dt=0.2)
         assert len(fit.sse_grid) == len(fit.d_grid) == 25
@@ -263,8 +264,8 @@ class TestDiffusionFit:
         while width > kinetics._LOG_D_TOL:
             width *= kinetics._GOLDEN
             golden += 1
-        assert fit.forward_solves == len(calls) == 25 + 2 + golden + 1
-        assert calls[-1] == fit.d_qd
+        assert fit.forward_solves == len(calls) == 25 + 2 + golden
+        assert fit.d_qd in calls
 
     def sigma_series(self, measured, sigma):
         return DecaySeries(t=measured.t, y=measured.y, y_kind=measured.y_kind,
@@ -307,8 +308,9 @@ class TestDiffusionFit:
                                       (1e-16, 1e-13), dt=0.2)
 
     def test_affine_separability_exact(self, coarse_grid):
-        t_key = tuple(np.arange(0.0, 40.0, 5.0))
-        p = decay_samples(5e-15, 10.0, t_key, GEO, coarse_grid, 0.2, None)
+        t = np.arange(0.0, 40.0, 5.0)
+        p = pumped_sampler(5e-15, 10.0, GEO, coarse_grid,
+                           0.2).dot_averages(t, GEO)
         scale, offset, sse = _affine_lsq(p, 60.0 + 38.0 * p)
         assert scale == pytest.approx(38.0, rel=1e-10)
         assert offset == pytest.approx(60.0, rel=1e-10)
