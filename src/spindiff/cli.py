@@ -57,7 +57,7 @@ def _require(rc_value, section: str, key: str):
 
 
 def cmd_simulate(args) -> int:
-    """Run the pump/dark preset at a single D; write decay.csv and
+    """Run the pump-then-dark model at a single D; write decay.csv and
     field_snapshots.csv. The pump leaves the dot at S = 1, so the
     ``dot_average`` column starts at exactly 1."""
     rc = _require_config(args)
@@ -73,9 +73,7 @@ def cmd_simulate(args) -> int:
     ts = dark_sample_times(t_dark, rc.sample_every_s)
     p = dark.dot_averages(ts, rc.geometry)
 
-    # a snapshot requested at time T is taken at the first sample >= T
-    idx = np.searchsorted(ts, np.sort(rc.snapshot_times_s) - 1e-9)
-    snap_t = ts[idx[idx < ts.size]]
+    snap_t = np.sort(rc.snapshot_times_s)
     n_cells = grid.nr * grid.nz
     snap_cols = {
         "t_s": np.repeat(snap_t, n_cells),
@@ -92,7 +90,7 @@ def cmd_simulate(args) -> int:
             rc.material, overhauser_field(pi, rc.material), rc.pump_helicity)
             for pi in p]
         columns["zeeman_uev"] = np.array(zeeman)
-    meta = {"preset": rc.preset, "d_cm2s": repr(d_cm2s),
+    meta = {"d_cm2s": repr(d_cm2s),
             "t_pump_s": repr(rc.t_pump_s), "t_dark_s": repr(t_dark),
             "helicity": rc.pump_helicity.value}
     decay_path = os.path.join(out, "decay.csv")
@@ -105,8 +103,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run the preset for each D in the list; write sweep.csv in long
-    format (d_cm2s, t_s, p)."""
+    """Run the pump-then-dark model for each D in the list; write
+    sweep.csv in long format (d_cm2s, t_s, p)."""
     rc = _require_config(args)
     if rc.d_list_cm2s is not None:
         d_values = rc.d_list_cm2s
@@ -126,8 +124,7 @@ def cmd_sweep(args) -> int:
         cols["t_s"].extend(series.t)
         cols["p"].extend(series.y)
     path = os.path.join(out, "sweep.csv")
-    write_table(path, cols, {"preset": rc.preset,
-                             "t_pump_s": repr(rc.t_pump_s)})
+    write_table(path, cols, {"t_pump_s": repr(rc.t_pump_s)})
     _say(args, f"wrote {path}")
     return 0
 
@@ -227,11 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common],
-                       help="run the pump/dark preset at a single D")
+                       help="run the pump-then-dark model at a single D")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common],
-                       help="run the preset for a list of D values")
+                       help="run the pump-then-dark model for a list of D "
+                            "values")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit-d", parents=[common],

@@ -6,7 +6,7 @@ Sections and keys (units embedded in the names):
     [geometry]   radius_nm (required), height_nm (required), z_center_nm
     [solver]     d_cm2s | d_list_cm2s | d_bounds_cm2s, t1_s, dr_nm, dz_nm,
                  dt_s, extent_factor
-    [protocol]   preset (= paper-decay), t_dark_s, t_pump_s, pump_helicity
+    [protocol]   t_dark_s, t_pump_s, pump_helicity
     [output]     dir, sample_every_s, snapshot_times_s
 
 Unknown sections or keys are rejected. All numeric values accept
@@ -24,15 +24,13 @@ from dataclasses import dataclass, field
 from .domain import DotGeometry, Helicity, MaterialParams, validate_material
 from .errors import ConfigError, InvariantViolation
 
-PAPER_DECAY_PRESET = "paper-decay"
-
 _SCHEMA = {
     "material": {"a_ga_uev", "a_as_uev", "i_ga", "i_as", "g_e_abs",
                  "g_h_abs", "b_ext_t"},
     "geometry": {"radius_nm", "height_nm", "z_center_nm"},
     "solver": {"d_cm2s", "d_list_cm2s", "d_bounds_cm2s", "t1_s", "dr_nm",
                "dz_nm", "dt_s", "extent_factor"},
-    "protocol": {"preset", "t_dark_s", "t_pump_s", "pump_helicity"},
+    "protocol": {"t_dark_s", "t_pump_s", "pump_helicity"},
     "output": {"dir", "sample_every_s", "snapshot_times_s"},
 }
 
@@ -51,7 +49,6 @@ class RunConfig:
     dz_nm: float = 0.5
     dt_s: float | None = None
     extent_factor: float = 20.0
-    preset: str = PAPER_DECAY_PRESET
     t_dark_s: float | None = None
     t_pump_s: float = 10.0
     pump_helicity: Helicity = Helicity.SIGMA_PLUS
@@ -152,11 +149,6 @@ def load_config(path: str | os.PathLike) -> RunConfig:
                 "[solver] d_bounds_cm2s: need 'low, high' with 0 < low < high")
         d_bounds = (pair[0], pair[1])
 
-    preset = raw("protocol", "preset") or PAPER_DECAY_PRESET
-    if preset != PAPER_DECAY_PRESET:
-        raise ConfigError(
-            f"[protocol] preset: unknown preset '{preset}' "
-            f"(only '{PAPER_DECAY_PRESET}')")
     helicity_raw = raw("protocol", "pump_helicity") or Helicity.SIGMA_PLUS.value
     try:
         pump_helicity = Helicity(helicity_raw)
@@ -182,7 +174,6 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         dz_nm=num("solver", "dz_nm", 0.5),
         dt_s=num("solver", "dt_s", None),
         extent_factor=num("solver", "extent_factor", 20.0),
-        preset=preset,
         t_dark_s=num("protocol", "t_dark_s", None),
         t_pump_s=num("protocol", "t_pump_s", 10.0),
         pump_helicity=pump_helicity,

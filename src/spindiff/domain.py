@@ -6,6 +6,7 @@ All types are plain immutable values; validation is explicit
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -112,7 +113,7 @@ class PulseSegment:
     helicity: Helicity = Helicity.NONE
 
     def __post_init__(self):
-        if self.duration < 0:
+        if not (0 <= self.duration < math.inf):
             raise InvariantViolation("NegativeDuration",
                                      f"{self.kind.value} duration = {self.duration}")
         if self.kind in (SegmentKind.ERASE, SegmentKind.PROBE):

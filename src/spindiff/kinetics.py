@@ -92,7 +92,6 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
     duration. Times are the cumulative sequence clock. Coincident
     duplicate samples (a probe at a dark sampling instant) are dropped.
     """
-    grid.require_dot_inside(geometry)
     field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)), 0.0)
     ts: list[float] = []
     ys: list[float] = []

@@ -22,9 +22,11 @@ fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
     first-order in dt, and the staircase dot boundary makes it
     first-order in dr.
 
-The dot is a rectangle of cells in index space (the radial and axial
-masks of ``Grid.dot_axes``), built once per (grid, geometry) and cached
-read-only, so the readout and the reset touch only its cells.
+The dot is a rectangle of cells in index space (the outer product of
+a radial and an axial mask, ``_dot_cells``), built once per (grid,
+geometry) and cached read-only, so the readout and the reset touch only
+its cells. The readout and the pump's clamp take the dot from
+``_checked_dot``, which rejects a dot beyond the grid or without cells.
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -106,25 +108,10 @@ class Grid:
     def z_centers(self) -> np.ndarray:
         return self.z_min + (np.arange(self.nz) + 0.5) * self.dz
 
-    def dot_axes(self,
-                 geometry: DotGeometry) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean masks of the radial and axial cell centers inside the
-        disk; the dot is their outer product. The masks are cached and
-        read-only."""
-        return _dot_cells(self, geometry)[:2]
-
     def dot_mask(self, geometry: DotGeometry) -> np.ndarray:
         """Boolean (nr, nz) mask of cells whose centers lie inside the disk."""
-        r_in, z_in = self.dot_axes(geometry)
+        r_in, z_in = _dot_cells(self, geometry)[:2]
         return r_in[:, None] & z_in[None, :]
-
-    def require_dot_inside(self, geometry: DotGeometry) -> None:
-        if (geometry.radius > self.r_max
-                or geometry.z_center - geometry.height / 2 < self.z_min
-                or geometry.z_center + geometry.height / 2 > self.z_max):
-            raise GeometryMismatch(
-                f"dot (radius {geometry.radius}, z {geometry.z_center} +/- "
-                f"{geometry.height / 2}) extends beyond the grid")
 
 
 @dataclass(frozen=True)
@@ -262,8 +249,9 @@ def _eigenbasis(grid: Grid, boundary: BoundaryMode):
 def _dot_cells(grid: Grid, geometry: DotGeometry):
     """The dot's cells, read-only: (r_in, z_in, cells, w, w_sum).
 
-    r_in and z_in are the masks of ``Grid.dot_axes``. Both select one
-    contiguous run of indices (r < radius is a prefix, |z - z_c| < h/2
+    r_in and z_in are the boolean masks of the radial and axial cell
+    centers inside the disk; the dot is their outer product. Both select
+    one contiguous run of indices (r < radius is a prefix, |z - z_c| < h/2
     an interval), so ``cells`` indexes the dot rectangle with two slices.
     w holds the volume weight r of each dot cell and w_sum their sum.
     """
@@ -280,16 +268,26 @@ def _dot_cells(grid: Grid, geometry: DotGeometry):
 def _checked_dot(grid: Grid, geometry: DotGeometry):
     """``_dot_cells`` of a dot that lies inside the grid and holds at
     least one cell center."""
-    grid.require_dot_inside(geometry)
+    if (geometry.radius > grid.r_max
+            or geometry.z_center - geometry.height / 2 < grid.z_min
+            or geometry.z_center + geometry.height / 2 > grid.z_max):
+        raise GeometryMismatch(
+            f"dot (radius {geometry.radius}, z {geometry.z_center} +/- "
+            f"{geometry.height / 2}) extends beyond the grid")
     dot = _dot_cells(grid, geometry)
     if not dot[3].size:
         raise GeometryMismatch("no cell centers fall inside the dot")
     return dot
 
 
-def _check_time(name: str, t: float) -> None:
-    if not (0 <= t < math.inf):
-        raise InvariantViolation("NegativeDuration", f"{name} = {t}")
+def _check_time(name: str, t) -> None:
+    """Reject a time, or an array of times, that is negative or not
+    finite, naming the first bad entry."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~((t >= 0) & (t < math.inf))]
+    if bad.size:
+        raise InvariantViolation("NegativeDuration",
+                                 f"{name} = {float(bad[0])}")
 
 
 def _to_modes(values: np.ndarray, basis) -> np.ndarray:
@@ -317,7 +315,7 @@ def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     inf coefficient stays non-finite under the scaling, the products and
     the additions of the loop, and |rho| <= 1 keeps finite ones finite.
     """
-    r_in, z_in, cells, _, _ = _dot_cells(grid, clamp)
+    r_in, z_in, cells, _, _ = _checked_dot(grid, clamp)
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     mu = 0.5 * cfg.d_qd * dt
     if mu > 0.0:
@@ -377,27 +375,29 @@ class DarkSampler:
             self._basis = _eigenbasis(field.grid, cfg.boundary)
             self._coef = _to_modes(field.values, self._basis)
 
-    def _relax(self, t: float) -> float:
+    def _factors(self, t: np.ndarray):
+        """(relax, E_r, E_z) at the array of times ``t``: the T1 factors
+        exp(-t/T1) and, when D > 0, the rows of modal decay factors
+        exp(D t lam), with the T1 factor folded into E_r."""
         _check_time("t", t)
         t1 = self.cfg.t1_uniform
-        return math.exp(-t / t1) if t1 else 1.0
-
-    def _modal_factors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e_r, e_z) at time t, with the T1 factor folded into e_r."""
+        relax = np.exp(-t / t1) if t1 else np.ones(t.size)
+        if self._basis is None:
+            return relax, None, None
         lam_r, _, lam_z, _, _ = self._basis
-        tau = self.cfg.d_qd * t
-        return self._relax(t) * np.exp(tau * lam_r), np.exp(tau * lam_z)
+        tau = self.cfg.d_qd * t[:, None]
+        return relax, relax[:, None] * np.exp(tau * lam_r), np.exp(tau * lam_z)
 
     def field_at(self, t: float) -> PolarizationField:
         """The field ``t`` after the sampler's start."""
         if t == 0:
             return self.field
-        if self._basis is None:
-            values = self.field.values * self._relax(t)
+        relax, e_r, e_z = self._factors(np.array([t], dtype=float))
+        if e_r is None:
+            values = self.field.values * relax[0]
         else:
             _, q_r, _, q_z, sqrt_r = self._basis
-            e_r, e_z = self._modal_factors(t)
-            values = (q_r @ (e_r[:, None] * self._coef * e_z) @ q_z.T
+            values = (q_r @ (e_r.T * self._coef * e_z) @ q_z.T
                       / sqrt_r[:, None])
         return PolarizationField(self.field.grid, values, self.field.time + t)
 
@@ -405,28 +405,20 @@ class DarkSampler:
         """Dot average (as ``dot_average``) at each of ``times`` after the
         sampler's start. Each value depends only on its own time."""
         t = np.asarray(times, dtype=float).reshape(-1)
-        bad = ~((t >= 0) & (t < math.inf))
-        if bad.any():
-            _check_time("t", float(t[bad][0]))
-        t1 = self.cfg.t1_uniform
-        relax = np.exp(-t / t1) if t1 else np.ones(t.size)
         if self._basis is None:
-            return dot_average(self.field, geometry) * relax
-        lam_r, q_r, lam_z, q_z, sqrt_r = self._basis
+            return dot_average(self.field, geometry) * self._factors(t)[0]
+        _, q_r, _, q_z, sqrt_r = self._basis
         r_in, z_in, _, _, w_sum = _checked_dot(self.field.grid, geometry)
         # sum of r * S over the dot, mode by mode, over the sum of r
         a = sqrt_r[r_in] @ q_r[r_in]
         b = q_z[z_in].sum(axis=0)
         g = a[:, None] * self._coef * b / w_sum
-        tau = self.cfg.d_qd * t
         out = np.empty(t.size)
         # blocks of times keep E_r @ g on one thread and bound the memory
         rows = max(1, _ONE_THREAD_MADDS // g.size)
         for k in range(0, t.size, rows):
-            blk = slice(k, k + rows)
-            e_r = relax[blk, None] * np.exp(tau[blk, None] * lam_r)
-            e_z = np.exp(tau[blk, None] * lam_z)
-            out[blk] = ((e_r @ g) * e_z).sum(axis=1)
+            _, e_r, e_z = self._factors(t[k:k + rows])
+            out[k:k + rows] = ((e_r @ g) * e_z).sum(axis=1)
         zero = t == 0
         if zero.any():
             out[zero] = dot_average(self.field, geometry)

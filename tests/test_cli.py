@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from spindiff import (DecaySeries, YKind, read_fit_report, read_table,
-                      write_measured_csv)
+from spindiff import (DecaySeries, DotGeometry, YKind, build_grid,
+                      read_fit_report, read_table, write_measured_csv)
 from spindiff.cli import main
+from spindiff.kinetics import pumped_sampler
 
 FAST_SOLVER = """\
 [solver]
@@ -108,9 +109,21 @@ class TestSimulate:
         assert list(cols) == ["t_s", "dot_average"]
         assert cols["dot_average"][0] == 1.0
         assert np.all(np.diff(cols["dot_average"]) < 0)
-        assert meta["preset"] == "paper-decay"
         snaps, _ = read_table(tmp_path / "out" / "field_snapshots.csv")
         assert set(np.unique(snaps["t_s"])) == {0.0, 4.0}
+
+    def test_snapshot_between_samples_at_requested_time(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_SOLVER
+                           + "snapshot_times_s = 2.5\n")
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+        snaps, _ = read_table(tmp_path / "out" / "field_snapshots.csv")
+        assert set(np.unique(snaps["t_s"])) == {2.5}
+        geo = DotGeometry(radius=10.0, height=5.0)
+        grid = build_grid(geo, 1.0, 0.625, 6.0)
+        want = pumped_sampler(1e-13, 10.0, geo, grid, 0.05, None)
+        np.testing.assert_array_equal(
+            snaps["s"], want.field_at(2.5).values.ravel())
 
     def test_negative_snapshot_time_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_SOLVER

@@ -27,7 +27,6 @@ dt_s = 0.01
 extent_factor = 20
 
 [protocol]
-preset = paper-decay
 t_dark_s = 120
 t_pump_s = 10
 pump_helicity = sigma-
@@ -119,10 +118,12 @@ class TestLoadConfig:
             load_config(write(tmp_path, text))
 
     def test_unknown_preset_rejected(self, tmp_path):
-        text = ("[geometry]\nradius_nm = 10\nheight_nm = 5\n"
-                "[protocol]\npreset = paper-rise\n")
-        with pytest.raises(ConfigError, match="paper-rise"):
-            load_config(write(tmp_path, text))
+        # The [protocol] preset key is gone: any value of it is an unknown key.
+        for value in ("paper-rise", "paper-decay"):
+            text = ("[geometry]\nradius_nm = 10\nheight_nm = 5\n"
+                    f"[protocol]\npreset = {value}\n")
+            with pytest.raises(ConfigError, match="unknown key 'preset'"):
+                load_config(write(tmp_path, text))
 
     def test_non_circular_pump_rejected(self, tmp_path):
         text = ("[geometry]\nradius_nm = 10\nheight_nm = 5\n"

@@ -81,8 +81,9 @@ class TestPulseSequence:
         assert seq.segments[1].helicity is Helicity.SIGMA_MINUS
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(InvariantViolation):
-            PulseSegment(SegmentKind.DARK, -1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvariantViolation, match="NegativeDuration"):
+                PulseSegment(SegmentKind.DARK, bad)
 
     def test_erase_must_be_linear(self):
         with pytest.raises(InvariantViolation):

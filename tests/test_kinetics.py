@@ -7,12 +7,13 @@ anchors at full resolution live in the acceptance tests.
 import numpy as np
 import pytest
 
-from spindiff import (DecaySeries, DotGeometry, Helicity, InvariantViolation,
-                      NotIdentifiable, PulseSegment, PulseSequence,
-                      SegmentKind, SolverConfig, YKind, build_grid,
-                      fit_diffusion_coefficient, fit_exponential_decay,
-                      fit_exponential_rise, paper_decay_sequence,
-                      run_sequence, simulate_decay_curve, time_to_level)
+from spindiff import (DecaySeries, DotGeometry, GeometryMismatch, Helicity,
+                      InvariantViolation, NotIdentifiable, PulseSegment,
+                      PulseSequence, SegmentKind, SolverConfig, YKind,
+                      build_grid, fit_diffusion_coefficient,
+                      fit_exponential_decay, fit_exponential_rise,
+                      paper_decay_sequence, run_sequence,
+                      simulate_decay_curve, time_to_level)
 from spindiff import kinetics
 from spindiff.kinetics import _affine_lsq, pumped_sampler
 
@@ -69,6 +70,16 @@ class TestRunSequence:
         # dark start, 4 dark samples, probe shares the last dark instant
         assert len(out) == 5
         assert np.all(np.diff(out.y[:5]) < 0)
+
+    def test_dot_beyond_grid_rejected(self, coarse_grid):
+        # erase, pump, probe: the pump's clamp and the probe check the dot
+        seq = PulseSequence((seg(SegmentKind.ERASE, 1.0, Helicity.LINEAR),
+                             seg(SegmentKind.PUMP, 1.0, Helicity.SIGMA_PLUS),
+                             seg(SegmentKind.PROBE, 0.1, Helicity.LINEAR)))
+        far = DotGeometry(radius=10.0, height=5.0, z_center=1000.0)
+        with pytest.raises(GeometryMismatch):
+            run_sequence(seq, SolverConfig(d_qd=10.0, dt=0.1), far,
+                         coarse_grid)
 
     def test_sequence_without_readout_rejected(self, coarse_grid):
         seq = PulseSequence((seg(SegmentKind.DARK, 1.0),))

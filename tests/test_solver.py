@@ -22,7 +22,7 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       PolarizationField, SolverConfig,
                       auto_dt, build_grid, dot_average, evolve,
                       simulate_dark, simulate_pump, step, total_spin)
-from spindiff.solver import _axial_coeffs, _radial_coeffs
+from spindiff.solver import _axial_coeffs, _dot_cells, _radial_coeffs
 
 GEO = DotGeometry()
 
@@ -56,20 +56,16 @@ class TestGrid:
         assert np.sum(grid.r_centers < GEO.radius) == 20
         assert grid.z_min == -50.0 and grid.z_max == 50.0
 
-    def test_dot_axes_cached_and_read_only(self):
-        grid = build_grid(GEO, 0.5, 0.5, extent_factor=5.0)
-        r_in, z_in = grid.dot_axes(GEO)
-        assert grid.dot_axes(GEO)[0] is r_in
-        for axis in (r_in, z_in):
-            assert not axis.flags.writeable
-            with pytest.raises(ValueError):
-                axis[0] = not axis[0]
-        assert np.count_nonzero(r_in) == 20 and np.count_nonzero(z_in) == 10
-
     def test_default_dot_resolves_exactly(self):
         grid = build_grid(GEO, 0.5, 0.5)
         mask = grid.dot_mask(GEO)
         assert mask.sum() == 20 * 10  # 20 cells across radius, 10 in z
+        # the dot's cells are cache state: built once, read-only
+        r_in, z_in, _, w, _ = dot = _dot_cells(grid, GEO)
+        assert _dot_cells(grid, GEO) is dot
+        for a in (r_in, z_in, w):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
 
     def test_too_coarse_rejected(self):
         with pytest.raises(GridTooCoarse):
@@ -437,6 +433,19 @@ class TestPumpAndDark:
         field = PolarizationField(grid, np.zeros((8, 16)))
         with pytest.raises(GeometryMismatch):
             dot_average(field, DotGeometry(radius=20.0, height=5.0))
+        # the pump's clamp is checked as well: a dot beyond the grid in r
+        # or in z, or one that holds no cell center, is never clamped
+        grid = Grid(nr=16, nz=16, dr=1.0, dz=1.0, z_min=-8.0)
+        field = PolarizationField(grid, np.zeros((16, 16)))
+        for dot in (DotGeometry(radius=30.0, height=5.0),
+                    DotGeometry(radius=5.0, height=5.0, z_center=50.0),
+                    DotGeometry(radius=0.4, height=5.0)):
+            for cfg in (SolverConfig(d_qd=1.0, dt=0.1),
+                        SolverConfig(d_qd=0.0, dt=0.1)):
+                with pytest.raises(GeometryMismatch):
+                    evolve(field, cfg, 0.5, clamp=dot)
+                with pytest.raises(GeometryMismatch):
+                    step(field, cfg, clamp=dot)
 
     def test_negative_diffusion_rejected(self):
         with pytest.raises(InvariantViolation):
