@@ -26,8 +26,6 @@ from .observables import (exciton_zeeman_splitting, ohs_max,
 from .solver import Grid, build_grid, dark_sample_times
 from .units import MU_B_UEV_PER_T
 
-_DEFAULT_D_BOUNDS = (1e-16, 1e-11)
-
 
 def _say(args, msg: str) -> None:
     if not args.quiet:
@@ -134,11 +132,11 @@ def cmd_fit_d(args) -> int:
     and fit_overlay.csv, print the fitted D."""
     rc = _require_config(args)
     measured = read_measured_csv(args.measured)
-    d_bounds = rc.d_bounds_cm2s or _DEFAULT_D_BOUNDS
     out = _out_dir(args, rc)
     grid = _grid_for(rc)
     fit = fit_diffusion_coefficient(measured, rc.t_pump_s, rc.geometry, grid,
-                                    d_bounds, dt=rc.dt_s, t1_uniform=rc.t1_s)
+                                    rc.d_bounds_cm2s, dt=rc.dt_s,
+                                    t1_uniform=rc.t1_s)
     report_path = os.path.join(out, "fit.json")
     write_fit_report(report_path, d_qd_cm2s=fit.d_qd, scale_uev=fit.scale,
                      offset_uev=fit.offset, sse=fit.sse,

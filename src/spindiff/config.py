@@ -1,38 +1,23 @@
 """Run configuration: strict INI-style config files.
 
-Sections and keys (units embedded in the names):
-
-    [material]   a_ga_uev, a_as_uev, i_ga, i_as, g_e_abs, g_h_abs, b_ext_t
-    [geometry]   radius_nm (required), height_nm (required), z_center_nm
-    [solver]     d_cm2s | d_list_cm2s | d_bounds_cm2s, t1_s, dr_nm, dz_nm,
-                 dt_s, extent_factor
-    [protocol]   t_dark_s, t_pump_s, pump_helicity
-    [output]     dir, sample_every_s, snapshot_times_s
-
-Unknown sections or keys are rejected. All numeric values accept
-scientific notation and must be finite. At most one of d_cm2s /
-d_list_cm2s / d_bounds_cm2s may be given; which one is required depends
-on the command.
+``_SCHEMA`` lists every accepted ``[section] key`` (units embedded in the
+names) with the field it fills and its parser. A key left out keeps the
+field default of ``MaterialParams``, ``DotGeometry`` or ``RunConfig``, the
+only defaults. Unknown sections or keys are rejected. Numeric values
+accept scientific notation and must be finite. At most one of d_cm2s /
+d_list_cm2s / d_bounds_cm2s may be given; which one a command needs
+depends on the command.
 """
 from __future__ import annotations
 
 import configparser
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .domain import DotGeometry, Helicity, MaterialParams, validate_material
 from .errors import ConfigError, InvariantViolation
-
-_SCHEMA = {
-    "material": {"a_ga_uev", "a_as_uev", "i_ga", "i_as", "g_e_abs",
-                 "g_h_abs", "b_ext_t"},
-    "geometry": {"radius_nm", "height_nm", "z_center_nm"},
-    "solver": {"d_cm2s", "d_list_cm2s", "d_bounds_cm2s", "t1_s", "dr_nm",
-               "dz_nm", "dt_s", "extent_factor"},
-    "protocol": {"t_dark_s", "t_pump_s", "pump_helicity"},
-    "output": {"dir", "sample_every_s", "snapshot_times_s"},
-}
 
 
 @dataclass(frozen=True)
@@ -43,7 +28,7 @@ class RunConfig:
     geometry: DotGeometry
     d_cm2s: float | None = None
     d_list_cm2s: tuple[float, ...] | None = None
-    d_bounds_cm2s: tuple[float, float] | None = None
+    d_bounds_cm2s: tuple[float, float] = (1e-16, 1e-11)  # fit-d search range
     t1_s: float | None = None
     dr_nm: float = 0.5
     dz_nm: float = 0.5
@@ -75,6 +60,88 @@ def _get_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     return tuple(_get_float(section, key, p) for p in parts)
 
 
+def _checked(parse, ok, rule: str):
+    """``parse``, then reject a value for which ``ok`` is false."""
+    def parse_checked(section: str, key: str, raw: str):
+        value = parse(section, key, raw)
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key}: {rule}")
+        return value
+    return parse_checked
+
+
+_NON_NEGATIVE = _checked(_get_float, lambda v: v >= 0, "must be >= 0")
+_POSITIVE = _checked(_get_float, lambda v: v > 0, "must be > 0")
+_NON_NEGATIVE_LIST = _checked(_get_float_list, lambda v: min(v) >= 0,
+                              "entries must be >= 0")
+_BOUNDS = _checked(_get_float_list,
+                   lambda v: len(v) == 2 and 0 < v[0] < v[1],
+                   "need 'low, high' with 0 < low < high")
+
+
+def _get_helicity(section: str, key: str, raw: str) -> Helicity | None:
+    """A circular helicity; None (the field default) for an empty value."""
+    if not raw:
+        return None
+    try:
+        helicity = Helicity(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"[{section}] {key}: unknown value '{raw}'") from exc
+    if not helicity.is_circular:
+        raise ConfigError(f"[{section}] {key}: must be sigma+ or sigma-")
+    return helicity
+
+
+def _get_dir(section: str, key: str, raw: str) -> str | None:
+    """The value; None (the field default) for an empty value."""
+    return raw or None
+
+
+# A key fills the field ``attr`` with ``parse(section, key, raw)``, unless
+# that returns None; at most one key marked ``one_d`` may be given.
+_Key = namedtuple("_Key", "attr parse required one_d",
+                  defaults=(False, False))
+
+
+_SCHEMA = {
+    "material": {  # MaterialParams
+        "a_ga_uev": _Key("a_ga", _get_float),
+        "a_as_uev": _Key("a_as", _get_float),
+        "i_ga": _Key("i_ga", _get_float),
+        "i_as": _Key("i_as", _get_float),
+        "g_e_abs": _Key("g_e_abs", _get_float),
+        "g_h_abs": _Key("g_h_abs", _get_float),
+        "b_ext_t": _Key("b_ext", _get_float),
+    },
+    "geometry": {  # DotGeometry
+        "radius_nm": _Key("radius", _get_float, required=True),
+        "height_nm": _Key("height", _get_float, required=True),
+        "z_center_nm": _Key("z_center", _get_float),
+    },
+    "solver": {  # RunConfig, as are the sections below
+        "d_cm2s": _Key("d_cm2s", _NON_NEGATIVE, one_d=True),
+        "d_list_cm2s": _Key("d_list_cm2s", _NON_NEGATIVE_LIST, one_d=True),
+        "d_bounds_cm2s": _Key("d_bounds_cm2s", _BOUNDS, one_d=True),
+        "t1_s": _Key("t1_s", _get_float),
+        "dr_nm": _Key("dr_nm", _get_float),
+        "dz_nm": _Key("dz_nm", _get_float),
+        "dt_s": _Key("dt_s", _get_float),
+        "extent_factor": _Key("extent_factor", _get_float),
+    },
+    "protocol": {
+        "t_dark_s": _Key("t_dark_s", _NON_NEGATIVE),
+        "t_pump_s": _Key("t_pump_s", _NON_NEGATIVE),
+        "pump_helicity": _Key("pump_helicity", _get_helicity),
+    },
+    "output": {
+        "dir": _Key("out_dir", _get_dir),
+        "sample_every_s": _Key("sample_every_s", _POSITIVE),
+        "snapshot_times_s": _Key("snapshot_times_s", _NON_NEGATIVE_LIST),
+    },
+}
+
+
 def load_config(path: str | os.PathLike) -> RunConfig:
     """Parse and validate a config file; raises ConfigError naming the
     offending section/key on any schema violation."""
@@ -90,107 +157,36 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]")
+    values: dict[str, dict] = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser[section].items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
+            spec = _SCHEMA[section][key]
+            value = spec.parse(section, key, raw)
+            if value is not None:
+                values[section][spec.attr] = value
 
-    def raw(section: str, key: str) -> str | None:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
+    for section, keys in _SCHEMA.items():
+        for key, spec in keys.items():
+            if spec.required and not parser.has_option(section, key):
+                raise ConfigError(
+                    f"missing required key '{key}' in [{section}]")
+    d_keys = [key for key, spec in _SCHEMA["solver"].items() if spec.one_d]
+    if sum(parser.has_option("solver", key) for key in d_keys) > 1:
+        raise ConfigError(
+            f"[solver]: give at most one of {', '.join(d_keys)}")
 
-    def num(section: str, key: str, default: float | None) -> float | None:
-        value = raw(section, key)
-        return default if value is None else _get_float(section, key, value)
-
-    material = MaterialParams(
-        a_ga=num("material", "a_ga_uev", 42.0),
-        a_as=num("material", "a_as_uev", 46.0),
-        i_ga=num("material", "i_ga", 1.5),
-        i_as=num("material", "i_as", 1.5),
-        g_e_abs=num("material", "g_e_abs", None),
-        g_h_abs=num("material", "g_h_abs", None),
-        b_ext=num("material", "b_ext_t", 2.0),
-    )
     try:
-        validate_material(material)
+        material = validate_material(MaterialParams(**values["material"]))
     except InvariantViolation as exc:
         raise ConfigError(f"[material]: {exc}") from exc
-
-    radius = num("geometry", "radius_nm", None)
-    height = num("geometry", "height_nm", None)
-    if radius is None:
-        raise ConfigError("missing required key 'radius_nm' in [geometry]")
-    if height is None:
-        raise ConfigError("missing required key 'height_nm' in [geometry]")
     try:
-        geometry = DotGeometry(radius=radius, height=height,
-                               z_center=num("geometry", "z_center_nm", 0.0))
+        geometry = DotGeometry(**values["geometry"])
     except InvariantViolation as exc:
         raise ConfigError(f"[geometry]: {exc}") from exc
-
-    d_single = num("solver", "d_cm2s", None)
-    d_list_raw = raw("solver", "d_list_cm2s")
-    d_bounds_raw = raw("solver", "d_bounds_cm2s")
-    n_given = sum(x is not None for x in (d_single, d_list_raw, d_bounds_raw))
-    if n_given > 1:
-        raise ConfigError(
-            "[solver]: give at most one of d_cm2s, d_list_cm2s, d_bounds_cm2s")
-    d_list = (_get_float_list("solver", "d_list_cm2s", d_list_raw)
-              if d_list_raw is not None else None)
-    d_bounds = None
-    if d_bounds_raw is not None:
-        pair = _get_float_list("solver", "d_bounds_cm2s", d_bounds_raw)
-        if len(pair) != 2 or not (0 < pair[0] < pair[1]):
-            raise ConfigError(
-                "[solver] d_bounds_cm2s: need 'low, high' with 0 < low < high")
-        d_bounds = (pair[0], pair[1])
-
-    helicity_raw = raw("protocol", "pump_helicity") or Helicity.SIGMA_PLUS.value
-    try:
-        pump_helicity = Helicity(helicity_raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"[protocol] pump_helicity: unknown value '{helicity_raw}'") from exc
-    if not pump_helicity.is_circular:
-        raise ConfigError(
-            "[protocol] pump_helicity: must be sigma+ or sigma-")
-
-    snapshot_raw = raw("output", "snapshot_times_s")
-    snapshots = (_get_float_list("output", "snapshot_times_s", snapshot_raw)
-                 if snapshot_raw is not None else ())
-
-    cfg = RunConfig(
-        material=material,
-        geometry=geometry,
-        d_cm2s=d_single,
-        d_list_cm2s=d_list,
-        d_bounds_cm2s=d_bounds,
-        t1_s=num("solver", "t1_s", None),
-        dr_nm=num("solver", "dr_nm", 0.5),
-        dz_nm=num("solver", "dz_nm", 0.5),
-        dt_s=num("solver", "dt_s", None),
-        extent_factor=num("solver", "extent_factor", 20.0),
-        t_dark_s=num("protocol", "t_dark_s", None),
-        t_pump_s=num("protocol", "t_pump_s", 10.0),
-        pump_helicity=pump_helicity,
-        out_dir=raw("output", "dir") or ".",
-        sample_every_s=num("output", "sample_every_s", 1.0),
-        snapshot_times_s=snapshots,
-    )
-    if cfg.sample_every_s <= 0:
-        raise ConfigError("[output] sample_every_s: must be > 0")
-    if cfg.t_pump_s < 0:
-        raise ConfigError("[protocol] t_pump_s: must be >= 0")
-    if any(t < 0 for t in cfg.snapshot_times_s):
-        raise ConfigError("[output] snapshot_times_s: entries must be >= 0")
-    if cfg.d_cm2s is not None and cfg.d_cm2s < 0:
-        raise ConfigError("[solver] d_cm2s: must be >= 0")
-    if cfg.d_list_cm2s is not None and any(d < 0 for d in cfg.d_list_cm2s):
-        raise ConfigError("[solver] d_list_cm2s: entries must be >= 0")
-    if cfg.t_dark_s is not None and cfg.t_dark_s < 0:
-        raise ConfigError("[protocol] t_dark_s: must be >= 0")
-    return cfg
+    return RunConfig(material=material, geometry=geometry,
+                     **values["solver"], **values["protocol"],
+                     **values["output"])

@@ -103,8 +103,9 @@ def read_measured_csv(path: str | os.PathLike) -> DecaySeries:
     """Strictly parse a measured CSV (`delay_s,value[,sigma]` plus a
     `# y_kind=...` declaration) into a DecaySeries.
 
-    All values must be finite. Sigma values, when present, must be
-    positive; they are carried in the series metadata under "sigma".
+    All values must be finite and delays >= 0. Sigma values, when
+    present, must be positive; they are carried in the series metadata
+    under "sigma".
     """
     columns, metadata = read_table(path)
     names = tuple(columns)
@@ -125,6 +126,8 @@ def read_measured_csv(path: str | os.PathLike) -> DecaySeries:
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"{path}: {name} values must be finite")
+    if np.any(t < 0):
+        raise ConfigError(f"{path}: delay_s must be >= 0")
     if t.size > 1 and not np.all(np.diff(t) > 0):
         raise ConfigError(f"{path}: delay_s must be strictly increasing")
     extra = {k: v for k, v in metadata.items() if k != "y_kind"}

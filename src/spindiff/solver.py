@@ -297,9 +297,10 @@ def _to_modes(values: np.ndarray, basis) -> np.ndarray:
 
 
 def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-             n_steps: int, clamp: DotGeometry) -> np.ndarray:
+             n_steps: int, dot) -> np.ndarray:
     """Run ``n_steps`` >= 1 Crank-Nicolson steps of size ``dt`` from
-    ``values`` (not modified), resetting the dot cells to S = 1 after each.
+    ``values`` (not modified), resetting the cells of ``dot`` (a
+    ``_checked_dot`` result) to S = 1 after each.
 
     Each step is S <- reset(decay * M S) with the Peaceman-Rachford
     factor M = (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
@@ -315,7 +316,7 @@ def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     inf coefficient stays non-finite under the scaling, the products and
     the additions of the loop, and |rho| <= 1 keeps finite ones finite.
     """
-    r_in, z_in, cells, _, _ = _checked_dot(grid, clamp)
+    r_in, z_in, cells, _, _ = dot
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     mu = 0.5 * cfg.d_qd * dt
     if mu > 0.0:
@@ -460,13 +461,14 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
     are carried in the modal basis (``_advance``).
     """
     _check_time("duration", duration)
+    dot = None if clamp is None else _checked_dot(field.grid, clamp)
     if duration == 0:
         return field
-    if clamp is None:
+    if dot is None:
         return DarkSampler(field, cfg).field_at(duration)
     dt_req = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd)
     n = int(np.ceil(duration / dt_req))
-    out = _advance(field.values, field.grid, cfg, duration / n, n, clamp)
+    out = _advance(field.values, field.grid, cfg, duration / n, n, dot)
     return PolarizationField(grid=field.grid, values=out,
                              time=field.time + duration)
 

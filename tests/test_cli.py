@@ -53,6 +53,7 @@ MEASURED_ROWS = "0,98\n10,90\n20,85\n30,80\n40,75\n"
     ("t_dark_s = 4", "t_dark_s = inf", "t_dark_s"),
     ("40,75", "inf,75", "delay_s"),
     ("20,85", "20,nan", "value"),
+    ("0,98", "-1,98", "delay_s"),
 ])
 def test_non_finite_input_exits_2_naming_field(tmp_path, capsys, old, new,
                                                field):

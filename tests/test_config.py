@@ -1,7 +1,8 @@
 """Strict config-file parsing."""
 import pytest
 
-from spindiff import ConfigError, Helicity, load_config
+from spindiff import (ConfigError, DotGeometry, Helicity, MaterialParams,
+                      RunConfig, load_config)
 
 FULL = """\
 [material]
@@ -38,6 +39,9 @@ snapshot_times_s = 0, 60, 120
 """
 
 
+GEO = "[geometry]\nradius_nm = 10\nheight_nm = 5\n"
+
+
 def write(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
@@ -66,6 +70,15 @@ class TestLoadConfig:
         assert rc.t_pump_s == 10.0
         assert rc.d_cm2s is None and rc.d_list_cm2s is None
         assert rc.sample_every_s == 1.0
+        # every key left out takes the field default of its dataclass
+        assert rc == RunConfig(material=MaterialParams(),
+                               geometry=DotGeometry(radius=8.0, height=4.0))
+
+    def test_empty_helicity_and_dir_take_defaults(self, tmp_path):
+        rc = load_config(write(tmp_path, GEO + "[protocol]\npump_helicity =\n"
+                                              "[output]\ndir =\n"))
+        assert rc.pump_helicity is Helicity.SIGMA_PLUS
+        assert rc.out_dir == "."
 
     def test_scientific_notation(self, tmp_path):
         rc = load_config(write(
@@ -141,3 +154,34 @@ class TestLoadConfig:
                 "[geometry]\nradius_nm = 10\nheight_nm = 5\n")
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, text))
+
+    def test_malformed_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="malformed config"):
+            load_config(write(tmp_path, "radius_nm = 10\n" + GEO))
+
+    def test_default_section_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(write(tmp_path, "[DEFAULT]\nx = 1\n" + GEO))
+
+    def test_geometry_validated(self, tmp_path):
+        text = "[geometry]\nradius_nm = -1\nheight_nm = 5\n"
+        with pytest.raises(ConfigError, match=r"\[geometry\]: .*radius"):
+            load_config(write(tmp_path, text))
+
+    def test_unknown_helicity_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="pump_helicity: unknown value"):
+            load_config(write(tmp_path,
+                              GEO + "[protocol]\npump_helicity = sideways\n"))
+
+    @pytest.mark.parametrize("section, line, key", [
+        ("output", "sample_every_s = 0", "sample_every_s"),
+        ("protocol", "t_pump_s = -1", "t_pump_s"),
+        ("protocol", "t_dark_s = -1", "t_dark_s"),
+        ("solver", "d_cm2s = -1e-13", "d_cm2s"),
+        ("solver", "d_list_cm2s = 1e-13, -1e-13", "d_list_cm2s"),
+        ("output", "snapshot_times_s = 0, -1", "snapshot_times_s"),
+    ])
+    def test_out_of_range_value_names_key(self, tmp_path, section, line,
+                                          key):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: "):
+            load_config(write(tmp_path, GEO + f"[{section}]\n{line}\n"))

@@ -442,8 +442,9 @@ class TestPumpAndDark:
                     DotGeometry(radius=0.4, height=5.0)):
             for cfg in (SolverConfig(d_qd=1.0, dt=0.1),
                         SolverConfig(d_qd=0.0, dt=0.1)):
-                with pytest.raises(GeometryMismatch):
-                    evolve(field, cfg, 0.5, clamp=dot)
+                for duration in (0.5, 0.0):
+                    with pytest.raises(GeometryMismatch):
+                        evolve(field, cfg, duration, clamp=dot)
                 with pytest.raises(GeometryMismatch):
                     step(field, cfg, clamp=dot)
 
