@@ -33,9 +33,13 @@ def _say(args, msg: str) -> None:
 
 
 def _require_config(args) -> RunConfig:
+    """The run configuration of a command that solves on the dot's grid,
+    so needs ``[geometry]``."""
     if not args.config:
         raise ConfigError("this command requires --config PATH")
-    return load_config(args.config)
+    rc = load_config(args.config)
+    _require(rc.geometry, "geometry", "radius_nm")
+    return rc
 
 
 def _out_dir(args, rc: RunConfig | None) -> str:

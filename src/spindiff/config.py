@@ -3,10 +3,12 @@
 ``_SCHEMA`` lists every accepted ``[section] key`` (units embedded in the
 names) with the field it fills and its parser. A key left out keeps the
 field default of ``MaterialParams``, ``DotGeometry`` or ``RunConfig``, the
-only defaults. Unknown sections or keys are rejected. Numeric values
-accept scientific notation and must be finite. At most one of d_cm2s /
-d_list_cm2s / d_bounds_cm2s may be given; which one a command needs
-depends on the command.
+only defaults. A config without ``[geometry]`` keys has no geometry (only
+``convert`` runs without one); a ``[geometry]`` that gives any key must
+give both radius_nm and height_nm. Unknown sections or keys are rejected.
+Numeric values accept scientific notation and must be finite. At most one
+of d_cm2s / d_list_cm2s / d_bounds_cm2s may be given; which one a command
+needs depends on the command.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ class RunConfig:
     """Validated run configuration with defaults applied."""
 
     material: MaterialParams
-    geometry: DotGeometry
+    geometry: DotGeometry | None  # None: the file gives no [geometry] key
     d_cm2s: float | None = None
     d_list_cm2s: tuple[float, ...] | None = None
     d_bounds_cm2s: tuple[float, float] = (1e-16, 1e-11)  # fit-d search range
@@ -74,6 +76,7 @@ _NON_NEGATIVE = _checked(_get_float, lambda v: v >= 0, "must be >= 0")
 _POSITIVE = _checked(_get_float, lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE_LIST = _checked(_get_float_list, lambda v: min(v) >= 0,
                               "entries must be >= 0")
+_EXTENT = _checked(_get_float, lambda v: v >= 5, "must be >= 5")
 _BOUNDS = _checked(_get_float_list,
                    lambda v: len(v) == 2 and 0 < v[0] < v[1],
                    "need 'low, high' with 0 < low < high")
@@ -99,7 +102,8 @@ def _get_dir(section: str, key: str, raw: str) -> str | None:
 
 
 # A key fills the field ``attr`` with ``parse(section, key, raw)``, unless
-# that returns None; at most one key marked ``one_d`` may be given.
+# that returns None; a key marked ``required`` must be given once its
+# section gives any key; at most one key marked ``one_d`` may be given.
 _Key = namedtuple("_Key", "attr parse required one_d",
                   defaults=(False, False))
 
@@ -123,11 +127,11 @@ _SCHEMA = {
         "d_cm2s": _Key("d_cm2s", _NON_NEGATIVE, one_d=True),
         "d_list_cm2s": _Key("d_list_cm2s", _NON_NEGATIVE_LIST, one_d=True),
         "d_bounds_cm2s": _Key("d_bounds_cm2s", _BOUNDS, one_d=True),
-        "t1_s": _Key("t1_s", _get_float),
-        "dr_nm": _Key("dr_nm", _get_float),
-        "dz_nm": _Key("dz_nm", _get_float),
-        "dt_s": _Key("dt_s", _get_float),
-        "extent_factor": _Key("extent_factor", _get_float),
+        "t1_s": _Key("t1_s", _POSITIVE),
+        "dr_nm": _Key("dr_nm", _POSITIVE),
+        "dz_nm": _Key("dz_nm", _POSITIVE),
+        "dt_s": _Key("dt_s", _POSITIVE),
+        "extent_factor": _Key("extent_factor", _EXTENT),
     },
     "protocol": {
         "t_dark_s": _Key("t_dark_s", _NON_NEGATIVE),
@@ -171,7 +175,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
     for section, keys in _SCHEMA.items():
         for key, spec in keys.items():
-            if spec.required and not parser.has_option(section, key):
+            if (spec.required and values[section]
+                    and not parser.has_option(section, key)):
                 raise ConfigError(
                     f"missing required key '{key}' in [{section}]")
     d_keys = [key for key, spec in _SCHEMA["solver"].items() if spec.one_d]
@@ -184,7 +189,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     except InvariantViolation as exc:
         raise ConfigError(f"[material]: {exc}") from exc
     try:
-        geometry = DotGeometry(**values["geometry"])
+        geometry = (DotGeometry(**values["geometry"]) if values["geometry"]
+                    else None)
     except InvariantViolation as exc:
         raise ConfigError(f"[geometry]: {exc}") from exc
     return RunConfig(material=material, geometry=geometry,

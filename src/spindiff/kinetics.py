@@ -219,7 +219,7 @@ def pumped_sampler(d_cm2s: float, t_pump: float, geometry: DotGeometry,
     at exactly S = 1, so the dot average at dark time 0 is exactly 1."""
     cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
                        t1_uniform=t1_uniform, dt=dt)
-    return DarkSampler(simulate_pump(geometry, cfg, t_pump, grid), cfg)
+    return simulate_pump(geometry, cfg, t_pump, grid)
 
 
 def _affine_lsq(p: np.ndarray, y: np.ndarray, weight: np.ndarray | None = None

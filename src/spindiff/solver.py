@@ -16,17 +16,24 @@ fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
     Peaceman-Rachford split, unconditionally stable, each step followed
     by resetting the dot cells to S = 1. The step is diagonal on the
     modes and the reset is a low-rank correction through the dot
-    rectangle, so the recurrence is carried in modal coefficients and
-    transformed back once; the coefficients are checked for non-finite
-    values once, after the last step. The reset makes the pump
-    first-order in dt, and the staircase dot boundary makes it
-    first-order in dr.
+    rectangle, so the recurrence is carried in modal coefficients; the
+    coefficients are checked for non-finite values once, after the last
+    step. ``evolve`` transforms its field in and out once.
+    ``simulate_pump`` starts from the modes of the dot indicator and
+    returns the ``DarkSampler`` of the pumped state, which keeps the last
+    coefficients: a pump-then-dark solve makes no grid <-> mode
+    transform, and the sampler builds the pumped field only when its
+    ``field`` is read. The reset makes the pump first-order in dt, and
+    the staircase dot boundary makes it first-order in dr.
 
 The dot is a rectangle of cells in index space (the outer product of
 a radial and an axial mask, ``_dot_cells``), built once per (grid,
 geometry) and cached read-only, so the readout and the reset touch only
-its cells. The readout and the pump's clamp take the dot from
-``_checked_dot``, which rejects a dot beyond the grid or without cells.
+its cells. Its readout vectors (``_dot_modes``), whose outer product is
+also the indicator's modal coefficients, are cached the same way per
+(grid, geometry, boundary). The readout and the pump's clamp take the
+dot from ``_checked_dot``, which rejects a dot beyond the grid or
+without cells.
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -296,54 +303,94 @@ def _to_modes(values: np.ndarray, basis) -> np.ndarray:
     return q_r.T @ (sqrt_r[:, None] * values) @ q_z
 
 
-def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-             n_steps: int, dot) -> np.ndarray:
-    """Run ``n_steps`` >= 1 Crank-Nicolson steps of size ``dt`` from
-    ``values`` (not modified), resetting the cells of ``dot`` (a
-    ``_checked_dot`` result) to S = 1 after each.
+def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
+    """The field q_r c q_z^T / sqrt(r) of modal coefficients c."""
+    _, q_r, _, q_z, sqrt_r = basis
+    return q_r @ coef @ q_z.T / sqrt_r[:, None]
+
+
+@lru_cache(maxsize=64)
+def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
+    """The dot's readout vectors, read-only: (a, b) with
+    a = sqrt(r)^T q_r and b = 1^T q_z over the dot's rows and columns.
+
+    The sum of r * S over the dot is a^T c b for modal coefficients c,
+    and the dot indicator's coefficients are the outer product of a and
+    b: the dot is the outer product of its radial and axial masks.
+    """
+    r_in, z_in, _, _, _ = _checked_dot(grid, geometry)
+    _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary)
+    a = sqrt_r[r_in] @ q_r[r_in]
+    b = q_z[z_in].sum(axis=0)
+    for v in (a, b):
+        v.setflags(write=False)
+    return a, b
+
+
+def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
+    """(dt, n): the fewest clamped sub-steps of at most cfg.dt (or the
+    automatic default) that land exactly on ``duration`` > 0."""
+    dt_req = cfg.dt if cfg.dt is not None else auto_dt(grid, cfg.d_qd)
+    n = int(np.ceil(duration / dt_req))
+    return duration / n, n
+
+
+def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
+                n_steps: int, dot) -> np.ndarray:
+    """Run ``n_steps`` >= 1 Crank-Nicolson steps of size ``dt`` on the
+    modal coefficients ``coef`` (updated in place and returned) of a
+    field, resetting the cells of ``dot`` (a ``_checked_dot`` result) to
+    S = 1 after each; needs D > 0.
 
     Each step is S <- reset(decay * M S) with the Peaceman-Rachford
     factor M = (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
     A_r x I and I x A_z commute, so M is diagonal on the eigenbasis
-    modes, and the step is carried in modal coefficients c: c <- rho * c,
-    then the reset adds sqrt(r) (1 - S) on the dot rectangle back through
-    the rows of q_r and q_z inside it, a low-rank correction (the
-    capacitance-matrix idea of Buzbee, Dorr, George & Golub, SIAM J.
-    Numer. Anal. 8, 1971). With D = 0 a step is the T1 factor and the
-    reset.
+    modes, and the step is c <- rho * c; the reset then adds
+    sqrt(r) (1 - S) on the dot rectangle back through the rows of q_r
+    and q_z inside it, a low-rank correction (the capacitance-matrix idea
+    of Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).
 
     Non-finite values are checked once, after the last step: a NaN or
     inf coefficient stays non-finite under the scaling, the products and
     the additions of the loop, and |rho| <= 1 keeps finite ones finite.
     """
-    r_in, z_in, cells, _, _ = dot
+    r_in, z_in, _, _, _ = dot
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     mu = 0.5 * cfg.d_qd * dt
-    if mu > 0.0:
+    lam_r, q_r, lam_z, q_z, sqrt_r = _eigenbasis(grid, cfg.boundary)
+    rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
+        * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
+    a, b, w = q_r[r_in], q_z[z_in], sqrt_r[r_in, None]
+    # row blocks keep each product on one OpenBLAS thread
+    rows = max(1, _ONE_THREAD_MADDS // (b.size or 1))
+    blocks = [slice(i, i + rows) for i in range(0, grid.nr, rows)]
+    read = np.empty((grid.nr, len(b)))
+    views = [(coef[k], read[k], k) for k in blocks]
+    for _ in range(n_steps):
+        coef *= rho
+        for c, r, _ in views:
+            np.matmul(c, b.T, out=r)
+        y = a.T @ (w - a @ read)
+        for c, _, k in views:
+            c += y[k] @ b
+    _require_finite(coef, dt)
+    return coef
+
+
+def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
+             n_steps: int, dot) -> np.ndarray:
+    """The field ``values`` (not modified) after ``n_steps`` >= 1 clamped
+    steps of size ``dt`` (``_pump_modes``), with the cells of ``dot`` at
+    exactly S = 1. With D = 0 a step is the T1 factor and the reset."""
+    if cfg.d_qd > 0:
         basis = _eigenbasis(grid, cfg.boundary)
-        lam_r, q_r, lam_z, q_z, sqrt_r = basis
-        rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
-            * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
-        a, b, w = q_r[r_in], q_z[z_in], sqrt_r[r_in, None]
-        # row blocks keep each product on one OpenBLAS thread
-        rows = max(1, _ONE_THREAD_MADDS // (b.size or 1))
-        blocks = [slice(i, i + rows) for i in range(0, grid.nr, rows)]
-        coef = _to_modes(values, basis)
-        read = np.empty((grid.nr, len(b)))
-        views = [(coef[k], read[k], k) for k in blocks]
-        for _ in range(n_steps):
-            coef *= rho
-            for c, r, _ in views:
-                np.matmul(c, b.T, out=r)
-            y = a.T @ (w - a @ read)
-            for c, _, k in views:
-                c += y[k] @ b
-        _require_finite(coef, dt)
-        S = q_r @ coef @ q_z.T / sqrt_r[:, None]
+        S = _from_modes(_pump_modes(_to_modes(values, basis), grid, cfg, dt,
+                                    n_steps, dot), basis)
     else:
+        decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
         S = values * decay ** n_steps
         _require_finite(S, dt)
-    S[cells] = 1.0
+    S[dot[2]] = 1.0
     return S
 
 
@@ -357,24 +404,48 @@ class DarkSampler:
     """Exact free evolution of one field with the dot unclamped.
 
     Construction transforms the field, taken as dark time t = 0, into
-    modal coefficients once. ``dot_averages`` then reads the dot average
-    at any times as e_r(t)^T G e_z(t), where G holds the coefficients
-    weighted by the separable dot functional and e_r, e_z are the modal
-    decay factors, without rebuilding the field. It stacks the factors
-    of a block of times as rows, E_r and E_z, and reads the whole block
-    as the row sums of (E_r G) * E_z. ``field_at`` rebuilds the field at
-    one time. The uniform T1 factor exp(-t/T1) is applied exactly. At
-    t = 0, and for every t when D = 0, the dot average of the input
-    field is used directly, without transforms.
+    modal coefficients once; ``simulate_pump`` hands over the pump's
+    coefficients instead, and ``field`` is then built on first read.
+    ``dot_averages`` reads the dot average at any times as
+    e_r(t)^T G e_z(t), where G holds the coefficients weighted by the
+    separable dot functional and e_r, e_z are the modal decay factors,
+    without rebuilding the field. It stacks the factors of a block of
+    times as rows, E_r and E_z, and reads the whole block as the row sums
+    of (E_r G) * E_z. ``field_at`` rebuilds the field at one time. The
+    uniform T1 factor exp(-t/T1) is applied exactly. At t = 0 the dot
+    average is the start field's (exactly 1 for the pumped dot), and for
+    every t when D = 0 it is read from the field directly, without
+    transforms.
     """
 
     def __init__(self, field: PolarizationField, cfg: SolverConfig):
-        self.field = field
-        self.cfg = cfg
+        self._field, self.cfg = field, cfg
+        self._grid, self._t0, self._clamp = field.grid, field.time, None
         self._basis = self._coef = None
         if cfg.d_qd > 0:
             self._basis = _eigenbasis(field.grid, cfg.boundary)
             self._coef = _to_modes(field.values, self._basis)
+
+    @classmethod
+    def _pumped(cls, coef: np.ndarray, grid: Grid, cfg: SolverConfig,
+                t0: float, clamp: DotGeometry) -> DarkSampler:
+        """The sampler of the field at time ``t0`` whose modal
+        coefficients are ``coef`` (D > 0), with the cells of ``clamp`` at
+        exactly S = 1."""
+        self = cls.__new__(cls)
+        self._field, self.cfg = None, cfg
+        self._grid, self._t0, self._clamp = grid, t0, clamp
+        self._basis, self._coef = _eigenbasis(grid, cfg.boundary), coef
+        return self
+
+    @property
+    def field(self) -> PolarizationField:
+        """The field at the sampler's start."""
+        if self._field is None:
+            values = _from_modes(self._coef, self._basis)
+            values[_dot_cells(self._grid, self._clamp)[2]] = 1.0
+            self._field = PolarizationField(self._grid, values, self._t0)
+        return self._field
 
     def _factors(self, t: np.ndarray):
         """(relax, E_r, E_z) at the array of times ``t``: the T1 factors
@@ -397,10 +468,12 @@ class DarkSampler:
         if e_r is None:
             values = self.field.values * relax[0]
         else:
+            # inline, not _from_modes: the scaled coefficients are freed
+            # as soon as the first product is formed
             _, q_r, _, q_z, sqrt_r = self._basis
             values = (q_r @ (e_r.T * self._coef * e_z) @ q_z.T
                       / sqrt_r[:, None])
-        return PolarizationField(self.field.grid, values, self.field.time + t)
+        return PolarizationField(self._grid, values, self._t0 + t)
 
     def dot_averages(self, times, geometry: DotGeometry) -> np.ndarray:
         """Dot average (as ``dot_average``) at each of ``times`` after the
@@ -408,12 +481,9 @@ class DarkSampler:
         t = np.asarray(times, dtype=float).reshape(-1)
         if self._basis is None:
             return dot_average(self.field, geometry) * self._factors(t)[0]
-        _, q_r, _, q_z, sqrt_r = self._basis
-        r_in, z_in, _, _, w_sum = _checked_dot(self.field.grid, geometry)
         # sum of r * S over the dot, mode by mode, over the sum of r
-        a = sqrt_r[r_in] @ q_r[r_in]
-        b = q_z[z_in].sum(axis=0)
-        g = a[:, None] * self._coef * b / w_sum
+        a, b = _dot_modes(self._grid, geometry, self.cfg.boundary)
+        g = a[:, None] * self._coef * b / _dot_cells(self._grid, geometry)[4]
         out = np.empty(t.size)
         # blocks of times keep E_r @ g on one thread and bound the memory
         rows = max(1, _ONE_THREAD_MADDS // g.size)
@@ -422,7 +492,8 @@ class DarkSampler:
             out[k:k + rows] = ((e_r @ g) * e_z).sum(axis=1)
         zero = t == 0
         if zero.any():
-            out[zero] = dot_average(self.field, geometry)
+            out[zero] = (1.0 if geometry == self._clamp
+                         else dot_average(self.field, geometry))
         return out
 
 
@@ -466,22 +537,34 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
         return field
     if dot is None:
         return DarkSampler(field, cfg).field_at(duration)
-    dt_req = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd)
-    n = int(np.ceil(duration / dt_req))
-    out = _advance(field.values, field.grid, cfg, duration / n, n, dot)
+    dt, n = _substeps(field.grid, cfg, duration)
+    out = _advance(field.values, field.grid, cfg, dt, n, dot)
     return PolarizationField(grid=field.grid, values=out,
                              time=field.time + duration)
 
 
 def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
-                  grid: Grid) -> PolarizationField:
+                  grid: Grid) -> DarkSampler:
     """Pump phase: from an unpolarized medium, saturate the dot instantly
-    and hold it at S = 1 for ``t_pump`` while diffusion feeds the halo."""
+    and hold it at S = 1 for ``t_pump`` while diffusion feeds the halo.
+    Returns the ``DarkSampler`` of the pumped field.
+
+    With D > 0 and ``t_pump`` > 0 the clamped recurrence of ``evolve``
+    starts from the dot indicator's modal coefficients and hands its last
+    ones to the sampler, so no grid <-> mode transform is made; the field
+    is built only when the sampler's ``field`` is read."""
     _check_time("t_pump", t_pump)
+    dot = _checked_dot(grid, geometry)
+    if cfg.d_qd > 0 and t_pump > 0:
+        dt, n = _substeps(grid, cfg, t_pump)
+        start = np.outer(*_dot_modes(grid, geometry, cfg.boundary))
+        coef = _pump_modes(start, grid, cfg, dt, n, dot)
+        return DarkSampler._pumped(coef, grid, cfg, t_pump, geometry)
     values = np.zeros((grid.nr, grid.nz))
-    values[_checked_dot(grid, geometry)[2]] = 1.0
-    field = PolarizationField(grid=grid, values=values)
-    return evolve(field, cfg, t_pump, clamp=geometry)
+    values[dot[2]] = 1.0
+    field = evolve(PolarizationField(grid=grid, values=values), cfg, t_pump,
+                   clamp=geometry)
+    return DarkSampler(field, cfg)
 
 
 def simulate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,

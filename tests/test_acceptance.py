@@ -142,7 +142,7 @@ def test_criterion_06b_slab_limit_below_1pct():
     wide = DotGeometry(radius=grid.r_max, height=5.0)
     cfg = SolverConfig(d_qd=10.0, dt=0.005,
                        boundary=BoundaryMode.REFLECTIVE)
-    field = simulate_pump(wide, cfg, 0.0, grid)
+    field = simulate_pump(wide, cfg, 0.0, grid).field
     got, want = [], []
     t_prev = 0.0
     for t in (0.05, 0.2, 0.5, 1.0):
@@ -173,7 +173,7 @@ def test_criterion_06d_maximum_principle_across_run_set():
         assert series.y.max() <= 1.0 + 1e-12
     # field-level check on the stiffest anchor case
     cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(1e-12))
-    field = simulate_pump(GEO, cfg, 2.0, GRID)
+    field = simulate_pump(GEO, cfg, 2.0, GRID).field
     for _ in range(20):
         field = evolve(field, cfg, 0.05)
         assert field.values.min() >= -1e-12
@@ -230,9 +230,9 @@ def test_criterion_07b_fit_rise_within_01pct_noiseless_10pct_noisy():
 def test_criterion_08_decay_insensitive_to_polarized_surroundings():
     ring = DotGeometry(radius=50.0, height=5.0)
     cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(2e-15))
-    dot_only = simulate_dark(simulate_pump(GEO, cfg, 0.0, GRID), cfg,
+    dot_only = simulate_dark(simulate_pump(GEO, cfg, 0.0, GRID).field, cfg,
                              120.0, 2.0, GEO)
-    seeded = simulate_dark(simulate_pump(ring, cfg, 0.0, GRID), cfg,
+    seeded = simulate_dark(simulate_pump(ring, cfg, 0.0, GRID).field, cfg,
                            120.0, 2.0, GEO)
     rel = np.abs(seeded.y - dot_only.y) / dot_only.y
     assert float(rel.max()) < 0.10, (

@@ -69,6 +69,43 @@ def test_non_finite_input_exits_2_naming_field(tmp_path, capsys, old, new,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("t1_s = 1", "t1_s = 0", "[solver] t1_s: must be > 0"),
+    ("dt_s = 0.05", "dt_s = -1", "[solver] dt_s: must be > 0"),
+    ("extent_factor = 6", "extent_factor = 4", "[solver] extent_factor: "
+                                                "must be >= 5"),
+])
+def test_out_of_range_solver_key_exits_2_naming_key(tmp_path, capsys, old,
+                                                    new, message):
+    text = FAST_SOLVER.replace("[solver]\n", "[solver]\nt1_s = 1\n")
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "fit-d"])
+@pytest.mark.parametrize("geometry, key", [
+    ("", "radius_nm"),
+    ("[geometry]\n", "radius_nm"),
+    ("[geometry]\nheight_nm = 5\n", "radius_nm"),
+    ("[geometry]\nradius_nm = 10\n", "height_nm"),
+])
+def test_solving_command_needs_geometry(tmp_path, capsys, command, geometry,
+                                        key):
+    text = FAST_SOLVER.replace("[geometry]\nradius_nm = 10\nheight_nm = 5\n",
+                               geometry)
+    cfg = write_config(tmp_path, text)
+    measured = tmp_path / "measured.csv"
+    measured.write_text("delay_s,value\n" + MEASURED_ROWS, encoding="utf-8")
+    argv = [command] + ([str(measured)] if command == "fit-d" else [])
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert (f"missing required key '{key}' in [geometry]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestConvert:
     def test_ohs_to_degree(self, capsys):
         assert main(["convert", "38"]) == 0
@@ -98,6 +135,14 @@ class TestConvert:
                      "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "ohs_uev = 57.8838" in out
+
+    def test_material_only_config(self, tmp_path, capsys):
+        # convert reads only [material]; the config needs no [geometry]
+        cfg = write_config(tmp_path, "[material]\ng_e_abs = 0.5\n")
+        assert main(["convert", "66", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "polarization_degree = 0.5" in out
+        assert "overhauser_field_t = " in out
 
 
 class TestSimulate:

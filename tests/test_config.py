@@ -99,6 +99,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="height_nm"):
             load_config(write(tmp_path, "[geometry]\nradius_nm = 10\n"))
 
+    def test_geometry_with_only_z_center_names_radius(self, tmp_path):
+        with pytest.raises(ConfigError, match="radius_nm"):
+            load_config(write(tmp_path, "[geometry]\nz_center_nm = 1\n"))
+
+    def test_config_without_geometry_has_none(self, tmp_path):
+        for text in ("[material]\ng_e_abs = 0.5\n", "[geometry]\n"):
+            rc = load_config(write(tmp_path, text))
+            assert rc.geometry is None
+        assert rc.material == MaterialParams()
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="plotting"):
             load_config(write(tmp_path, "[geometry]\nradius_nm = 10\n"
@@ -180,6 +190,11 @@ class TestLoadConfig:
         ("solver", "d_cm2s = -1e-13", "d_cm2s"),
         ("solver", "d_list_cm2s = 1e-13, -1e-13", "d_list_cm2s"),
         ("output", "snapshot_times_s = 0, -1", "snapshot_times_s"),
+        ("solver", "t1_s = 0", "t1_s"),
+        ("solver", "dt_s = -1", "dt_s"),
+        ("solver", "dr_nm = 0", "dr_nm"),
+        ("solver", "dz_nm = -0.5", "dz_nm"),
+        ("solver", "extent_factor = 4.5", "extent_factor"),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, section, line,
                                           key):

@@ -22,7 +22,8 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       PolarizationField, SolverConfig,
                       auto_dt, build_grid, dot_average, evolve,
                       simulate_dark, simulate_pump, step, total_spin)
-from spindiff.solver import _axial_coeffs, _dot_cells, _radial_coeffs
+from spindiff.solver import (_axial_coeffs, _dot_cells, _dot_modes,
+                             _eigenbasis, _radial_coeffs, _to_modes)
 
 GEO = DotGeometry()
 
@@ -127,7 +128,7 @@ class TestSlabOracle:
         wide = DotGeometry(radius=grid.r_max, height=5.0)
         cfg = SolverConfig(d_qd=10.0, dt=0.005,
                            boundary=BoundaryMode.REFLECTIVE)
-        field = simulate_pump(wide, cfg, 0.0, grid)
+        field = simulate_pump(wide, cfg, 0.0, grid).field
         t_prev = 0.0
         for t in (0.05, 0.2, 0.5, 1.0):
             field = evolve(field, cfg, t - t_prev)
@@ -199,7 +200,7 @@ class TestTrivialDynamics:
         grid = Grid(nr=24, nz=24, dr=1.0, dz=1.0, z_min=-12.0)
         geo = DotGeometry(radius=8.0, height=6.0)
         cfg = SolverConfig(d_qd=4.0, dt=0.05)
-        field = simulate_pump(geo, cfg, 1.0, grid)
+        field = simulate_pump(geo, cfg, 1.0, grid).field
         field = evolve(field, cfg, 1.0)
         np.testing.assert_allclose(field.values, field.values[:, ::-1],
                                    rtol=0, atol=1e-14)
@@ -390,10 +391,82 @@ class TestModalPump:
         assert np.all(out.values[mask] == 1.0)
 
 
+class TestPumpedSampler:
+    """``simulate_pump`` hands the pump's modal coefficients to the
+    sampler; it must agree with the field route it replaces."""
+
+    GRID = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
+
+    def indicator(self):
+        values = np.zeros((self.GRID.nr, self.GRID.nz))
+        values[self.GRID.dot_mask(GEO)] = 1.0
+        return PolarizationField(self.GRID, values)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("t1", [None, 30.0])
+    def test_matches_field_route(self, boundary, t1):
+        cfg = SolverConfig(d_qd=10.0, dt=0.1, t1_uniform=t1,
+                           boundary=boundary)
+        sampler = simulate_pump(GEO, cfg, 2.0, self.GRID)
+        times = np.linspace(0.0, 20.0, 11)
+        got = sampler.dot_averages(times, GEO)
+        assert got[0] == 1.0
+        # the field route: the indicator advanced under the clamp
+        old = evolve(self.indicator(), cfg, 2.0, clamp=GEO)
+        np.testing.assert_allclose(
+            got, DarkSampler(old, cfg).dot_averages(times, GEO),
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            got, DarkSampler(sampler.field, cfg).dot_averages(times, GEO),
+            rtol=0, atol=1e-12)
+        assert sampler.field.time == old.time == 2.0
+        np.testing.assert_allclose(sampler.field.values, old.values,
+                                   rtol=0, atol=1e-12)
+        assert np.all(sampler.field.values[self.GRID.dot_mask(GEO)] == 1.0)
+        np.testing.assert_allclose(sampler.field_at(3.0).values,
+                                   evolve(old, cfg, 3.0).values,
+                                   rtol=0, atol=1e-12)
+
+    def test_readout_of_another_dot_reads_the_field(self):
+        cfg = SolverConfig(d_qd=10.0, dt=0.1)
+        sampler = simulate_pump(GEO, cfg, 2.0, self.GRID)
+        wider = DotGeometry(radius=15.0, height=5.0)
+        got = sampler.dot_averages([0.0, 1.0], wider)
+        assert got[0] == dot_average(sampler.field, wider) < 1.0
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_start_is_outer_product_of_readout_vectors(self, boundary):
+        for grid in (self.GRID, build_grid(GEO, 0.5, 0.5, 5.0)):
+            values = np.zeros((grid.nr, grid.nz))
+            values[grid.dot_mask(GEO)] = 1.0
+            want = _to_modes(values, _eigenbasis(grid, boundary))
+            got = np.outer(*_dot_modes(grid, GEO, boundary))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_readout_vectors_are_read_only_and_checked(self):
+        a, b = _dot_modes(self.GRID, GEO, BoundaryMode.DIRICHLET_ZERO)
+        assert not (a.flags.writeable or b.flags.writeable)
+        with pytest.raises(GeometryMismatch):
+            _dot_modes(self.GRID, DotGeometry(radius=100.0, height=5.0),
+                       BoundaryMode.DIRICHLET_ZERO)
+
+    @pytest.mark.parametrize("t_pump", [0.0, 2.0])
+    def test_zero_diffusion_pump_is_field_route(self, t_pump):
+        cfg = SolverConfig(d_qd=0.0, dt=0.1, t1_uniform=30.0)
+        sampler = simulate_pump(GEO, cfg, t_pump, self.GRID)
+        old = evolve(self.indicator(), cfg, t_pump, clamp=GEO)
+        np.testing.assert_array_equal(sampler.field.values, old.values)
+        times = [0.0, 1.0, 5.0]
+        np.testing.assert_array_equal(
+            sampler.dot_averages(times, GEO),
+            DarkSampler(old, cfg).dot_averages(times, GEO))
+
+
 class TestPumpAndDark:
     def test_instant_pump_is_dot_indicator(self):
         grid = build_grid(GEO, 0.5, 0.5, extent_factor=5.0)
-        field = simulate_pump(GEO, SolverConfig(d_qd=10.0), 0.0, grid)
+        field = simulate_pump(GEO, SolverConfig(d_qd=10.0), 0.0,
+                              grid).field
         np.testing.assert_array_equal(
             np.unique(field.values), np.array([0.0, 1.0]))
         assert dot_average(field, GEO) == 1.0
@@ -404,8 +477,8 @@ class TestPumpAndDark:
         # an exact 1.0 is why the dark series needs no normalization
         grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
         for d_qd, t1 in ((10.0, None), (10.0, 30.0), (0.0, 30.0)):
-            field = simulate_pump(GEO, SolverConfig(d_qd=d_qd, dt=0.02,
-                                                    t1_uniform=t1), 2.0, grid)
+            cfg = SolverConfig(d_qd=d_qd, dt=0.02, t1_uniform=t1)
+            field = simulate_pump(GEO, cfg, 2.0, grid).field
             assert dot_average(field, GEO) == 1.0
             assert field.values.max() == 1.0
             # diffusion, if any, has populated a halo outside the dot
@@ -415,7 +488,7 @@ class TestPumpAndDark:
     def test_dark_series_sampling(self):
         grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
         cfg = SolverConfig(d_qd=10.0, dt=0.02)
-        field = simulate_pump(GEO, cfg, 1.0, grid)
+        field = simulate_pump(GEO, cfg, 1.0, grid).field
         series = simulate_dark(field, cfg, 2.0, 0.5, GEO)
         np.testing.assert_allclose(series.t, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert series.y[0] == 1.0
@@ -424,7 +497,7 @@ class TestPumpAndDark:
     def test_dark_with_partial_tail_sample(self):
         grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
         cfg = SolverConfig(d_qd=10.0, dt=0.02)
-        field = simulate_pump(GEO, cfg, 0.0, grid)
+        field = simulate_pump(GEO, cfg, 0.0, grid).field
         series = simulate_dark(field, cfg, 1.3, 0.5, GEO)
         np.testing.assert_allclose(series.t, [0.0, 0.5, 1.0, 1.3])
 
