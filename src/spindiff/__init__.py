@@ -7,7 +7,8 @@ times and the diffusion coefficient to measured decay data.
 """
 from .config import RunConfig, load_config
 from .dataio import (read_fit_report, read_measured_csv, read_table,
-                     write_fit_report, write_measured_csv, write_table)
+                     write_fit_report, write_measured_csv, write_snapshots,
+                     write_table)
 from .domain import (DecaySeries, DotGeometry, Helicity, MaterialParams,
                      PulseSegment, PulseSequence, SegmentKind, YKind,
                      paper_decay_sequence, validate_material)
@@ -50,5 +51,5 @@ __all__ = [
     "run_sequence",
     "simulate_dark", "simulate_decay_curve", "simulate_pump", "step",
     "time_to_level", "total_spin", "validate_material", "write_fit_report",
-    "write_measured_csv", "write_table",
+    "write_measured_csv", "write_snapshots", "write_table",
 ]

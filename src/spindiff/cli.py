@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config
-from .dataio import (read_measured_csv, write_fit_report, write_table)
+from .dataio import (read_measured_csv, write_fit_report, write_snapshots,
+                     write_table)
 from .domain import DotGeometry, MaterialParams
 from .errors import (ConfigError, MissingGFactor, SpinDiffError,
                      UnphysicalShift)
@@ -75,15 +76,6 @@ def cmd_simulate(args) -> int:
     ts = dark_sample_times(t_dark, rc.sample_every_s)
     p = dark.dot_averages(ts, rc.geometry)
 
-    snap_t = np.sort(rc.snapshot_times_s)
-    n_cells = grid.nr * grid.nz
-    snap_cols = {
-        "t_s": np.repeat(snap_t, n_cells),
-        "r_nm": np.tile(np.repeat(grid.r_centers, grid.nz), snap_t.size),
-        "z_nm": np.tile(grid.z_centers, grid.nr * snap_t.size),
-        "s": np.array([dark.field_at(t).values for t in snap_t]).ravel(),
-    }
-
     columns: dict[str, np.ndarray] = {"t_s": ts, "dot_average": p}
     have_g = (rc.material.g_e_abs is not None
               and rc.material.g_h_abs is not None)
@@ -98,7 +90,10 @@ def cmd_simulate(args) -> int:
     decay_path = os.path.join(out, "decay.csv")
     write_table(decay_path, columns, meta)
     snap_path = os.path.join(out, "field_snapshots.csv")
-    write_table(snap_path, snap_cols, {"d_cm2s": repr(d_cm2s)})
+    snap_t = np.sort(rc.snapshot_times_s)
+    write_snapshots(snap_path, snap_t, grid.r_centers, grid.z_centers,
+                    (dark.field_at(t).values for t in snap_t),
+                    {"d_cm2s": repr(d_cm2s)})
     _say(args, f"wrote {decay_path}")
     _say(args, f"wrote {snap_path}")
     return 0
@@ -198,9 +193,9 @@ def cmd_convert(args) -> int:
             print(f"overhauser_field_t = "
                   f"{overhauser_field(args.value, material):.6g}")
     else:  # field_t
-        if material.g_e_abs is None:
-            raise MissingGFactor(
-                "converting a field requires g_e_abs (set it in [material])")
+        if not material.g_e_abs:
+            raise MissingGFactor("converting a field requires g_e_abs > 0 "
+                                 "(set it in [material])")
         degree = (args.value * material.g_e_abs * MU_B_UEV_PER_T) / full
         if abs(degree) > 1:
             raise UnphysicalShift(

@@ -7,12 +7,16 @@ endings, `.` decimal separator.
 
 Measured decay data uses the fixed schema `delay_s,value,sigma` (sigma
 optional) with the series kind declared as `# y_kind=...` metadata.
+
+Field snapshots use the columns `t_s,r_nm,z_nm,s`, r-major, one block of
+nr x nz rows per snapshot time; `write_snapshots` writes them in this
+format without expanding the coordinate columns.
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +27,14 @@ _FMT = "%.17g"
 _BLOCK_ROWS = 4096
 
 MEASURED_COLUMNS = ("delay_s", "value", "sigma")
+
+
+def _write_header(fh, names: Sequence[str],
+                  metadata: Mapping[str, object] | None) -> None:
+    """The `# key=value` metadata lines and the header of a table."""
+    for key, val in (metadata or {}).items():
+        fh.write(f"# {key}={val}\n")
+    fh.write(",".join(names) + "\n")
 
 
 def write_table(path: str | os.PathLike, columns: Mapping[str, Sequence[float]],
@@ -36,9 +48,7 @@ def write_table(path: str | os.PathLike, columns: Mapping[str, Sequence[float]],
     if any(a.ndim != 1 or a.size != n_rows for a in arrays):
         raise ValueError("columns must be equal-length 1-D arrays")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write(",".join(names) + "\n")
+        _write_header(fh, names, metadata)
         # one % call per block of rows; stacking per block, not the whole
         # table, keeps the extra memory to one block
         row_fmt = ",".join([_FMT] * len(arrays)) + "\n"
@@ -47,9 +57,46 @@ def write_table(path: str | os.PathLike, columns: Mapping[str, Sequence[float]],
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
+def write_snapshots(path: str | os.PathLike, times: Sequence[float],
+                    r: Sequence[float], z: Sequence[float],
+                    fields: Iterable[np.ndarray],
+                    metadata: Mapping[str, object] | None = None) -> None:
+    """Write one (len(r), len(z)) field per time as the table
+    `t_s,r_nm,z_nm,s`, r-major: the bytes `write_table` writes for the
+    expanded columns.
+
+    Each t, r and z is formatted once: a block of whole radial rows is one
+    template with the coordinates as literal text and `s` as the only
+    placeholder, filled by one % call. Raises ValueError when a field's
+    shape is not (len(r), len(z)) or the fields do not match the times
+    one to one.
+    """
+    # the leading "" makes prefix.join(z_rows) put the prefix before
+    # every z piece: "t,r,z,%.17g\n" per row, with s the only placeholder
+    z_rows = ["", *(f"{_FMT % zj},{_FMT}\n"
+                    for zj in np.asarray(z, float).tolist())]
+    r_text = [_FMT % ri for ri in np.asarray(r, float).tolist()]
+    shape = (len(r_text), len(z_rows) - 1)
+    per_block = max(1, _BLOCK_ROWS // max(1, shape[1]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_header(fh, ("t_s", "r_nm", "z_nm", "s"), metadata)
+        for t, field in zip(np.asarray(times, float).tolist(), fields,
+                            strict=True):
+            values = np.asarray(field, dtype=float)
+            if values.shape != shape:
+                raise ValueError(f"field shape {values.shape}, want {shape}")
+            t_text = _FMT % t
+            for i in range(0, shape[0], per_block):
+                template = "".join(f"{t_text},{ri},".join(z_rows)
+                                   for ri in r_text[i:i + per_block])
+                fh.write(template
+                         % tuple(values[i:i + per_block].ravel().tolist()))
+
+
 def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
                                                  dict[str, str]]:
-    """Read a table written by write_table: (columns, metadata)."""
+    """Read a table written by write_table or write_snapshots: (columns,
+    metadata)."""
     metadata: dict[str, str] = {}
     names: list[str] | None = None
     rows: list[list[float]] = []

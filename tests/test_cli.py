@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from spindiff import (DecaySeries, DotGeometry, YKind, build_grid,
-                      read_fit_report, read_table, write_measured_csv)
+                      read_fit_report, read_table, write_measured_csv,
+                      write_table)
 from spindiff.cli import main
 from spindiff.kinetics import pumped_sampler
 
@@ -136,6 +137,16 @@ class TestConvert:
         out = capsys.readouterr().out
         assert "ohs_uev = 57.8838" in out
 
+    def test_field_with_zero_g_factor_exits_2(self, tmp_path, capsys):
+        # the same g_e_abs > 0 rule as --kind ohs_uev and degree
+        cfg = write_config(tmp_path, "[material]\ng_e_abs = 0\n")
+        for kind in ("field_t", "ohs_uev"):
+            assert main(["convert", "2", "--kind", kind,
+                         "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert "g_e_abs > 0" in captured.err
+            assert "ohs_uev = " not in captured.out
+
     def test_material_only_config(self, tmp_path, capsys):
         # convert reads only [material]; the config needs no [geometry]
         cfg = write_config(tmp_path, "[material]\ng_e_abs = 0.5\n")
@@ -170,6 +181,25 @@ class TestSimulate:
         want = pumped_sampler(1e-13, 10.0, geo, grid, 0.05, None)
         np.testing.assert_array_equal(
             snaps["s"], want.field_at(2.5).values.ravel())
+
+    def test_snapshot_bytes_sorted_r_major(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_SOLVER
+                           + "snapshot_times_s = 4, 0, 2.5, 4\n")
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+        geo = DotGeometry(radius=10.0, height=5.0)
+        grid = build_grid(geo, 1.0, 0.625, 6.0)
+        dark = pumped_sampler(1e-13, 10.0, geo, grid, 0.05, None)
+        snap_t = np.sort([4.0, 0.0, 2.5, 4.0])
+        n_cells = grid.nr * grid.nz
+        write_table(tmp_path / "ref.csv", {
+            "t_s": np.repeat(snap_t, n_cells),
+            "r_nm": np.tile(np.repeat(grid.r_centers, grid.nz), snap_t.size),
+            "z_nm": np.tile(grid.z_centers, grid.nr * snap_t.size),
+            "s": np.array([dark.field_at(t).values for t in snap_t]).ravel(),
+        }, {"d_cm2s": "1e-13"})
+        assert ((tmp_path / "out" / "field_snapshots.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     def test_negative_snapshot_time_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_SOLVER
@@ -231,7 +261,6 @@ class TestSimulate:
                      "--quiet"]) == 0
         first, meta = read_table(tmp_path / "out" / "decay.csv")
         copy = tmp_path / "copy.csv"
-        from spindiff import write_table
         write_table(copy, first, meta)
         second, meta2 = read_table(copy)
         assert meta2 == meta

@@ -4,7 +4,7 @@ import pytest
 
 from spindiff import (ConfigError, DecaySeries, YKind, read_fit_report,
                       read_measured_csv, read_table, write_fit_report,
-                      write_measured_csv, write_table)
+                      write_measured_csv, write_snapshots, write_table)
 
 
 class TestTableRoundTrip:
@@ -73,6 +73,68 @@ class TestTableRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_table(tmp_path / "absent.csv")
+
+
+class TestSnapshots:
+    """write_snapshots against write_table of the expanded columns."""
+
+    SPECIAL = np.array([-0.0, 5e-324, 1e300, -1e300, -3.1e-17, -5.1e-16,
+                        0.0, 1.0, 1.0 / 3.0])
+
+    @staticmethod
+    def expanded(times, r, z, fields):
+        times = np.asarray(times, dtype=float)
+        return {"t_s": np.repeat(times, r.size * z.size),
+                "r_nm": np.tile(np.repeat(r, z.size), times.size),
+                "z_nm": np.tile(z, r.size * times.size),
+                "s": np.array([f.ravel() for f in fields]).ravel()}
+
+    def fields(self, times, nr, nz):
+        rng = np.random.default_rng(nr * nz + len(times))
+        out = []
+        for _ in times:
+            s = rng.standard_normal((nr, nz)) * 10.0 ** rng.integers(
+                -300, 300, (nr, nz))
+            s.flat[:self.SPECIAL.size] = self.SPECIAL
+            out.append(s)
+        return out
+
+    @pytest.mark.parametrize("times, nr, nz", [
+        ((), 3, 5),
+        ((0.0,), 3, 5),
+        ((0.0, 2.5, 2.5), 7, 11),
+        ((1.0, 4.0), 5, 1000),     # 4 radial rows per block, one partial
+        ((4.0,), 3, 4097),         # one radial row is above the block
+    ])
+    def test_bytes_match_write_table(self, tmp_path, times, nr, nz):
+        r = (np.arange(nr) + 0.5) * 0.5
+        z = np.linspace(-12.3, 7.1, nz)
+        assert np.any(z < 0)
+        fields = self.fields(times, nr, nz)
+        meta = {"d_cm2s": "2e-15"}
+        write_snapshots(tmp_path / "new.csv", times, r, z, iter(fields), meta)
+        write_table(tmp_path / "ref.csv", self.expanded(times, r, z, fields),
+                    meta)
+        raw = (tmp_path / "new.csv").read_bytes()
+        assert raw == (tmp_path / "ref.csv").read_bytes()
+        if not times:
+            assert raw == b"# d_cm2s=2e-15\nt_s,r_nm,z_nm,s\n"
+        back, back_meta = read_table(tmp_path / "new.csv")
+        assert back_meta == meta
+        for name, want in self.expanded(times, r, z, fields).items():
+            assert back[name].tobytes() == want.tobytes()
+
+    def test_wrong_field_shape_rejected(self, tmp_path):
+        r, z = np.array([0.5, 1.5]), np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="shape"):
+            write_snapshots(tmp_path / "s.csv", [0.0], r, z,
+                            [np.zeros((3, 2))])
+
+    def test_fields_must_match_times(self, tmp_path):
+        r, z = np.array([0.5]), np.array([0.0])
+        with pytest.raises(ValueError):
+            write_snapshots(tmp_path / "s.csv", [0.0, 1.0], r, z,
+                            [np.zeros((1, 1))])
 
 
 class TestMeasuredCsv:
