@@ -91,9 +91,16 @@ def cmd_simulate(args) -> int:
     write_table(decay_path, columns, meta)
     snap_path = os.path.join(out, "field_snapshots.csv")
     snap_t = np.sort(rc.snapshot_times_s)
+
+    def fields():
+        # sorted, a repeated time follows its first: build each time once
+        for i, t in enumerate(snap_t):
+            if i == 0 or t != snap_t[i - 1]:
+                values = dark.field_at(t).values
+            yield values
+
     write_snapshots(snap_path, snap_t, grid.r_centers, grid.z_centers,
-                    (dark.field_at(t).values for t in snap_t),
-                    {"d_cm2s": repr(d_cm2s)})
+                    fields(), {"d_cm2s": repr(d_cm2s)})
     _say(args, f"wrote {decay_path}")
     _say(args, f"wrote {snap_path}")
     return 0

@@ -16,8 +16,8 @@ import numpy as np
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
 from .errors import FitDiverged, InvariantViolation, NotIdentifiable
-from .solver import (DarkSampler, Grid, PolarizationField, SolverConfig,
-                     dark_sample_times, dot_average, evolve, simulate_pump)
+from .solver import (DarkSampler, Grid, SolverConfig, _checked_dot,
+                     dark_sample_times, simulate_pump)
 from .units import diffusion_cm2s_to_nm2s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -85,43 +85,48 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
                  dark_sample_every: float | None = None) -> DecaySeries:
     """Execute a pulse sequence from an unpolarized start.
 
-    Erase resets the field to zero, pump holds the dot at S = 1 while
-    diffusion runs, dark evolves freely (densely sampled when
-    ``dark_sample_every`` is given), probe records (time, dot average)
-    without perturbing the field and then lets it evolve for the probe
-    duration. Times are the cumulative sequence clock. Coincident
-    duplicate samples (a probe at a dark sampling instant) are dropped.
+    The state is the ``DarkSampler`` of the last pump plus the dark time
+    elapsed since that pump; no field is held. Erase returns to the
+    unpolarized state, whose dot average is exactly 0. A pump from the
+    unpolarized state is ``simulate_pump``, the forward model's pump; a
+    pump from a polarized state starts from the sampler at the elapsed
+    time. Dark and probe segments only add to the elapsed time: a dark
+    segment is read at ``dark_sample_times`` when ``dark_sample_every``
+    is given, and a probe records (time, dot average) at its start
+    without perturbing the state. Times are the cumulative sequence
+    clock. Coincident duplicate samples (a probe at a dark sampling
+    instant) are dropped.
     """
-    field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)), 0.0)
+    pumped: DarkSampler | None = None  # None: unpolarized
+    clock = elapsed = 0.0
     ts: list[float] = []
     ys: list[float] = []
 
-    def record(t: float, y: float) -> None:
-        if not ts or t != ts[-1]:
-            ts.append(t)
-            ys.append(y)
-
     for seg in seq.segments:
+        times = None
         if seg.kind is SegmentKind.ERASE:
-            field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)),
-                                      field.time + seg.duration)
+            pumped = None
         elif seg.kind is SegmentKind.PUMP:
-            v = field.values.copy()
-            v[grid.dot_mask(geometry)] = 1.0
-            field = PolarizationField(grid, v, field.time)
-            field = evolve(field, cfg, seg.duration, clamp=geometry)
-        elif seg.kind is SegmentKind.DARK:
-            dark = DarkSampler(field, cfg)
-            if dark_sample_every is None:
-                field = dark.field_at(seg.duration)
-            else:
-                times = dark_sample_times(seg.duration, dark_sample_every)
-                for t, y in zip(times, dark.dot_averages(times, geometry)):
-                    record(field.time + t, y)
-                field = dark.field_at(times[-1])
+            pumped = simulate_pump(geometry, cfg, seg.duration, grid,
+                                   start=pumped, elapsed=elapsed)
+            elapsed = 0.0
         elif seg.kind is SegmentKind.PROBE:
-            record(field.time, dot_average(field, geometry))
-            field = evolve(field, cfg, seg.duration)
+            times = np.zeros(1)
+        elif dark_sample_every is not None:
+            times = dark_sample_times(seg.duration, dark_sample_every)
+        if times is not None:
+            if pumped is None:
+                _checked_dot(grid, geometry)  # read from nothing, yet checked
+                y = np.zeros(times.size)
+            else:
+                y = pumped.dot_averages(elapsed + times, geometry)
+            for t, v in zip((clock + times).tolist(), y.tolist()):
+                if not ts or t != ts[-1]:
+                    ts.append(t)
+                    ys.append(v)
+        if seg.kind is not SegmentKind.PUMP:
+            elapsed += seg.duration
+        clock += seg.duration
     if not ts:
         raise InvariantViolation(
             "NoSamples", "sequence has no probe and no sampled dark segment")

@@ -10,21 +10,26 @@ fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
 
   * Dot unclamped (dark delays, probes): any interval is propagated
     exactly. There is no time step and no time-discretization error;
-    ``DarkSampler`` reads the dot average at any list of times from one
-    modal transform, all times in one vectorized pass.
+    ``DarkSampler`` reads the dot average at any list of times from its
+    modal coefficients, all times in one vectorized pass.
   * Dot clamped at S = 1 (the pump): Crank-Nicolson in its
     Peaceman-Rachford split, unconditionally stable, each step followed
     by resetting the dot cells to S = 1. The step is diagonal on the
     modes and the reset is a low-rank correction through the dot
     rectangle, so the recurrence is carried in modal coefficients; the
     coefficients are checked for non-finite values once, after the last
-    step. ``evolve`` transforms its field in and out once.
-    ``simulate_pump`` starts from the modes of the dot indicator and
-    returns the ``DarkSampler`` of the pumped state, which keeps the last
-    coefficients: a pump-then-dark solve makes no grid <-> mode
-    transform, and the sampler builds the pumped field only when its
-    ``field`` is read. The reset makes the pump first-order in dt, and
-    the staircase dot boundary makes it first-order in dr.
+    step. The reset makes the pump first-order in dt, and the staircase
+    dot boundary makes it first-order in dr.
+
+Who transforms between the grid and the modes: ``evolve`` (its field in
+and out once, clamped or not), a ``DarkSampler`` built from a field (in),
+and a sampler's ``field`` and ``field_at`` (out). ``simulate_pump``
+starts from the modes of the dot indicator, or from those of a given
+sampler at a given time, and returns the ``DarkSampler`` of the pumped
+state, which keeps the last coefficients. So with D > 0 a pump-then-dark
+solve, the fit objective and ``kinetics.run_sequence`` make no
+transform, and the sampler builds the pumped field only when its
+``field`` is read.
 
 The dot is a rectangle of cells in index space (the outer product of
 a radial and an axial mask, ``_dot_cells``), built once per (grid,
@@ -336,11 +341,11 @@ def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
 
 
 def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-                n_steps: int, dot) -> np.ndarray:
-    """Run ``n_steps`` >= 1 Crank-Nicolson steps of size ``dt`` on the
+                n_steps: int, dot, reset_start: bool = False) -> np.ndarray:
+    """Run ``n_steps`` >= 0 Crank-Nicolson steps of size ``dt`` on the
     modal coefficients ``coef`` (updated in place and returned) of a
     field, resetting the cells of ``dot`` (a ``_checked_dot`` result) to
-    S = 1 after each; needs D > 0.
+    S = 1 after each, and first when ``reset_start``; needs D > 0.
 
     Each step is S <- reset(decay * M S) with the Peaceman-Rachford
     factor M = (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
@@ -366,13 +371,19 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     blocks = [slice(i, i + rows) for i in range(0, grid.nr, rows)]
     read = np.empty((grid.nr, len(b)))
     views = [(coef[k], read[k], k) for k in blocks]
-    for _ in range(n_steps):
-        coef *= rho
+
+    def reset():
         for c, r, _ in views:
             np.matmul(c, b.T, out=r)
         y = a.T @ (w - a @ read)
         for c, _, k in views:
             c += y[k] @ b
+
+    if reset_start:
+        reset()
+    for _ in range(n_steps):
+        coef *= rho
+        reset()
     _require_finite(coef, dt)
     return coef
 
@@ -460,19 +471,23 @@ class DarkSampler:
         tau = self.cfg.d_qd * t[:, None]
         return relax, relax[:, None] * np.exp(tau * lam_r), np.exp(tau * lam_z)
 
+    def _coef_at(self, t: float) -> np.ndarray:
+        """The modal coefficients ``t`` after the sampler's start (D > 0)."""
+        _, e_r, e_z = self._factors(np.array([t], dtype=float))
+        return e_r.T * self._coef * e_z
+
     def field_at(self, t: float) -> PolarizationField:
         """The field ``t`` after the sampler's start."""
         if t == 0:
             return self.field
-        relax, e_r, e_z = self._factors(np.array([t], dtype=float))
-        if e_r is None:
+        if self._basis is None:
+            relax = self._factors(np.array([t], dtype=float))[0]
             values = self.field.values * relax[0]
         else:
             # inline, not _from_modes: the scaled coefficients are freed
             # as soon as the first product is formed
             _, q_r, _, q_z, sqrt_r = self._basis
-            values = (q_r @ (e_r.T * self._coef * e_z) @ q_z.T
-                      / sqrt_r[:, None])
+            values = q_r @ self._coef_at(t) @ q_z.T / sqrt_r[:, None]
         return PolarizationField(self._grid, values, self._t0 + t)
 
     def dot_averages(self, times, geometry: DotGeometry) -> np.ndarray:
@@ -500,7 +515,8 @@ class DarkSampler:
 def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
     """Sampling instants of a dark interval: 0, sample_every,
     2*sample_every, ... up to ``t_dark``, plus ``t_dark`` itself when it
-    falls off the cadence."""
+    falls off the cadence. The last instant is always exactly
+    ``t_dark``."""
     _check_time("t_dark", t_dark)
     if not (sample_every > 0):
         raise InvariantViolation("NonPositiveSampleInterval",
@@ -509,6 +525,8 @@ def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
     t = np.arange(n_samples + 1) * sample_every
     if t_dark - n_samples * sample_every > 1e-9 * max(t_dark, 1.0):
         t = np.append(t, t_dark)
+    else:
+        t[-1] = t_dark  # on the cadence: no round-off past the end
     return t
 
 
@@ -544,25 +562,45 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
 
 
 def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
-                  grid: Grid) -> DarkSampler:
-    """Pump phase: from an unpolarized medium, saturate the dot instantly
-    and hold it at S = 1 for ``t_pump`` while diffusion feeds the halo.
-    Returns the ``DarkSampler`` of the pumped field.
+                  grid: Grid, start: DarkSampler | None = None,
+                  elapsed: float = 0.0) -> DarkSampler:
+    """Pump phase: saturate the dot instantly and hold it at S = 1 for
+    ``t_pump`` while diffusion feeds the halo. Returns the
+    ``DarkSampler`` of the pumped field.
 
-    With D > 0 and ``t_pump`` > 0 the clamped recurrence of ``evolve``
-    starts from the dot indicator's modal coefficients and hands its last
-    ones to the sampler, so no grid <-> mode transform is made; the field
-    is built only when the sampler's ``field`` is read."""
+    The pump starts from an unpolarized medium, or, given ``start`` (a
+    sampler on the same grid and cfg), from the free evolution of
+    ``start`` ``elapsed`` after its start. With D > 0 the clamped
+    recurrence of ``evolve`` (``_pump_modes``) runs on modal
+    coefficients: from the dot indicator's, or from those of ``start``
+    scaled to ``elapsed`` and reset on the dot. It hands its last ones to
+    the sampler, so no grid <-> mode transform is made; the field is
+    built only when the sampler's ``field`` is read. An instant pump of
+    an unpolarized medium (``t_pump`` = 0, no ``start``) is the exact dot
+    indicator."""
     _check_time("t_pump", t_pump)
     dot = _checked_dot(grid, geometry)
-    if cfg.d_qd > 0 and t_pump > 0:
-        dt, n = _substeps(grid, cfg, t_pump)
-        start = np.outer(*_dot_modes(grid, geometry, cfg.boundary))
-        coef = _pump_modes(start, grid, cfg, dt, n, dot)
-        return DarkSampler._pumped(coef, grid, cfg, t_pump, geometry)
-    values = np.zeros((grid.nr, grid.nz))
+    t0 = 0.0
+    if start is not None:
+        if start.cfg != cfg or start._grid != grid:
+            raise InvariantViolation(
+                "StartMismatch", "start sampler has another grid or cfg")
+        t0 = start._t0 + elapsed
+    if cfg.d_qd > 0 and (t_pump > 0 or start is not None):
+        dt, n = _substeps(grid, cfg, t_pump) if t_pump > 0 else (0.0, 0)
+        if start is None:
+            coef = np.outer(*_dot_modes(grid, geometry, cfg.boundary))
+        else:
+            coef = start._coef_at(elapsed)
+        coef = _pump_modes(coef, grid, cfg, dt, n, dot,
+                           reset_start=start is not None)
+        return DarkSampler._pumped(coef, grid, cfg, t0 + t_pump, geometry)
+    if start is None:
+        values = np.zeros((grid.nr, grid.nz))
+    else:
+        values = start.field_at(elapsed).values.copy()
     values[dot[2]] = 1.0
-    field = evolve(PolarizationField(grid=grid, values=values), cfg, t_pump,
+    field = evolve(PolarizationField(grid, values, t0), cfg, t_pump,
                    clamp=geometry)
     return DarkSampler(field, cfg)
 

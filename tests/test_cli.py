@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from spindiff import (DecaySeries, DotGeometry, YKind, build_grid,
-                      read_fit_report, read_table, write_measured_csv,
-                      write_table)
+from spindiff import (DarkSampler, DecaySeries, DotGeometry, YKind,
+                      build_grid, read_fit_report, read_table,
+                      write_measured_csv, write_table)
 from spindiff.cli import main
 from spindiff.kinetics import pumped_sampler
 
@@ -200,6 +200,25 @@ class TestSimulate:
         }, {"d_cm2s": "1e-13"})
         assert ((tmp_path / "out" / "field_snapshots.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
+
+    def test_repeated_snapshot_time_built_once(self, tmp_path, monkeypatch):
+        built = []
+        field_at = DarkSampler.field_at
+
+        def counting(self, t):
+            built.append(t)
+            return field_at(self, t)
+
+        monkeypatch.setattr(DarkSampler, "field_at", counting)
+        cfg = write_config(tmp_path, FAST_SOLVER
+                           + "snapshot_times_s = 4, 0, 2.5, 4\n")
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+        assert built == [0.0, 2.5, 4.0]
+        snaps, _ = read_table(tmp_path / "out" / "field_snapshots.csv")
+        block = snaps["s"].size // 4
+        np.testing.assert_array_equal(snaps["s"][2 * block:3 * block],
+                                      snaps["s"][3 * block:])
 
     def test_negative_snapshot_time_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_SOLVER

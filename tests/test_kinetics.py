@@ -7,14 +7,15 @@ anchors at full resolution live in the acceptance tests.
 import numpy as np
 import pytest
 
-from spindiff import (DecaySeries, DotGeometry, GeometryMismatch, Helicity,
-                      InvariantViolation, NotIdentifiable, PulseSegment,
+from spindiff import (BoundaryMode, DarkSampler, DecaySeries, DotGeometry,
+                      GeometryMismatch, Helicity, InvariantViolation,
+                      NotIdentifiable, PolarizationField, PulseSegment,
                       PulseSequence, SegmentKind, SolverConfig, YKind,
-                      build_grid, fit_diffusion_coefficient,
-                      fit_exponential_decay, fit_exponential_rise,
-                      paper_decay_sequence, run_sequence,
-                      simulate_decay_curve, time_to_level)
-from spindiff import kinetics
+                      build_grid, dark_sample_times, dot_average, evolve,
+                      fit_diffusion_coefficient, fit_exponential_decay,
+                      fit_exponential_rise, paper_decay_sequence,
+                      run_sequence, simulate_decay_curve, time_to_level)
+from spindiff import kinetics, solver
 from spindiff.kinetics import _affine_lsq, pumped_sampler
 
 GEO = DotGeometry()
@@ -86,6 +87,156 @@ class TestRunSequence:
         with pytest.raises(InvariantViolation):
             run_sequence(seq, SolverConfig(d_qd=10.0, dt=0.1), GEO,
                          coarse_grid)
+
+
+def field_route_sequence(seq, cfg, geometry, grid, dark_sample_every=None):
+    """Reference run_sequence: the field is held between segments, each
+    pump resets the dot cells and runs the clamped ``evolve``, each dark
+    segment starts a ``DarkSampler`` of the field, and a probe reads the
+    field's dot average before an unclamped ``evolve``."""
+    field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)), 0.0)
+    ts, ys = [], []
+
+    def record(t, y):
+        if not ts or t != ts[-1]:
+            ts.append(t)
+            ys.append(y)
+
+    for s in seq.segments:
+        if s.kind is SegmentKind.ERASE:
+            field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)),
+                                      field.time + s.duration)
+        elif s.kind is SegmentKind.PUMP:
+            v = field.values.copy()
+            v[grid.dot_mask(geometry)] = 1.0
+            field = evolve(PolarizationField(grid, v, field.time), cfg,
+                           s.duration, clamp=geometry)
+        elif s.kind is SegmentKind.DARK:
+            dark = DarkSampler(field, cfg)
+            if dark_sample_every is None:
+                field = dark.field_at(s.duration)
+            else:
+                times = dark_sample_times(s.duration, dark_sample_every)
+                for t, y in zip(times, dark.dot_averages(times, geometry)):
+                    record(field.time + t, y)
+                field = dark.field_at(times[-1])
+        else:
+            record(field.time, dot_average(field, geometry))
+            field = evolve(field, cfg, s.duration)
+    return np.array(ts), np.array(ys)
+
+
+ERASE, PUMP = SegmentKind.ERASE, SegmentKind.PUMP
+DARK, PROBE = SegmentKind.DARK, SegmentKind.PROBE
+HELICITY = {ERASE: Helicity.LINEAR, PUMP: Helicity.SIGMA_PLUS,
+            DARK: Helicity.NONE, PROBE: Helicity.LINEAR}
+
+
+def sequence(*segments):
+    return PulseSequence(tuple(seg(kind, duration, HELICITY[kind])
+                               for kind, duration in segments))
+
+
+class TestRunSequenceMatchesFieldRoute:
+    """``run_sequence`` keeps the pumped sampler instead of a field; it
+    must agree with the field route it replaces."""
+
+    GRID = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
+    SEQUENCES = {
+        "paper": sequence((ERASE, 1.0), (PUMP, 2.0), (DARK, 3.0),
+                          (PROBE, 0.1)),
+        # the second pump starts from a polarized, partly decayed state
+        "repump": sequence((PUMP, 1.0), (DARK, 1.3), (PUMP, 0.5),
+                           (PROBE, 0.1)),
+        "repump_dark": sequence((PUMP, 1.0), (PROBE, 0.2), (DARK, 0.7),
+                                (PUMP, 0.5), (DARK, 1.1), (PROBE, 0.1)),
+        "erase_mid": sequence((PUMP, 1.0), (DARK, 0.5), (ERASE, 0.5),
+                              (DARK, 0.3), (PROBE, 0.1), (PUMP, 0.4),
+                              (PROBE, 0.1)),
+        "zero_durations": sequence((ERASE, 0.0), (PUMP, 0.0), (PROBE, 0.0),
+                                   (DARK, 0.0), (PUMP, 1.0), (PUMP, 0.0),
+                                   (DARK, 0.0), (PROBE, 0.0), (DARK, 0.9),
+                                   (ERASE, 0.0), (PROBE, 0.0), (PUMP, 0.5),
+                                   (PROBE, 0.1)),
+    }
+
+    @pytest.mark.parametrize("every", [None, 0.5, 0.4])  # 0.4: off cadence
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    @pytest.mark.parametrize("d, t1, boundary", [
+        (10.0, None, BoundaryMode.DIRICHLET_ZERO),
+        (10.0, 4.0, BoundaryMode.DIRICHLET_ZERO),
+        (10.0, None, BoundaryMode.REFLECTIVE),
+        (10.0, 4.0, BoundaryMode.REFLECTIVE),
+        (0.0, None, BoundaryMode.DIRICHLET_ZERO),
+        (0.0, 4.0, BoundaryMode.DIRICHLET_ZERO),
+    ])
+    def test_matches_field_route(self, d, t1, boundary, name, every):
+        cfg = SolverConfig(d_qd=d, t1_uniform=t1, dt=0.05, boundary=boundary)
+        seq = self.SEQUENCES[name]
+        got = run_sequence(seq, cfg, GEO, self.GRID, dark_sample_every=every)
+        t, y = field_route_sequence(seq, cfg, GEO, self.GRID, every)
+        np.testing.assert_array_equal(got.t, t)
+        np.testing.assert_allclose(got.y, y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [10.0, 0.0])
+    def test_probe_after_pump_reads_one(self, d):
+        cfg = SolverConfig(d_qd=d, t1_uniform=4.0, dt=0.05)
+        seq = self.SEQUENCES["repump"]
+        out = run_sequence(seq, cfg, GEO, self.GRID)
+        assert out.y.tolist() == [1.0]
+        out = run_sequence(self.SEQUENCES["zero_durations"], cfg, GEO,
+                           self.GRID)
+        # instant pump, pump, erase, pump: the probe after each pump reads
+        # exactly 1, the one after the erase exactly 0
+        assert out.t.tolist() == [0.0, 1.0, 1.9, 2.4]
+        assert out.y.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+    def test_erase_mid_sequence_reads_zero(self):
+        cfg = SolverConfig(d_qd=10.0, dt=0.05)
+        out = run_sequence(self.SEQUENCES["erase_mid"], cfg, GEO, self.GRID,
+                           dark_sample_every=0.1)
+        # pump, 6 dark samples, erase, 4 dark samples, probe, pump, probe
+        after_erase = (out.t >= 2.0) & (out.t < 2.4)
+        assert after_erase.sum() == 4
+        assert out.y[after_erase].tolist() == [0.0] * 4
+        assert out.y[-1] == 1.0
+
+
+class TestNoTransforms:
+    """A pulse sequence, a decay curve and a fit at D > 0 carry modal
+    coefficients from the pump to the readout: no field is built or
+    transformed."""
+
+    @pytest.fixture(autouse=True)
+    def no_transforms(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid <-> mode transform")
+
+        monkeypatch.setattr(solver, "_to_modes", forbidden)
+        monkeypatch.setattr(solver, "_from_modes", forbidden)
+        monkeypatch.setattr(solver.DarkSampler, "field_at", forbidden)
+
+    def test_run_sequence(self, coarse_grid):
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=30.0, dt=0.05)
+        seq = paper_decay_sequence(t_dark=2.0, t_pump=2.0, t_erase=1.0)
+        out = run_sequence(seq, cfg, GEO, coarse_grid, dark_sample_every=0.5)
+        assert out.y[0] == 1.0 and len(out) == 5
+        seq = sequence((PUMP, 1.0), (DARK, 0.7), (PUMP, 0.5), (PROBE, 0.1))
+        assert run_sequence(seq, cfg, GEO, coarse_grid).y.tolist() == [1.0]
+
+    def test_simulate_decay_curve(self, coarse_grid):
+        s = simulate_decay_curve(1e-13, 2.0, 3.0, 1.0, GEO, coarse_grid,
+                                 dt=0.05, t1_uniform=30.0)
+        assert s.y[0] == 1.0 and np.all(np.diff(s.y) < 0)
+
+    def test_fit_diffusion_coefficient(self, coarse_grid):
+        s = simulate_decay_curve(2e-15, 10.0, 120.0, 10.0, GEO, coarse_grid,
+                                 dt=0.2)
+        measured = DecaySeries(t=s.t, y=60.0 + 38.0 * s.y,
+                               y_kind=YKind.ZEEMAN_SPLITTING_UEV)
+        fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
+                                        (1e-16, 1e-13), dt=0.2)
+        assert fit.d_qd == pytest.approx(2e-15, rel=0.05, abs=0)
 
 
 class TestSimulateDecayCurve:

@@ -20,8 +20,8 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       GeometryMismatch, GridTooCoarse, Grid,
                       InvariantViolation, NumericalBlowup,
                       PolarizationField, SolverConfig,
-                      auto_dt, build_grid, dot_average, evolve,
-                      simulate_dark, simulate_pump, step, total_spin)
+                      auto_dt, build_grid, dark_sample_times, dot_average,
+                      evolve, simulate_dark, simulate_pump, step, total_spin)
 from spindiff.solver import (_axial_coeffs, _dot_cells, _dot_modes,
                              _eigenbasis, _radial_coeffs, _to_modes)
 
@@ -450,6 +450,16 @@ class TestPumpedSampler:
             _dot_modes(self.GRID, DotGeometry(radius=100.0, height=5.0),
                        BoundaryMode.DIRICHLET_ZERO)
 
+    def test_start_from_another_grid_or_cfg_rejected(self):
+        cfg = SolverConfig(d_qd=10.0, dt=0.1)
+        start = simulate_pump(GEO, cfg, 1.0, self.GRID)
+        other = build_grid(GEO, 1.0, 0.625, extent_factor=6.0)
+        for args in ((cfg, other), (SolverConfig(d_qd=5.0, dt=0.1),
+                                    self.GRID)):
+            with pytest.raises(InvariantViolation, match="StartMismatch"):
+                simulate_pump(GEO, args[0], 1.0, args[1], start=start,
+                              elapsed=0.5)
+
     @pytest.mark.parametrize("t_pump", [0.0, 2.0])
     def test_zero_diffusion_pump_is_field_route(self, t_pump):
         cfg = SolverConfig(d_qd=0.0, dt=0.1, t1_uniform=30.0)
@@ -500,6 +510,20 @@ class TestPumpAndDark:
         field = simulate_pump(GEO, cfg, 0.0, grid).field
         series = simulate_dark(field, cfg, 1.3, 0.5, GEO)
         np.testing.assert_allclose(series.t, [0.0, 0.5, 1.0, 1.3])
+
+    @pytest.mark.parametrize("t_dark, every", [(0.3, 0.1), (0.7, 0.1)])
+    def test_sample_times_end_exactly_at_t_dark(self, t_dark, every):
+        # n * every overshoots t_dark by one ulp on these
+        t = dark_sample_times(t_dark, every)
+        assert t[-1] == t_dark
+        np.testing.assert_array_equal(t[:-1], np.arange(t.size - 1) * every)
+
+    @pytest.mark.parametrize("t_dark, every", [(4.0, 0.2), (0.1, 0.01),
+                                               (60.0, 1.0)])
+    def test_exact_cadence_sample_times_unchanged(self, t_dark, every):
+        n = round(t_dark / every)
+        np.testing.assert_array_equal(dark_sample_times(t_dark, every),
+                                      np.arange(n + 1) * every)
 
     def test_dot_outside_grid_rejected(self):
         grid = Grid(nr=8, nz=16, dr=1.0, dz=1.0, z_min=-8.0)
