@@ -78,6 +78,15 @@ def validate_material(m: MaterialParams) -> MaterialParams:
     return m
 
 
+def reject_non_finite(owner, *names: str) -> None:
+    """Raise InvariantViolation naming the first of the attributes
+    ``names`` of ``owner`` that is set (not None) but not finite."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not math.isfinite(value):
+            raise InvariantViolation("NonFiniteValue", f"{name} = {value}")
+
+
 @dataclass(frozen=True)
 class DotGeometry:
     """Disk-shaped dot: radius and height in nm, mid-plane at ``z_center``."""
@@ -87,6 +96,7 @@ class DotGeometry:
     z_center: float = 0.0
 
     def __post_init__(self):
+        reject_non_finite(self, "radius", "height", "z_center")
         if not (self.radius > 0):
             raise InvariantViolation("NonPositiveRadius", f"radius = {self.radius}")
         if not (self.height > 0):

@@ -21,14 +21,19 @@ fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
     step. The reset makes the pump first-order in dt, and the staircase
     dot boundary makes it first-order in dr.
 
-Who transforms between the grid and the modes: ``evolve`` (its field in
-and out once, clamped or not), a ``DarkSampler`` built from a field (in),
-and a sampler's ``field`` and ``field_at`` (out). ``simulate_pump``
-starts from the modes of the dot indicator, or from those of a given
-sampler at a given time, and returns the ``DarkSampler`` of the pumped
-state, which keeps the last coefficients. So with D > 0 a pump-then-dark
-solve, the fit objective and ``kinetics.run_sequence`` make no
-transform, and the sampler builds the pumped field only when its
+One routine advances a field with the dot clamped, ``_clamped``: it
+takes the start's modal coefficients (its field values when D = 0),
+runs the sub-steps and returns the ``DarkSampler`` of the pumped state,
+which keeps the last coefficients. ``evolve(clamp=)`` hands it the
+coefficients of a ``DarkSampler`` built from its field and reads the
+result's ``field``; ``simulate_pump`` hands it the dot indicator's
+coefficients (the outer product of the readout vectors) or those of a
+given sampler at a given time. Who transforms between the grid and the
+modes: a ``DarkSampler`` built from a field (in), and a sampler's
+``field`` and ``field_at`` (out), so ``evolve`` transforms its field in
+and out once, clamped or not. With D > 0 a pump-then-dark solve, the fit
+objective and ``kinetics.run_sequence`` make no transform, whatever the
+pump's duration, and the sampler builds the pumped field only when its
 ``field`` is read.
 
 The dot is a rectangle of cells in index space (the outer product of
@@ -61,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .domain import DecaySeries, DotGeometry, YKind
+from .domain import DecaySeries, DotGeometry, YKind, reject_non_finite
 from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
                      NumericalBlowup)
 
@@ -97,6 +102,7 @@ class Grid:
     z_min: float
 
     def __post_init__(self):
+        reject_non_finite(self, "dr", "dz", "z_min")
         if not (self.dr > 0 and self.dz > 0):
             raise InvariantViolation("NonPositiveSpacing",
                                      f"dr = {self.dr}, dz = {self.dz}")
@@ -159,6 +165,7 @@ class SolverConfig:
     boundary: BoundaryMode = BoundaryMode.DIRICHLET_ZERO
 
     def __post_init__(self):
+        reject_non_finite(self, "d_qd", "t1_uniform", "dt")
         if not (self.d_qd >= 0):
             raise InvariantViolation("NegativeDiffusion", f"d_qd = {self.d_qd}")
         if self.t1_uniform is not None and not (self.t1_uniform > 0):
@@ -176,9 +183,10 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
     The z grid is aligned so the dot mid-plane falls on a cell face, which
     makes the default 20 nm x 5 nm disk resolve exactly at dr = dz = 0.5.
     """
-    if not (extent_factor >= 5):
-        raise InvariantViolation("ExtentFactorTooSmall",
-                                 f"extent_factor = {extent_factor}, need >= 5")
+    if not (5 <= extent_factor < math.inf):
+        raise InvariantViolation("ExtentFactorOutOfRange",
+                                 f"extent_factor = {extent_factor}, need "
+                                 f"finite >= 5")
     if not (dr > 0 and dz > 0):
         raise InvariantViolation("NonPositiveSpacing", f"dr = {dr}, dz = {dz}")
     cells_across_radius = int(np.ceil(geometry.radius / dr - 0.5))
@@ -341,14 +349,15 @@ def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
 
 
 def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-                n_steps: int, dot, reset_start: bool = False) -> np.ndarray:
+                n_steps: int, decay: float, dot, reset_start) -> np.ndarray:
     """Run ``n_steps`` >= 0 Crank-Nicolson steps of size ``dt`` on the
     modal coefficients ``coef`` (updated in place and returned) of a
     field, resetting the cells of ``dot`` (a ``_checked_dot`` result) to
     S = 1 after each, and first when ``reset_start``; needs D > 0.
 
-    Each step is S <- reset(decay * M S) with the Peaceman-Rachford
-    factor M = (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
+    Each step is S <- reset(decay * M S), ``decay`` the T1 factor of one
+    step and M the Peaceman-Rachford factor
+    (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
     A_r x I and I x A_z commute, so M is diagonal on the eigenbasis
     modes, and the step is c <- rho * c; the reset then adds
     sqrt(r) (1 - S) on the dot rectangle back through the rows of q_r
@@ -360,7 +369,6 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     the additions of the loop, and |rho| <= 1 keeps finite ones finite.
     """
     r_in, z_in, _, _, _ = dot
-    decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     mu = 0.5 * cfg.d_qd * dt
     lam_r, q_r, lam_z, q_z, sqrt_r = _eigenbasis(grid, cfg.boundary)
     rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
@@ -388,23 +396,6 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     return coef
 
 
-def _advance(values: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
-             n_steps: int, dot) -> np.ndarray:
-    """The field ``values`` (not modified) after ``n_steps`` >= 1 clamped
-    steps of size ``dt`` (``_pump_modes``), with the cells of ``dot`` at
-    exactly S = 1. With D = 0 a step is the T1 factor and the reset."""
-    if cfg.d_qd > 0:
-        basis = _eigenbasis(grid, cfg.boundary)
-        S = _from_modes(_pump_modes(_to_modes(values, basis), grid, cfg, dt,
-                                    n_steps, dot), basis)
-    else:
-        decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
-        S = values * decay ** n_steps
-        _require_finite(S, dt)
-    S[dot[2]] = 1.0
-    return S
-
-
 def _require_finite(x: np.ndarray, dt: float) -> None:
     if not np.isfinite(x).all():
         raise NumericalBlowup(
@@ -415,18 +406,20 @@ class DarkSampler:
     """Exact free evolution of one field with the dot unclamped.
 
     Construction transforms the field, taken as dark time t = 0, into
-    modal coefficients once; ``simulate_pump`` hands over the pump's
-    coefficients instead, and ``field`` is then built on first read.
-    ``dot_averages`` reads the dot average at any times as
-    e_r(t)^T G e_z(t), where G holds the coefficients weighted by the
-    separable dot functional and e_r, e_z are the modal decay factors,
-    without rebuilding the field. It stacks the factors of a block of
-    times as rows, E_r and E_z, and reads the whole block as the row sums
-    of (E_r G) * E_z. ``field_at`` rebuilds the field at one time. The
-    uniform T1 factor exp(-t/T1) is applied exactly. At t = 0 the dot
-    average is the start field's (exactly 1 for the pumped dot), and for
-    every t when D = 0 it is read from the field directly, without
-    transforms.
+    modal coefficients once. The clamped routine (``_clamped``, behind
+    ``simulate_pump`` and ``evolve(clamp=)``) hands over its coefficients
+    instead, and ``field`` is then built on first read; an instant pump of
+    an unpolarized medium hands over the exact dot indicator with the
+    indicator's coefficients. ``dot_averages`` reads the dot average at
+    any times as e_r(t)^T G e_z(t), where G holds the coefficients
+    weighted by the separable dot functional and e_r, e_z are the modal
+    decay factors, without rebuilding the field. It stacks the factors of
+    a block of times as rows, E_r and E_z, and reads the whole block as
+    the row sums of (E_r G) * E_z. ``field_at`` rebuilds the field at one
+    time. The uniform T1 factor exp(-t/T1) is applied exactly. At t = 0
+    the dot average is the start field's (exactly 1 for the pumped dot),
+    and for every t when D = 0 it is read from the field directly,
+    without transforms.
     """
 
     def __init__(self, field: PolarizationField, cfg: SolverConfig):
@@ -438,15 +431,17 @@ class DarkSampler:
             self._coef = _to_modes(field.values, self._basis)
 
     @classmethod
-    def _pumped(cls, coef: np.ndarray, grid: Grid, cfg: SolverConfig,
-                t0: float, clamp: DotGeometry) -> DarkSampler:
+    def _pumped(cls, coef: np.ndarray | None, grid: Grid, cfg: SolverConfig,
+                t0: float, clamp: DotGeometry,
+                field: PolarizationField | None = None) -> DarkSampler:
         """The sampler of the field at time ``t0`` whose modal
-        coefficients are ``coef`` (D > 0), with the cells of ``clamp`` at
-        exactly S = 1."""
+        coefficients are ``coef`` (None at D = 0), with the cells of
+        ``clamp`` at exactly S = 1. ``field``, when given, is that field
+        (at D = 0 it is the only state)."""
         self = cls.__new__(cls)
-        self._field, self.cfg = None, cfg
+        self._field, self.cfg, self._coef = field, cfg, coef
         self._grid, self._t0, self._clamp = grid, t0, clamp
-        self._basis, self._coef = _eigenbasis(grid, cfg.boundary), coef
+        self._basis = _eigenbasis(grid, cfg.boundary) if cfg.d_qd > 0 else None
         return self
 
     @property
@@ -530,6 +525,34 @@ def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
     return t
 
 
+def _clamped(state: np.ndarray, grid: Grid, cfg: SolverConfig, t0: float,
+             clamp: DotGeometry, duration: float,
+             reset_first: bool = False) -> DarkSampler:
+    """The ``DarkSampler`` of a field held at S = 1 on the cells of
+    ``clamp`` for ``duration`` >= 0 from time ``t0``: the one clamped
+    advance, behind ``evolve(clamp=)`` and ``simulate_pump``.
+
+    ``state`` is the start's modal coefficients at D > 0, which the
+    routine owns, updates in place and hands to the sampler, or its field
+    values at D = 0, left unmodified. ``_substeps`` gives the sub-steps.
+    At D > 0 ``_pump_modes`` runs them, resetting the dot first when
+    ``reset_first``. At D = 0 no two cells couple: a step is the T1
+    factor followed by the reset, so the last reset covers the first.
+    """
+    dot = _checked_dot(grid, clamp)
+    dt, n = _substeps(grid, cfg, duration) if duration > 0 else (0.0, 0)
+    decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
+    t = t0 + duration
+    if cfg.d_qd > 0:
+        coef = _pump_modes(state, grid, cfg, dt, n, decay, dot, reset_first)
+        return DarkSampler._pumped(coef, grid, cfg, t, clamp)
+    values = state * decay ** n
+    _require_finite(values, dt)
+    values[dot[2]] = 1.0
+    return DarkSampler._pumped(None, grid, cfg, t, clamp,
+                               PolarizationField(grid, values, t))
+
+
 def step(field: PolarizationField, cfg: SolverConfig,
          clamp: DotGeometry | None = None) -> PolarizationField:
     """Advance by one time step (cfg.dt, or the automatic default), as
@@ -547,18 +570,21 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
     the automatic default) land exactly on the requested time; cells
     inside the disk are reset to S = 1 after each, and the uniform T1
     factor, when configured, multiplies everything else. The sub-steps
-    are carried in the modal basis (``_advance``).
+    are those of the pump (``_clamped``): with D > 0 the field goes into
+    the modes once, as a ``DarkSampler``, and comes out once, as the
+    pumped sampler's ``field``.
     """
     _check_time("duration", duration)
-    dot = None if clamp is None else _checked_dot(field.grid, clamp)
+    if clamp is not None:
+        _checked_dot(field.grid, clamp)
     if duration == 0:
         return field
-    if dot is None:
-        return DarkSampler(field, cfg).field_at(duration)
-    dt, n = _substeps(field.grid, cfg, duration)
-    out = _advance(field.values, field.grid, cfg, dt, n, dot)
-    return PolarizationField(grid=field.grid, values=out,
-                             time=field.time + duration)
+    sampler = DarkSampler(field, cfg)
+    if clamp is None:
+        return sampler.field_at(duration)
+    state = field.values if sampler._coef is None else sampler._coef
+    return _clamped(state, field.grid, cfg, field.time, clamp,
+                    duration).field
 
 
 def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
@@ -570,39 +596,34 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
 
     The pump starts from an unpolarized medium, or, given ``start`` (a
     sampler on the same grid and cfg), from the free evolution of
-    ``start`` ``elapsed`` after its start. With D > 0 the clamped
-    recurrence of ``evolve`` (``_pump_modes``) runs on modal
-    coefficients: from the dot indicator's, or from those of ``start``
-    scaled to ``elapsed`` and reset on the dot. It hands its last ones to
-    the sampler, so no grid <-> mode transform is made; the field is
-    built only when the sampler's ``field`` is read. An instant pump of
-    an unpolarized medium (``t_pump`` = 0, no ``start``) is the exact dot
-    indicator."""
+    ``start`` ``elapsed`` after its start. Both run the clamped routine
+    of ``evolve`` (``_clamped``). With D > 0 it starts from the dot
+    indicator's modal coefficients (the outer product of the readout
+    vectors, ``_dot_modes``), or from those of ``start`` scaled to
+    ``elapsed`` and reset on the dot first, and hands its last ones to
+    the sampler: no grid <-> mode transform is made, and the field is
+    built only when the sampler's ``field`` is read. With D = 0 it steps
+    the field values. An instant pump of an unpolarized medium
+    (``t_pump`` = 0, no ``start``) runs no step: its sampler holds the
+    exact dot indicator and, with D > 0, the indicator's coefficients."""
     _check_time("t_pump", t_pump)
-    dot = _checked_dot(grid, geometry)
-    t0 = 0.0
     if start is not None:
         if start.cfg != cfg or start._grid != grid:
             raise InvariantViolation(
                 "StartMismatch", "start sampler has another grid or cfg")
-        t0 = start._t0 + elapsed
-    if cfg.d_qd > 0 and (t_pump > 0 or start is not None):
-        dt, n = _substeps(grid, cfg, t_pump) if t_pump > 0 else (0.0, 0)
-        if start is None:
-            coef = np.outer(*_dot_modes(grid, geometry, cfg.boundary))
-        else:
-            coef = start._coef_at(elapsed)
-        coef = _pump_modes(coef, grid, cfg, dt, n, dot,
-                           reset_start=start is not None)
-        return DarkSampler._pumped(coef, grid, cfg, t0 + t_pump, geometry)
-    if start is None:
-        values = np.zeros((grid.nr, grid.nz))
-    else:
-        values = start.field_at(elapsed).values.copy()
-    values[dot[2]] = 1.0
-    field = evolve(PolarizationField(grid, values, t0), cfg, t_pump,
-                   clamp=geometry)
-    return DarkSampler(field, cfg)
+        state = (start._coef_at(elapsed) if cfg.d_qd > 0
+                 else start.field_at(elapsed).values)
+        return _clamped(state, grid, cfg, start._t0 + elapsed, geometry,
+                        t_pump, reset_first=True)
+    coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary))
+            if cfg.d_qd > 0 else None)
+    if coef is not None and t_pump > 0:
+        return _clamped(coef, grid, cfg, 0.0, geometry, t_pump)
+    indicator = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
+    indicator.values[_checked_dot(grid, geometry)[2]] = 1.0
+    if t_pump > 0:  # D = 0: the field values are the state
+        return _clamped(indicator.values, grid, cfg, 0.0, geometry, t_pump)
+    return DarkSampler._pumped(coef, grid, cfg, 0.0, geometry, indicator)
 
 
 def simulate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,

@@ -4,6 +4,8 @@ the interfaces and converted to nm^2/s internally.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import InvariantViolation
 
 # Bohr magneton in ueV/T (CODATA). Fixed physical constant, not configurable.
@@ -18,7 +20,13 @@ def diffusion_cm2s_to_nm2s(d_cm2_per_s: float) -> float:
     if d_cm2_per_s < 0:
         raise InvariantViolation("NegativeDiffusion",
                                  f"diffusion coefficient must be >= 0, got {d_cm2_per_s}")
-    return d_cm2_per_s * _CM2_TO_NM2
+    d_nm2_per_s = d_cm2_per_s * _CM2_TO_NM2
+    if not math.isfinite(d_nm2_per_s):
+        raise InvariantViolation(
+            "NonFiniteDiffusion",
+            f"diffusion coefficient {d_cm2_per_s} cm^2/s is not finite "
+            f"in nm^2/s")
+    return d_nm2_per_s
 
 
 def diffusion_nm2s_to_cm2s(d_nm2_per_s: float) -> float:

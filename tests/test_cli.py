@@ -169,6 +169,16 @@ class TestSimulate:
         snaps, _ = read_table(tmp_path / "out" / "field_snapshots.csv")
         assert set(np.unique(snaps["t_s"])) == {0.0, 4.0}
 
+    def test_overflowing_diffusion_coefficient_exits_2(self, tmp_path,
+                                                       capsys):
+        # finite in cm^2/s, so the schema takes it, but inf in nm^2/s
+        for dt in ("dt_s = 0.05", ""):
+            cfg = write_config(tmp_path, FAST_SOLVER.replace(
+                "d_cm2s = 1e-13", "d_cm2s = 1e300").replace("dt_s = 0.05", dt))
+            assert main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 2
+            assert "diffusion coefficient" in capsys.readouterr().err
+
     def test_snapshot_between_samples_at_requested_time(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVER
                            + "snapshot_times_s = 2.5\n")

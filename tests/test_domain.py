@@ -47,6 +47,14 @@ class TestDotGeometry:
         with pytest.raises(InvariantViolation):
             DotGeometry(height=-5.0)
 
+    @pytest.mark.parametrize("kwargs", [dict(radius=float("inf")),
+                                        dict(height=float("inf")),
+                                        dict(z_center=float("nan"))])
+    def test_non_finite_dimensions_rejected(self, kwargs):
+        with pytest.raises(InvariantViolation, match=list(kwargs)[0]) as err:
+            DotGeometry(**kwargs)
+        assert err.value.name == "NonFiniteValue"
+
 
 class TestHelicity:
     def test_signs(self):

@@ -229,6 +229,17 @@ class TestNoTransforms:
                                  dt=0.05, t1_uniform=30.0)
         assert s.y[0] == 1.0 and np.all(np.diff(s.y) < 0)
 
+    def test_instant_pump(self, coarse_grid):
+        # the instant pump's coefficients are the dot readout vectors'
+        # outer product, not a transform of the indicator
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=30.0, dt=0.05)
+        seq = sequence((ERASE, 1.0), (PUMP, 0.0), (DARK, 0.5), (PROBE, 0.1))
+        out = run_sequence(seq, cfg, GEO, coarse_grid)
+        assert len(out) == 1 and 0.0 < out.y[0] < 1.0
+        y = solver.simulate_pump(GEO, cfg, 0.0, coarse_grid).dot_averages(
+            [0.0, 0.5], GEO)
+        assert y[0] == 1.0 and y[1] == out.y[0]
+
     def test_fit_diffusion_coefficient(self, coarse_grid):
         s = simulate_decay_curve(2e-15, 10.0, 120.0, 10.0, GEO, coarse_grid,
                                  dt=0.2)

@@ -33,6 +33,12 @@ class TestUnits:
         with pytest.raises(InvariantViolation):
             diffusion_cm2s_to_nm2s(-1.0)
 
+    def test_overflowing_conversion_rejected(self):
+        for d in (1e300, float("inf")):
+            with pytest.raises(InvariantViolation,
+                               match="diffusion coefficient"):
+                diffusion_cm2s_to_nm2s(d)
+
 
 class TestOhsMax:
     def test_defaults_give_132(self):

@@ -550,12 +550,16 @@ class TestPumpAndDark:
             SolverConfig(d_qd=-1.0)
 
     def test_nan_inputs_rejected(self):
-        nan = float("nan")
-        for kwargs in ({"d_qd": nan}, {"d_qd": 1.0, "t1_uniform": nan},
-                       {"d_qd": 1.0, "dt": nan}):
+        nan, inf = float("nan"), float("inf")
+        for bad in (nan, inf):
+            for kwargs in ({"d_qd": bad}, {"d_qd": 1.0, "t1_uniform": bad},
+                           {"d_qd": 1.0, "dt": bad}):
+                with pytest.raises(InvariantViolation):
+                    SolverConfig(**kwargs)
+        for kwargs in ({"dr": nan}, {"dr": inf}, {"z_min": nan}):
+            grid = {**dict(nr=16, nz=16, dr=1.0, dz=1.0, z_min=-8.0), **kwargs}
+            with pytest.raises(InvariantViolation, match=list(kwargs)[0]):
+                Grid(**grid)
+        for bad in (nan, inf):
             with pytest.raises(InvariantViolation):
-                SolverConfig(**kwargs)
-        with pytest.raises(InvariantViolation):
-            Grid(nr=16, nz=16, dr=nan, dz=1.0, z_min=-8.0)
-        with pytest.raises(InvariantViolation):
-            build_grid(GEO, 0.5, 0.5, extent_factor=nan)
+                build_grid(GEO, 0.5, 0.5, extent_factor=bad)
