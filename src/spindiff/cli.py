@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: simulate | sweep | fit-d | fit-rise | convert, with global
-flags --config PATH, --out DIR, --quiet.
+Subcommands: simulate | sweep | fit-d | fit-rise | convert. Each takes
+only the flags it reads: simulate, sweep and fit-d take --config PATH,
+--out DIR and --quiet; fit-rise takes --out DIR and --quiet; convert
+takes --config PATH.
 
 Exit codes: 0 success, 2 input/config error, 3 numerical failure,
 4 non-identifiable fit.
@@ -213,12 +215,13 @@ def cmd_convert(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH",
                         help="run configuration file")
-    common.add_argument("--out", metavar="DIR",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", metavar="DIR",
                         help="output directory (overrides [output] dir)")
-    common.add_argument("--quiet", action="store_true",
+    output.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
 
     parser = argparse.ArgumentParser(
@@ -227,26 +230,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "quantum dot: simulation and fitting tools.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[config, output],
                        help="run the pump-then-dark model at a single D")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[config, output],
                        help="run the pump-then-dark model for a list of D "
                             "values")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("fit-d", parents=[common],
+    p = sub.add_parser("fit-d", parents=[config, output],
                        help="fit the diffusion coefficient to measured data")
     p.add_argument("measured", metavar="CSV", help="measured decay data")
     p.set_defaults(func=cmd_fit_d)
 
-    p = sub.add_parser("fit-rise", parents=[common],
+    p = sub.add_parser("fit-rise", parents=[output],
                        help="fit an exponential rise to measured data")
     p.add_argument("measured", metavar="CSV", help="measured rise data")
     p.set_defaults(func=cmd_fit_rise)
 
-    p = sub.add_parser("convert", parents=[common],
+    p = sub.add_parser("convert", parents=[config],
                        help="convert between OHS, polarization degree, "
                             "and Overhauser field")
     p.add_argument("value", type=float, help="input value")

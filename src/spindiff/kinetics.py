@@ -16,7 +16,7 @@ import numpy as np
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
 from .errors import FitDiverged, InvariantViolation, NotIdentifiable
-from .solver import (DarkSampler, Grid, SolverConfig, _checked_dot,
+from .solver import (DarkSampler, Grid, SolverConfig, _dot,
                      dark_sample_times, simulate_pump)
 from .units import diffusion_cm2s_to_nm2s
 
@@ -116,7 +116,7 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
             times = dark_sample_times(seg.duration, dark_sample_every)
         if times is not None:
             if pumped is None:
-                _checked_dot(grid, geometry)  # read from nothing, yet checked
+                _dot(grid, geometry)  # read from nothing, yet checked
                 y = np.zeros(times.size)
             else:
                 y = pumped.dot_averages(elapsed + times, geometry)
@@ -272,12 +272,11 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                 f"sample, got {measured.metadata['sigma']!r}")
         weight = 1.0 / sigma
     d_lo, d_hi = d_bounds
-    if not (0 < d_lo < d_hi):
-        raise InvariantViolation("BadBounds", f"d_bounds = {d_bounds}")
+    # 0 < d_lo < d_hi makes the ratio at least 1 + 2**-52: decades > 0
+    if not (0 < d_lo < d_hi and d_hi / d_lo < math.inf):
+        raise InvariantViolation("BadBounds", f"d_bounds = {d_bounds}, need "
+                                 "0 < low < high with a finite high / low")
     decades = math.log10(d_hi / d_lo)
-    if decades <= 0:
-        raise InvariantViolation("BadBounds",
-                                 "d_bounds must span a positive range")
     curves: dict[float, np.ndarray] = {}  # log10 D -> forward model at t
 
     def objective(log_d: float) -> float:

@@ -36,14 +36,17 @@ objective and ``kinetics.run_sequence`` make no transform, whatever the
 pump's duration, and the sampler builds the pumped field only when its
 ``field`` is read.
 
-The dot is a rectangle of cells in index space (the outer product of
-a radial and an axial mask, ``_dot_cells``), built once per (grid,
-geometry) and cached read-only, so the readout and the reset touch only
-its cells. Its readout vectors (``_dot_modes``), whose outer product is
-also the indicator's modal coefficients, are cached the same way per
-(grid, geometry, boundary). The readout and the pump's clamp take the
-dot from ``_checked_dot``, which rejects a dot beyond the grid or
-without cells.
+The dot is a rectangle of cells in index space: the radial cell
+centers inside the disk are a prefix of the rows and the axial ones an
+interval of the columns. One cached builder, ``_dot``, returns it as a
+record (rows, cols, w, w_sum): the two index slices, the read-only
+volume weights r of its cells and their sum, built once per (grid,
+geometry), so the readout and the reset touch only its cells. It
+rejects a dot beyond the grid or without a cell center, on every call,
+so every use of the dot is checked: ``Grid.dot_mask``, the readouts, the
+pump's clamp and ``kinetics.run_sequence``. The readout vectors
+(``_dot_modes``), whose outer product is also the indicator's modal
+coefficients, are cached the same way per (grid, geometry, boundary).
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -72,6 +75,9 @@ from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
 
 # Accuracy-driven default step cap; Crank-Nicolson needs no stability bound.
 DT_CAP = 0.010
+# Most cells per axis: one dense eigenvector matrix of 2**14 cells takes
+# 2 GiB.
+MAX_CELLS = 2 ** 14
 _D_FLOOR = 1e-30
 # Multiply-adds per matrix product that OpenBLAS keeps on one thread:
 # threads do not pay off on the thin products here and stall whenever
@@ -109,6 +115,7 @@ class Grid:
         if self.nr < 8 or self.nz < 8:
             raise InvariantViolation("GridTooSmall",
                                      f"need nr, nz >= 8, got {self.nr} x {self.nz}")
+        _check_size(self.nr, self.nz)
 
     @property
     def r_max(self) -> float:
@@ -127,9 +134,12 @@ class Grid:
         return self.z_min + (np.arange(self.nz) + 0.5) * self.dz
 
     def dot_mask(self, geometry: DotGeometry) -> np.ndarray:
-        """Boolean (nr, nz) mask of cells whose centers lie inside the disk."""
-        r_in, z_in = _dot_cells(self, geometry)[:2]
-        return r_in[:, None] & z_in[None, :]
+        """Boolean (nr, nz) mask of cells whose centers lie inside the
+        disk; raises ``GeometryMismatch`` as ``_dot`` does."""
+        rows, cols, _, _ = _dot(self, geometry)
+        mask = np.zeros((self.nr, self.nz), dtype=bool)
+        mask[rows, cols] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -175,6 +185,13 @@ class SolverConfig:
             raise InvariantViolation("NonPositiveTimeStep", f"dt = {self.dt}")
 
 
+def _check_size(nr, nz) -> None:
+    """Reject a cell count per axis above ``MAX_CELLS`` (or not a number)."""
+    if not (nr <= MAX_CELLS and nz <= MAX_CELLS):
+        raise InvariantViolation("GridTooLarge", f"{nr:.6g} x {nz:.6g} cells, "
+                                 f"need <= {MAX_CELLS} per axis")
+
+
 def build_grid(geometry: DotGeometry, dr: float, dz: float,
                extent_factor: float = 20.0) -> Grid:
     """Grid around a dot: r_max >= extent_factor * radius, z extends
@@ -182,6 +199,8 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
 
     The z grid is aligned so the dot mid-plane falls on a cell face, which
     makes the default 20 nm x 5 nm disk resolve exactly at dr = dz = 0.5.
+    The cell counts are checked against ``MAX_CELLS`` while still floats,
+    so a huge dot or a tiny spacing is rejected before anything is built.
     """
     if not (5 <= extent_factor < math.inf):
         raise InvariantViolation("ExtentFactorOutOfRange",
@@ -189,6 +208,9 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
                                  f"finite >= 5")
     if not (dr > 0 and dz > 0):
         raise InvariantViolation("NonPositiveSpacing", f"dr = {dr}, dz = {dz}")
+    nr = np.ceil(extent_factor * geometry.radius / dr)
+    nz_half = np.ceil(extent_factor * geometry.height / dz)
+    _check_size(nr, 2 * nz_half)
     cells_across_radius = int(np.ceil(geometry.radius / dr - 0.5))
     cells_across_height = 2 * int(np.ceil(geometry.height / (2 * dz) - 0.5))
     if cells_across_radius < 10:
@@ -199,10 +221,8 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
         raise GridTooCoarse(
             f"dz = {dz} gives only {cells_across_height} cells across the dot "
             f"height (need >= 8)")
-    nr = int(np.ceil(extent_factor * geometry.radius / dr))
-    nz_half = int(np.ceil(extent_factor * geometry.height / dz))
-    return Grid(nr=nr, nz=2 * nz_half, dr=dr, dz=dz,
-                z_min=geometry.z_center - nz_half * dz)
+    return Grid(nr=int(nr), nz=2 * int(nz_half), dr=dr, dz=dz,
+                z_min=geometry.z_center - int(nz_half) * dz)
 
 
 def auto_dt(grid: Grid, d_qd: float) -> float:
@@ -266,38 +286,29 @@ def _eigenbasis(grid: Grid, boundary: BoundaryMode):
 
 
 @lru_cache(maxsize=64)
-def _dot_cells(grid: Grid, geometry: DotGeometry):
-    """The dot's cells, read-only: (r_in, z_in, cells, w, w_sum).
+def _dot(grid: Grid, geometry: DotGeometry):
+    """The dot's cells, checked and read-only: (rows, cols, w, w_sum).
 
-    r_in and z_in are the boolean masks of the radial and axial cell
-    centers inside the disk; the dot is their outer product. Both select
-    one contiguous run of indices (r < radius is a prefix, |z - z_c| < h/2
-    an interval), so ``cells`` indexes the dot rectangle with two slices.
-    w holds the volume weight r of each dot cell and w_sum their sum.
+    The radial cell centers inside the disk (r < radius) are a prefix of
+    the rows and the axial ones (|z - z_c| < h/2) an interval of the
+    columns, so the dot is the rectangle ``[rows, cols]`` of two index
+    slices. w holds the volume weight r of each dot cell and w_sum their
+    sum. Raises ``GeometryMismatch`` for a dot beyond the grid or one
+    that holds no cell center; the cache keeps no exception, so a bad dot
+    raises on every call.
     """
-    r_in = grid.r_centers < geometry.radius
-    z_in = np.abs(grid.z_centers - geometry.z_center) < geometry.height / 2
-    cells = tuple(slice(k[0], k[-1] + 1) if k.size else slice(0, 0)
-                  for k in (np.flatnonzero(r_in), np.flatnonzero(z_in)))
-    w = np.repeat(grid.r_centers[cells[0], None], np.count_nonzero(z_in), 1)
-    for a in (r_in, z_in, w):
-        a.setflags(write=False)
-    return r_in, z_in, cells, w, float(w.sum())
-
-
-def _checked_dot(grid: Grid, geometry: DotGeometry):
-    """``_dot_cells`` of a dot that lies inside the grid and holds at
-    least one cell center."""
-    if (geometry.radius > grid.r_max
-            or geometry.z_center - geometry.height / 2 < grid.z_min
-            or geometry.z_center + geometry.height / 2 > grid.z_max):
-        raise GeometryMismatch(
-            f"dot (radius {geometry.radius}, z {geometry.z_center} +/- "
-            f"{geometry.height / 2}) extends beyond the grid")
-    dot = _dot_cells(grid, geometry)
-    if not dot[3].size:
+    half = geometry.height / 2
+    if (geometry.radius > grid.r_max or geometry.z_center - half < grid.z_min
+            or geometry.z_center + half > grid.z_max):
+        raise GeometryMismatch(f"{geometry} extends beyond the grid")
+    n_r = int(np.count_nonzero(grid.r_centers < geometry.radius))
+    z_in = np.flatnonzero(np.abs(grid.z_centers - geometry.z_center) < half)
+    if not (n_r and z_in.size):
         raise GeometryMismatch("no cell centers fall inside the dot")
-    return dot
+    rows, cols = slice(0, n_r), slice(int(z_in[0]), int(z_in[-1]) + 1)
+    w = np.repeat(grid.r_centers[rows, None], z_in.size, 1)
+    w.setflags(write=False)
+    return rows, cols, w, float(w.sum())
 
 
 def _check_time(name: str, t) -> None:
@@ -329,12 +340,14 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
 
     The sum of r * S over the dot is a^T c b for modal coefficients c,
     and the dot indicator's coefficients are the outer product of a and
-    b: the dot is the outer product of its radial and axial masks.
+    b: the dot is a rectangle of rows and columns. The rows of q_r and
+    q_z are taken as C-ordered copies: ``eigh_tridiagonal`` returns
+    Fortran-ordered vectors, and a strided slice rounds differently.
     """
-    r_in, z_in, _, _, _ = _checked_dot(grid, geometry)
+    rows, cols, _, _ = _dot(grid, geometry)
     _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary)
-    a = sqrt_r[r_in] @ q_r[r_in]
-    b = q_z[z_in].sum(axis=0)
+    a = sqrt_r[rows] @ q_r[rows].copy()
+    b = q_z[cols].copy().sum(axis=0)
     for v in (a, b):
         v.setflags(write=False)
     return a, b
@@ -352,7 +365,7 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
                 n_steps: int, decay: float, dot, reset_start) -> np.ndarray:
     """Run ``n_steps`` >= 0 Crank-Nicolson steps of size ``dt`` on the
     modal coefficients ``coef`` (updated in place and returned) of a
-    field, resetting the cells of ``dot`` (a ``_checked_dot`` result) to
+    field, resetting the cells of ``dot`` (a ``_dot`` record) to
     S = 1 after each, and first when ``reset_start``; needs D > 0.
 
     Each step is S <- reset(decay * M S), ``decay`` the T1 factor of one
@@ -368,15 +381,16 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     inf coefficient stays non-finite under the scaling, the products and
     the additions of the loop, and |rho| <= 1 keeps finite ones finite.
     """
-    r_in, z_in, _, _, _ = dot
+    rows, cols, _, _ = dot
     mu = 0.5 * cfg.d_qd * dt
     lam_r, q_r, lam_z, q_z, sqrt_r = _eigenbasis(grid, cfg.boundary)
     rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
         * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
-    a, b, w = q_r[r_in], q_z[z_in], sqrt_r[r_in, None]
+    # C-ordered copies of the dot's rows, as in _dot_modes
+    a, b, w = q_r[rows].copy(), q_z[cols].copy(), sqrt_r[rows, None]
     # row blocks keep each product on one OpenBLAS thread
-    rows = max(1, _ONE_THREAD_MADDS // (b.size or 1))
-    blocks = [slice(i, i + rows) for i in range(0, grid.nr, rows)]
+    n_rows = max(1, _ONE_THREAD_MADDS // b.size)
+    blocks = [slice(i, i + n_rows) for i in range(0, grid.nr, n_rows)]
     read = np.empty((grid.nr, len(b)))
     views = [(coef[k], read[k], k) for k in blocks]
 
@@ -449,7 +463,8 @@ class DarkSampler:
         """The field at the sampler's start."""
         if self._field is None:
             values = _from_modes(self._coef, self._basis)
-            values[_dot_cells(self._grid, self._clamp)[2]] = 1.0
+            rows, cols, _, _ = _dot(self._grid, self._clamp)
+            values[rows, cols] = 1.0
             self._field = PolarizationField(self._grid, values, self._t0)
         return self._field
 
@@ -493,7 +508,8 @@ class DarkSampler:
             return dot_average(self.field, geometry) * self._factors(t)[0]
         # sum of r * S over the dot, mode by mode, over the sum of r
         a, b = _dot_modes(self._grid, geometry, self.cfg.boundary)
-        g = a[:, None] * self._coef * b / _dot_cells(self._grid, geometry)[4]
+        _, _, _, w_sum = _dot(self._grid, geometry)
+        g = a[:, None] * self._coef * b / w_sum
         out = np.empty(t.size)
         # blocks of times keep E_r @ g on one thread and bound the memory
         rows = max(1, _ONE_THREAD_MADDS // g.size)
@@ -539,7 +555,7 @@ def _clamped(state: np.ndarray, grid: Grid, cfg: SolverConfig, t0: float,
     ``reset_first``. At D = 0 no two cells couple: a step is the T1
     factor followed by the reset, so the last reset covers the first.
     """
-    dot = _checked_dot(grid, clamp)
+    rows, cols, _, _ = dot = _dot(grid, clamp)
     dt, n = _substeps(grid, cfg, duration) if duration > 0 else (0.0, 0)
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     t = t0 + duration
@@ -548,7 +564,7 @@ def _clamped(state: np.ndarray, grid: Grid, cfg: SolverConfig, t0: float,
         return DarkSampler._pumped(coef, grid, cfg, t, clamp)
     values = state * decay ** n
     _require_finite(values, dt)
-    values[dot[2]] = 1.0
+    values[rows, cols] = 1.0
     return DarkSampler._pumped(None, grid, cfg, t, clamp,
                                PolarizationField(grid, values, t))
 
@@ -576,7 +592,7 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
     """
     _check_time("duration", duration)
     if clamp is not None:
-        _checked_dot(field.grid, clamp)
+        _dot(field.grid, clamp)
     if duration == 0:
         return field
     sampler = DarkSampler(field, cfg)
@@ -619,8 +635,8 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
             if cfg.d_qd > 0 else None)
     if coef is not None and t_pump > 0:
         return _clamped(coef, grid, cfg, 0.0, geometry, t_pump)
-    indicator = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
-    indicator.values[_checked_dot(grid, geometry)[2]] = 1.0
+    # the field coerces the boolean mask to exact 0.0 and 1.0
+    indicator = PolarizationField(grid, grid.dot_mask(geometry))
     if t_pump > 0:  # D = 0: the field values are the state
         return _clamped(indicator.values, grid, cfg, 0.0, geometry, t_pump)
     return DarkSampler._pumped(coef, grid, cfg, 0.0, geometry, indicator)
@@ -638,8 +654,8 @@ def simulate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,
 def dot_average(field: PolarizationField, geometry: DotGeometry) -> float:
     """Volume-weighted mean polarization over the dot disk
     (cell volumes proportional to r * dr * dz)."""
-    _, _, cells, w, w_sum = _checked_dot(field.grid, geometry)
-    return float(np.sum(field.values[cells] * w) / w_sum)
+    rows, cols, w, w_sum = _dot(field.grid, geometry)
+    return float(np.sum(field.values[rows, cols] * w) / w_sum)
 
 
 def total_spin(field: PolarizationField) -> float:

@@ -107,6 +107,18 @@ def test_solving_command_needs_geometry(tmp_path, capsys, command, geometry,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-rise", "rise.csv", "--config", "run.ini"],  # reads no config
+    ["convert", "66", "--out", "out"],  # writes no file
+    ["convert", "66", "--quiet"],  # prints only results
+])
+def test_flag_a_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
+
 class TestConvert:
     def test_ohs_to_degree(self, capsys):
         assert main(["convert", "38"]) == 0
@@ -124,6 +136,24 @@ class TestConvert:
     def test_degree_to_ohs(self, capsys):
         assert main(["convert", "0.5", "--kind", "degree"]) == 0
         assert "ohs_uev = 66" in capsys.readouterr().out
+
+    def test_degree_above_one_exits_2(self, capsys):
+        assert main(["convert", "1.5", "--kind", "degree"]) == 2
+        assert "outside [-1, 1]" in capsys.readouterr().err
+
+    def test_degree_with_g_factor(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[material]\ng_e_abs = 0.5\n")
+        assert main(["convert", "0.5", "--kind", "degree",
+                     "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "ohs_uev = 66" in out
+        assert "overhauser_field_t = " in out
+
+    def test_field_beyond_full_polarization_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[material]\ng_e_abs = 1.0\n")
+        assert main(["convert", "3.0", "--kind", "field_t",
+                     "--config", cfg]) == 2
+        assert "exceeds the fully polarized value" in capsys.readouterr().err
 
     def test_field_requires_g_factor(self, capsys):
         assert main(["convert", "1.0", "--kind", "field_t"]) == 2
@@ -178,6 +208,17 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg, "--out",
                          str(tmp_path / "out"), "--quiet"]) == 2
             assert "diffusion coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, count", [
+        ("radius_nm = 10", "radius_nm = 1e300", "6e+300"),
+        ("dr_nm = 1.0", "dr_nm = 1e-300", "6e+301"),
+    ])
+    def test_grid_too_large_exits_2(self, tmp_path, capsys, old, new, count):
+        cfg = write_config(tmp_path, FAST_SOLVER.replace(old, new))
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "GridTooLarge" in err and count in err
 
     def test_snapshot_between_samples_at_requested_time(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVER
@@ -473,6 +514,21 @@ t_pump_s = 10
                           ["d_qd_cm2s"])
         assert abs(fitted[0] / 4e-15 - 1.0) > 0.1
         assert fitted[1] == pytest.approx(4e-15, rel=0.02, abs=0)
+
+    def test_boundary_minimum_warning_printed(self, tmp_path, capsys):
+        # data generated at 4e-15 pin a search below it at the upper bound
+        cfg = write_config(tmp_path, self.FIT_CONFIG.replace(
+            "d_bounds_cm2s = 1e-15, 1e-14", "d_bounds_cm2s = 1e-16, 1e-15"))
+        assert main(["fit-d", self.synthetic_csv(tmp_path), "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "warning: BoundaryMinimum" in capsys.readouterr().out
+
+    def test_bounds_ratio_overflow_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.FIT_CONFIG.replace(
+            "d_bounds_cm2s = 1e-15, 1e-14", "d_bounds_cm2s = 1e-300, 1e10"))
+        assert main(["fit-d", self.synthetic_csv(tmp_path), "--config", cfg,
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "BadBounds" in capsys.readouterr().err
 
     def test_constant_csv_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, self.FIT_CONFIG)

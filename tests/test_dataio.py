@@ -54,6 +54,10 @@ class TestTableRoundTrip:
         assert raw.startswith("# y_kind=dot_average\n")
         assert "\r" not in raw
 
+    def test_no_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no columns"):
+            write_table(tmp_path / "t.csv", {})
+
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.csv", {"a": [1.0], "b": [1.0, 2.0]})
@@ -68,6 +72,13 @@ class TestTableRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a\nfoo\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            read_table(path)
+
+    def test_missing_header_rejected(self, tmp_path):
+        # metadata and a blank line, but no header
+        path = tmp_path / "bad.csv"
+        path.write_text("# n=0\n\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="missing header line"):
             read_table(path)
 
     def test_missing_file(self, tmp_path):

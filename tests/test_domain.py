@@ -25,8 +25,10 @@ class TestMaterialParams:
         (dict(a_ga=0.0), "NonPositiveHyperfineConstant"),
         (dict(a_as=-1.0), "NonPositiveHyperfineConstant"),
         (dict(i_ga=0.0), "NonPositiveNuclearSpin"),
+        (dict(i_as=0.0), "NonPositiveNuclearSpin"),
         (dict(b_ext=-0.1), "NegativeField"),
         (dict(g_e_abs=-0.5), "NegativeGFactor"),
+        (dict(g_h_abs=-1.0), "NegativeGFactor"),
     ])
     def test_invalid_material_rejected(self, kwargs, name):
         with pytest.raises(InvariantViolation) as err:

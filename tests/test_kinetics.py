@@ -7,10 +7,12 @@ anchors at full resolution live in the acceptance tests.
 import numpy as np
 import pytest
 
-from spindiff import (BoundaryMode, DarkSampler, DecaySeries, DotGeometry,
+from spindiff import (BoundaryMode, DarkSampler, DecayFit, DecaySeries,
+                      DiffusionFit, DotGeometry, FitDiverged,
                       GeometryMismatch, Helicity, InvariantViolation,
                       NotIdentifiable, PolarizationField, PulseSegment,
-                      PulseSequence, SegmentKind, SolverConfig, YKind,
+                      PulseSequence, RiseFit, SegmentKind, SolverConfig,
+                      YKind,
                       build_grid, dark_sample_times, dot_average, evolve,
                       fit_diffusion_coefficient, fit_exponential_decay,
                       fit_exponential_rise, paper_decay_sequence,
@@ -329,6 +331,28 @@ class TestRiseFit:
         s = self.make_series(0.4, noise=0.05, seed=9)
         assert fit_exponential_rise(s) == fit_exponential_rise(s)
 
+    def test_no_convergence_raises_fit_diverged(self, monkeypatch):
+        import scipy.optimize
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("maxfev reached")
+        monkeypatch.setattr(scipy.optimize, "curve_fit", no_convergence)
+        with pytest.raises(FitDiverged, match="rise fit did not converge"):
+            fit_exponential_rise(self.make_series(1.3))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: RiseFit(amplitude=1.0, tau=0.0, offset=0.0, residual_rms=0.0),
+     "NonPositiveTau"),
+    (lambda: DecayFit(amplitude=1.0, tau=-1.0, residual_rms=0.0),
+     "NonPositiveTau"),
+    (lambda: DiffusionFit(d_qd=0.0, scale=1.0, offset=0.0, sse=0.0,
+                          d_grid=()), "NonPositiveDiffusion"),
+])
+def test_fit_records_reject_non_positive_values(make, name):
+    with pytest.raises(InvariantViolation, match=name):
+        make()
+
 
 class TestDecayFit:
     def test_round_trip(self):
@@ -396,6 +420,17 @@ class TestDiffusionFit:
         fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
                                         (1e-16, 1e-15), dt=0.2)
         assert "BoundaryMinimum" in fit.warnings
+
+    @pytest.mark.parametrize("bounds", [
+        (1e-13, 1e-16),  # reversed
+        (1e-300, 1e10),  # the ratio overflows to inf
+        (1e-16, float("inf")),
+    ])
+    def test_bad_bounds_rejected(self, coarse_grid, bounds):
+        s = DecaySeries(t=np.arange(5.0), y=np.array([5.0, 4.0, 3.0, 2.0,
+                                                      1.0]))
+        with pytest.raises(InvariantViolation, match="BadBounds"):
+            fit_diffusion_coefficient(s, 10.0, GEO, coarse_grid, bounds)
 
     def test_too_few_points(self, coarse_grid):
         s = DecaySeries(t=np.arange(4.0), y=np.array([4.0, 3.0, 2.0, 1.0]))

@@ -33,6 +33,10 @@ class TestUnits:
         with pytest.raises(InvariantViolation):
             diffusion_cm2s_to_nm2s(-1.0)
 
+    def test_negative_nm2s_rejected(self):
+        with pytest.raises(InvariantViolation, match="NegativeDiffusion"):
+            diffusion_nm2s_to_cm2s(-1.0)
+
     def test_overflowing_conversion_rejected(self):
         for d in (1e300, float("inf")):
             with pytest.raises(InvariantViolation,
@@ -93,6 +97,10 @@ class TestOverhauserField:
     def test_missing_g_factor(self):
         with pytest.raises(MissingGFactor):
             overhauser_field(0.5, DEFAULTS)
+
+    def test_unphysical_degree_rejected(self):
+        with pytest.raises(UnphysicalShift):
+            overhauser_field(1.5, WITH_G)
 
     def test_field_shift_equals_ohs(self):
         # g_e muB B_N must equal the shift that produced B_N
@@ -164,3 +172,7 @@ class TestElectronZeeman:
     def test_missing_g(self):
         with pytest.raises(MissingGFactor):
             electron_zeeman(DEFAULTS, 0.1, Helicity.SIGMA_PLUS)
+
+    def test_linear_pump_rejected(self):
+        with pytest.raises(ValueError, match="circular"):
+            electron_zeeman(WITH_G, 0.1, Helicity.LINEAR)

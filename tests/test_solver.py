@@ -22,7 +22,7 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       PolarizationField, SolverConfig,
                       auto_dt, build_grid, dark_sample_times, dot_average,
                       evolve, simulate_dark, simulate_pump, step, total_spin)
-from spindiff.solver import (_axial_coeffs, _dot_cells, _dot_modes,
+from spindiff.solver import (MAX_CELLS, _axial_coeffs, _dot, _dot_modes,
                              _eigenbasis, _radial_coeffs, _to_modes)
 
 GEO = DotGeometry()
@@ -62,11 +62,10 @@ class TestGrid:
         mask = grid.dot_mask(GEO)
         assert mask.sum() == 20 * 10  # 20 cells across radius, 10 in z
         # the dot's cells are cache state: built once, read-only
-        r_in, z_in, _, w, _ = dot = _dot_cells(grid, GEO)
-        assert _dot_cells(grid, GEO) is dot
-        for a in (r_in, z_in, w):
-            with pytest.raises(ValueError):
-                a[0] = a[0]
+        _, _, w, _ = dot = _dot(grid, GEO)
+        assert _dot(grid, GEO) is dot
+        with pytest.raises(ValueError):
+            w[0] = w[0]
 
     def test_too_coarse_rejected(self):
         with pytest.raises(GridTooCoarse):
@@ -77,6 +76,32 @@ class TestGrid:
     def test_small_extent_rejected(self):
         with pytest.raises(InvariantViolation):
             build_grid(GEO, 0.5, 0.5, extent_factor=3.0)
+
+    @pytest.mark.parametrize("radius, dr, count", [
+        (1e300, 0.5, "4e+301"),  # np.arange would exceed its maximum size
+        (1e308, 0.5, "inf"),  # int(inf) would overflow
+        (3e4, 0.5, "1.2e+06"),  # the eigenbasis would take 10 TiB
+        (10.0, 1e-300, "2e+302"),
+    ])
+    def test_too_many_cells_rejected(self, radius, dr, count):
+        # the float counts are checked, before anything is allocated
+        with pytest.raises(InvariantViolation, match="GridTooLarge") as err:
+            build_grid(DotGeometry(radius=radius, height=5.0), dr, 0.5)
+        assert count in str(err.value)
+
+    def test_cell_count_bound(self):
+        for nr, nz in ((MAX_CELLS + 1, 16), (16, MAX_CELLS + 1)):
+            with pytest.raises(InvariantViolation,
+                               match=f"GridTooLarge: .*{MAX_CELLS + 1}"):
+                Grid(nr=nr, nz=nz, dr=1.0, dz=1.0, z_min=-8.0)
+        assert MAX_CELLS == 2 ** 14
+        Grid(nr=MAX_CELLS, nz=MAX_CELLS, dr=1.0, dz=1.0, z_min=-8.0)
+
+    def test_non_positive_spacing_rejected(self):
+        with pytest.raises(InvariantViolation, match="NonPositiveSpacing"):
+            Grid(nr=16, nz=16, dr=0.0, dz=1.0, z_min=-8.0)
+        with pytest.raises(InvariantViolation, match="NonPositiveSpacing"):
+            build_grid(GEO, 0.0, 0.5)
 
     def test_minimum_cell_counts(self):
         with pytest.raises(InvariantViolation):
@@ -544,10 +569,25 @@ class TestPumpAndDark:
                         evolve(field, cfg, duration, clamp=dot)
                 with pytest.raises(GeometryMismatch):
                     step(field, cfg, clamp=dot)
+            with pytest.raises(GeometryMismatch):
+                grid.dot_mask(dot)
 
     def test_negative_diffusion_rejected(self):
         with pytest.raises(InvariantViolation):
             SolverConfig(d_qd=-1.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"t1_uniform": 0.0}, "NonPositiveRelaxationTime"),
+        ({"dt": 0.0}, "NonPositiveTimeStep"),
+    ])
+    def test_non_positive_times_rejected(self, kwargs, name):
+        with pytest.raises(InvariantViolation, match=name):
+            SolverConfig(d_qd=1.0, **kwargs)
+
+    def test_non_positive_sample_interval_rejected(self):
+        with pytest.raises(InvariantViolation,
+                           match="NonPositiveSampleInterval"):
+            dark_sample_times(1.0, 0.0)
 
     def test_nan_inputs_rejected(self):
         nan, inf = float("nan"), float("inf")
