@@ -6,7 +6,10 @@ space. The spatial operator is separable, D (A_r x I + I x A_z); A_z is
 symmetric and A_r is symmetric after weighting with sqrt(r). Both ways
 of advancing time work in the eigenbasis of the two 1-D operators, the
 fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
-1964), built on first use and cached per (grid, boundary):
+1964), built on first use and cached per (grid, boundary). The axial
+modes are closed-form DST-II or DCT-II vectors; the radial ones come
+from LAPACK's MRRR tridiagonal solver (``stemr``). Both are built on the
+calling thread, with no threaded BLAS (``_eigenbasis``):
 
   * Dot unclamped (dark delays, probes): any interval is propagated
     exactly. There is no time step and no time-discretization error;
@@ -62,6 +65,7 @@ Discretization notes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -81,7 +85,10 @@ MAX_CELLS = 2 ** 14
 _D_FLOOR = 1e-30
 # Multiply-adds per matrix product that OpenBLAS keeps on one thread:
 # threads do not pay off on the thin products here and stall whenever
-# another process holds a core.
+# another process holds a core. The eigenbasis is built on one thread
+# too (``_eigenbasis``), so the pump and the readouts run on the calling
+# thread alone; only the dense grid <-> mode transforms of a full field
+# (400^3 multiply-adds per product on the production grid) are threaded.
 _ONE_THREAD_MADDS = 2 ** 18
 
 
@@ -108,6 +115,11 @@ class Grid:
     z_min: float
 
     def __post_init__(self):
+        for name in ("nr", "nz"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise InvariantViolation("NonIntegerCellCount",
+                                         f"{name} = {n!r}")
         reject_non_finite(self, "dr", "dz", "z_min")
         if not (self.dr > 0 and self.dz > 0):
             raise InvariantViolation("NonPositiveSpacing",
@@ -267,22 +279,54 @@ def _axial_coeffs(nz: int, dz: float, boundary: BoundaryMode):
     return lo, di, hi
 
 
+def _axial_modes(nz: int, dz: float, boundary: BoundaryMode):
+    """Eigenpairs (lam, q) of the axial operator (``_axial_coeffs``) in
+    closed form, q orthogonal and C-ordered.
+
+    With S = 0 on the boundary faces the modes are the DST-II vectors
+    sqrt(2/n) sin(k pi (j + 1/2) / n), k = 1..n; with zero flux they are
+    the DCT-II vectors sqrt(2/n) cos(k pi (j + 1/2) / n), k = 0..n-1.
+    The k = n sine and the k = 0 cosine have norm sqrt(n) before scaling,
+    so those vectors are (-1)^j / sqrt(n) and 1 / sqrt(n). Both bases have
+    lam_k = -(4 / dz^2) sin^2(k pi / 2n). The integer (2j + 1) k is
+    reduced mod 4n before it is scaled by pi / 2n: an unreduced angle
+    loses digits to its size (largest entry of q^T q - I at n = 400:
+    2.0e-14 to 2.8e-14 unreduced, 2.7e-15 to 2.9e-15 reduced).
+    """
+    dirichlet = boundary is BoundaryMode.DIRICHLET_ZERO
+    k = np.arange(1, nz + 1) if dirichlet else np.arange(nz)
+    angle = np.outer(2 * np.arange(nz) + 1, k) % (4 * nz) * (np.pi / (2 * nz))
+    q = math.sqrt(2.0 / nz) * (np.sin(angle) if dirichlet else np.cos(angle))
+    if dirichlet:
+        q[:, -1] = (-1.0) ** np.arange(nz) / math.sqrt(nz)
+    else:
+        q[:, 0] = 1.0 / math.sqrt(nz)
+    lam = -4.0 / (dz * dz) * np.sin(k * (np.pi / (2 * nz))) ** 2
+    return lam, q
+
+
 @lru_cache(maxsize=8)
 def _eigenbasis(grid: Grid, boundary: BoundaryMode):
-    """Eigenpairs of the unclamped operator per unit D.
+    """Eigenpairs of the unclamped operator per unit D, built on the
+    calling thread.
 
     Returns (lam_r, q_r, lam_z, q_z, sqrt_r) with
     A_r = diag(1/sqrt_r) q_r diag(lam_r) q_r^T diag(sqrt_r) and
-    A_z = q_z diag(lam_z) q_z^T, q_r and q_z orthogonal. Weighting the
-    radial operator with sqrt(r) makes it symmetric: its off-diagonal
-    pair becomes sqrt(hi[i] * lo[i+1]). The axial operator is symmetric
-    already, and the same formula returns its off-diagonal unchanged.
+    A_z = q_z diag(lam_z) q_z^T, q_r and q_z orthogonal. The axial modes
+    are closed-form sines or cosines (``_axial_modes``). Weighting the
+    radial operator with sqrt(r) makes it symmetric, with off-diagonal
+    sqrt(hi[i] * lo[i+1]); its eigenpairs come from LAPACK's MRRR driver
+    ``stemr`` (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), which
+    uses no level-3 BLAS and so wakes no BLAS worker thread. The default
+    divide-and-conquer driver ``stevd`` runs on threaded BLAS and leaves
+    a worker spinning through the single-threaded pump. q_r comes back
+    Fortran-ordered.
     """
-    out = []
-    for lo, di, hi in (_radial_coeffs(grid.nr, grid.dr, boundary),
-                       _axial_coeffs(grid.nz, grid.dz, boundary)):
-        out.extend(eigh_tridiagonal(di, np.sqrt(hi[:-1] * lo[1:])))
-    return (*out, np.sqrt(grid.r_centers))
+    lo, di, hi = _radial_coeffs(grid.nr, grid.dr, boundary)
+    lam_r, q_r = eigh_tridiagonal(di, np.sqrt(hi[:-1] * lo[1:]),
+                                  lapack_driver="stemr")
+    return (lam_r, q_r, *_axial_modes(grid.nz, grid.dz, boundary),
+            np.sqrt(grid.r_centers))
 
 
 @lru_cache(maxsize=64)
@@ -340,14 +384,15 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
 
     The sum of r * S over the dot is a^T c b for modal coefficients c,
     and the dot indicator's coefficients are the outer product of a and
-    b: the dot is a rectangle of rows and columns. The rows of q_r and
-    q_z are taken as C-ordered copies: ``eigh_tridiagonal`` returns
-    Fortran-ordered vectors, and a strided slice rounds differently.
+    b: the dot is a rectangle of rows and columns. The rows of q_r are
+    taken as a C-ordered copy: ``eigh_tridiagonal`` returns q_r
+    Fortran-ordered, and a strided slice rounds differently. q_z is
+    C-ordered already.
     """
     rows, cols, _, _ = _dot(grid, geometry)
     _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary)
     a = sqrt_r[rows] @ q_r[rows].copy()
-    b = q_z[cols].copy().sum(axis=0)
+    b = q_z[cols].sum(axis=0)
     for v in (a, b):
         v.setflags(write=False)
     return a, b
@@ -386,8 +431,8 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     lam_r, q_r, lam_z, q_z, sqrt_r = _eigenbasis(grid, cfg.boundary)
     rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
         * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
-    # C-ordered copies of the dot's rows, as in _dot_modes
-    a, b, w = q_r[rows].copy(), q_z[cols].copy(), sqrt_r[rows, None]
+    # a C-ordered copy of q_r's dot rows, as in _dot_modes
+    a, b, w = q_r[rows].copy(), q_z[cols], sqrt_r[rows, None]
     # row blocks keep each product on one OpenBLAS thread
     n_rows = max(1, _ONE_THREAD_MADDS // b.size)
     blocks = [slice(i, i + n_rows) for i in range(0, grid.nr, n_rows)]

@@ -14,8 +14,9 @@ Oracles used here, all closed-form:
 """
 import numpy as np
 import pytest
-from scipy.linalg import expm, solve_banded
+from scipy.linalg import eigh_tridiagonal, expm, solve_banded
 
+from spindiff import solver
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       GeometryMismatch, GridTooCoarse, Grid,
                       InvariantViolation, NumericalBlowup,
@@ -102,6 +103,20 @@ class TestGrid:
             Grid(nr=16, nz=16, dr=0.0, dz=1.0, z_min=-8.0)
         with pytest.raises(InvariantViolation, match="NonPositiveSpacing"):
             build_grid(GEO, 0.0, 0.5)
+
+    @pytest.mark.parametrize("count", [16.5, 20.0, np.float64(20.0), True])
+    @pytest.mark.parametrize("name", ["nr", "nz"])
+    def test_non_integer_cell_count_rejected(self, name, count):
+        counts = {"nr": 16, "nz": 16, name: count}
+        with pytest.raises(InvariantViolation,
+                           match=f"NonIntegerCellCount: {name} = "):
+            Grid(**counts, dr=1.0, dz=1.0, z_min=-8.0)
+
+    def test_numpy_integer_cell_count_accepted(self):
+        grid = Grid(nr=np.int64(20), nz=np.int64(16), dr=1.0, dz=1.0,
+                    z_min=-8.0)
+        assert grid.r_centers.size == 20 and grid.z_centers.size == 16
+        assert grid.dot_mask(GEO).shape == (20, 16)
 
     def test_minimum_cell_counts(self):
         with pytest.raises(InvariantViolation):
@@ -240,6 +255,56 @@ class TestTrivialDynamics:
 def tridiagonal(coeffs):
     lo, di, hi = coeffs
     return np.diag(di) + np.diag(lo[1:], -1) + np.diag(hi[:-1], 1)
+
+
+def max_abs(x):
+    return float(np.abs(x).max())
+
+
+class TestEigenbasis:
+    """The basis on the production grid and on a small grid of odd nz:
+    the closed-form axial modes and the MRRR radial modes diagonalize
+    the assembled operators and are orthogonal to round-off."""
+
+    GRIDS = {"400x400": build_grid(GEO, 0.5, 0.5),
+             "9x13": Grid(nr=9, nz=13, dr=1.0, dz=0.7, z_min=-4.55)}
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("size", list(GRIDS))
+    def test_axial_modes_diagonalize_operator(self, size, boundary):
+        g = self.GRIDS[size]
+        _, _, lam_z, q_z, _ = _eigenbasis(g, boundary)
+        a_z = tridiagonal(_axial_coeffs(g.nz, g.dz, boundary))
+        assert max_abs(a_z @ q_z - q_z * lam_z) <= 1e-13 * max_abs(a_z)
+        assert max_abs(q_z.T @ q_z - np.eye(g.nz)) <= 1e-14
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("size", list(GRIDS))
+    def test_radial_modes_diagonalize_operator(self, size, boundary):
+        g = self.GRIDS[size]
+        lam_r, q_r, _, _, sqrt_r = _eigenbasis(g, boundary)
+        a_r = tridiagonal(_radial_coeffs(g.nr, g.dr, boundary))
+        # the sqrt(r) weighting makes A_r symmetric
+        sym = sqrt_r[:, None] * a_r / sqrt_r
+        assert max_abs(sym @ q_r - q_r * lam_r) <= 1e-13 * max_abs(a_r)
+        assert max_abs(q_r.T @ q_r - np.eye(g.nr)) <= 1e-12
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("size", list(GRIDS))
+    def test_one_radial_solve_pinned_to_mrrr(self, monkeypatch, size,
+                                             boundary):
+        # the default driver of a future scipy must not bring back a
+        # solver on threaded BLAS
+        drivers = []
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "eigh_tridiagonal", spy)
+        # past the cache, so every call builds the basis
+        _eigenbasis.__wrapped__(self.GRIDS[size], boundary)
+        assert drivers == ["stemr"]
 
 
 class TestModalPropagation:
