@@ -59,8 +59,11 @@ class MaterialParams:
 def validate_material(m: MaterialParams) -> MaterialParams:
     """Check all MaterialParams invariants; return ``m`` unchanged if valid.
 
-    Raises InvariantViolation naming the first violated invariant.
+    Raises InvariantViolation naming the first violated invariant; a NaN
+    or infinite field is ``NonFiniteValue``.
     """
+    reject_non_finite(m, "a_ga", "a_as", "i_ga", "i_as", "g_e_abs",
+                      "g_h_abs", "b_ext")
     if not (m.a_ga > 0):
         raise InvariantViolation("NonPositiveHyperfineConstant", f"a_ga = {m.a_ga}")
     if not (m.a_as > 0):
@@ -173,8 +176,9 @@ class YKind(Enum):
 class DecaySeries:
     """Time-stamped observable samples, measured or simulated.
 
-    ``t`` is strictly increasing; ``metadata`` holds free-form labels
-    (helicity, pump power, field, ...).
+    ``t`` and ``y`` are finite and ``t`` is strictly increasing;
+    ``metadata`` holds free-form labels (helicity, pump power, field,
+    ...).
     """
 
     t: np.ndarray
@@ -190,6 +194,11 @@ class DecaySeries:
         if t.ndim != 1 or t.size == 0 or y.shape != t.shape:
             raise InvariantViolation("BadSeriesShape",
                                      f"t shape {t.shape}, y shape {y.shape}")
+        for name, v in (("t", t), ("y", y)):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise InvariantViolation("NonFiniteValue",
+                                         f"{name}[{bad[0]}] = {v[bad[0]]}")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise InvariantViolation("NonMonotonicTime",
                                      "sample times must be strictly increasing")

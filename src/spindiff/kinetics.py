@@ -16,7 +16,7 @@ import numpy as np
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
 from .errors import FitDiverged, InvariantViolation, NotIdentifiable
-from .solver import (DarkSampler, Grid, SolverConfig, _dot,
+from .solver import (DarkSampler, Grid, SolverConfig, _clamped, _dot,
                      dark_sample_times, simulate_pump)
 from .units import diffusion_cm2s_to_nm2s
 
@@ -89,13 +89,14 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
     elapsed since that pump; no field is held. Erase returns to the
     unpolarized state, whose dot average is exactly 0. A pump from the
     unpolarized state is ``simulate_pump``, the forward model's pump; a
-    pump from a polarized state starts from the sampler at the elapsed
-    time. Dark and probe segments only add to the elapsed time: a dark
-    segment is read at ``dark_sample_times`` when ``dark_sample_every``
-    is given, and a probe records (time, dot average) at its start
-    without perturbing the state. Times are the cumulative sequence
-    clock. Coincident duplicate samples (a probe at a dark sampling
-    instant) are dropped.
+    pump from a polarized state hands the sampler and the elapsed time to
+    the clamped routine (``solver._clamped``), which resets the dot first
+    and consumes the sampler. Dark and probe segments only add to the
+    elapsed time: a dark segment is read at ``dark_sample_times`` when
+    ``dark_sample_every`` is given, and a probe records (time, dot
+    average) at its start without perturbing the state. Times are the
+    cumulative sequence clock. Coincident duplicate samples (a probe at a
+    dark sampling instant) are dropped.
     """
     pumped: DarkSampler | None = None  # None: unpolarized
     clock = elapsed = 0.0
@@ -107,8 +108,10 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
         if seg.kind is SegmentKind.ERASE:
             pumped = None
         elif seg.kind is SegmentKind.PUMP:
-            pumped = simulate_pump(geometry, cfg, seg.duration, grid,
-                                   start=pumped, elapsed=elapsed)
+            pumped = (simulate_pump(geometry, cfg, seg.duration, grid)
+                      if pumped is None else
+                      _clamped(pumped, elapsed, geometry, seg.duration,
+                               reset_first=True))
             elapsed = 0.0
         elif seg.kind is SegmentKind.PROBE:
             times = np.zeros(1)

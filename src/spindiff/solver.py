@@ -24,14 +24,19 @@ calling thread, with no threaded BLAS (``_eigenbasis``):
     step. The reset makes the pump first-order in dt, and the staircase
     dot boundary makes it first-order in dr.
 
-One routine advances a field with the dot clamped, ``_clamped``: it
-takes the start's modal coefficients (its field values when D = 0),
-runs the sub-steps and returns the ``DarkSampler`` of the pumped state,
-which keeps the last coefficients. ``evolve(clamp=)`` hands it the
-coefficients of a ``DarkSampler`` built from its field and reads the
-result's ``field``; ``simulate_pump`` hands it the dot indicator's
-coefficients (the outer product of the readout vectors) or those of a
-given sampler at a given time. Who transforms between the grid and the
+One routine advances a field with the dot clamped, ``_clamped``: its
+start is a ``DarkSampler`` plus the time elapsed since that sampler's
+start, and the grid, the cfg and the start time are the sampler's. The
+state is the start's modal coefficients at that time (at elapsed 0 the
+start's own array, advanced in place: the routine consumes its start),
+or its field values when D = 0. It runs the sub-steps and returns the
+``DarkSampler`` of the pumped state, which keeps the last coefficients.
+``evolve(clamp=)`` hands it a ``DarkSampler`` built from its field and
+reads the result's ``field``; ``simulate_pump`` hands it the sampler of
+an unpolarized medium's dot indicator (at D > 0 its coefficients are the
+outer product of the readout vectors), and ``kinetics.run_sequence``
+the last pumped sampler with the dark time since, to pump again. Each
+caller drops the start. Who transforms between the grid and the
 modes: a ``DarkSampler`` built from a field (in), and a sampler's
 ``field`` and ``field_at`` (out), so ``evolve`` transforms its field in
 and out once, clamped or not. With D > 0 a pump-then-dark solve, the fit
@@ -466,11 +471,13 @@ class DarkSampler:
 
     Construction transforms the field, taken as dark time t = 0, into
     modal coefficients once. The clamped routine (``_clamped``, behind
-    ``simulate_pump`` and ``evolve(clamp=)``) hands over its coefficients
-    instead, and ``field`` is then built on first read; an instant pump of
-    an unpolarized medium hands over the exact dot indicator with the
-    indicator's coefficients. ``dot_averages`` reads the dot average at
-    any times as e_r(t)^T G e_z(t), where G holds the coefficients
+    ``simulate_pump``, ``evolve(clamp=)`` and the re-pumps of
+    ``kinetics.run_sequence``) takes a sampler as its start and consumes
+    it: it hands the start's coefficients, advanced, to a new sampler,
+    whose ``field`` is then built on first read. An instant pump of an
+    unpolarized medium is the sampler of the exact dot indicator, with
+    the indicator's coefficients. ``dot_averages`` reads the dot average
+    at any times as e_r(t)^T G e_z(t), where G holds the coefficients
     weighted by the separable dot functional and e_r, e_z are the modal
     decay factors, without rebuilding the field. It stacks the factors of
     a block of times as rows, E_r and E_z, and reads the whole block as
@@ -527,7 +534,10 @@ class DarkSampler:
         return relax, relax[:, None] * np.exp(tau * lam_r), np.exp(tau * lam_z)
 
     def _coef_at(self, t: float) -> np.ndarray:
-        """The modal coefficients ``t`` after the sampler's start (D > 0)."""
+        """The modal coefficients ``t`` after the sampler's start (D > 0);
+        at t = 0 the sampler's own array, not a copy."""
+        if t == 0:
+            return self._coef
         _, e_r, e_z = self._factors(np.array([t], dtype=float))
         return e_r.T * self._coef * e_z
 
@@ -586,28 +596,35 @@ def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
     return t
 
 
-def _clamped(state: np.ndarray, grid: Grid, cfg: SolverConfig, t0: float,
-             clamp: DotGeometry, duration: float,
-             reset_first: bool = False) -> DarkSampler:
-    """The ``DarkSampler`` of a field held at S = 1 on the cells of
-    ``clamp`` for ``duration`` >= 0 from time ``t0``: the one clamped
-    advance, behind ``evolve(clamp=)`` and ``simulate_pump``.
+def _clamped(start: DarkSampler, elapsed: float, clamp: DotGeometry,
+             duration: float, reset_first: bool = False) -> DarkSampler:
+    """The ``DarkSampler`` of the free evolution of ``start`` to
+    ``elapsed`` after its start, then held at S = 1 on the cells of
+    ``clamp`` for ``duration`` >= 0: the one clamped advance, behind
+    ``evolve(clamp=)``, ``simulate_pump`` and the re-pumps of
+    ``kinetics.run_sequence``. The grid, the cfg and the start time are
+    ``start``'s.
 
-    ``state`` is the start's modal coefficients at D > 0, which the
-    routine owns, updates in place and hands to the sampler, or its field
-    values at D = 0, left unmodified. ``_substeps`` gives the sub-steps.
-    At D > 0 ``_pump_modes`` runs them, resetting the dot first when
-    ``reset_first``. At D = 0 no two cells couple: a step is the T1
-    factor followed by the reset, so the last reset covers the first.
+    The routine consumes ``start``. At D > 0 the state is
+    ``start._coef_at(elapsed)``: at ``elapsed`` = 0 the start's own
+    coefficients, which ``_pump_modes`` updates in place and hands to the
+    returned sampler, so the caller drops ``start``. ``_pump_modes`` runs
+    the sub-steps of ``_substeps``, resetting the dot first when
+    ``reset_first``. At D = 0 the state is the values of
+    ``start.field_at(elapsed)`` times the T1 factor of the sub-steps, a
+    new array: no two cells couple, so a step is the T1 factor followed
+    by the reset, and the last reset covers the first.
     """
+    grid, cfg = start._grid, start.cfg
     rows, cols, _, _ = dot = _dot(grid, clamp)
     dt, n = _substeps(grid, cfg, duration) if duration > 0 else (0.0, 0)
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
-    t = t0 + duration
+    t = start._t0 + elapsed + duration
     if cfg.d_qd > 0:
-        coef = _pump_modes(state, grid, cfg, dt, n, decay, dot, reset_first)
+        coef = _pump_modes(start._coef_at(elapsed), grid, cfg, dt, n, decay,
+                           dot, reset_first)
         return DarkSampler._pumped(coef, grid, cfg, t, clamp)
-    values = state * decay ** n
+    values = start.field_at(elapsed).values * decay ** n
     _require_finite(values, dt)
     values[rows, cols] = 1.0
     return DarkSampler._pumped(None, grid, cfg, t, clamp,
@@ -640,51 +657,35 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
         _dot(field.grid, clamp)
     if duration == 0:
         return field
-    sampler = DarkSampler(field, cfg)
     if clamp is None:
-        return sampler.field_at(duration)
-    state = field.values if sampler._coef is None else sampler._coef
-    return _clamped(state, field.grid, cfg, field.time, clamp,
-                    duration).field
+        return DarkSampler(field, cfg).field_at(duration)
+    return _clamped(DarkSampler(field, cfg), 0.0, clamp, duration).field
 
 
 def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
-                  grid: Grid, start: DarkSampler | None = None,
-                  elapsed: float = 0.0) -> DarkSampler:
-    """Pump phase: saturate the dot instantly and hold it at S = 1 for
-    ``t_pump`` while diffusion feeds the halo. Returns the
-    ``DarkSampler`` of the pumped field.
+                  grid: Grid) -> DarkSampler:
+    """Pump phase: saturate the dot of an unpolarized medium instantly and
+    hold it at S = 1 for ``t_pump`` while diffusion feeds the halo.
+    Returns the ``DarkSampler`` of the pumped field.
 
-    The pump starts from an unpolarized medium, or, given ``start`` (a
-    sampler on the same grid and cfg), from the free evolution of
-    ``start`` ``elapsed`` after its start. Both run the clamped routine
-    of ``evolve`` (``_clamped``). With D > 0 it starts from the dot
-    indicator's modal coefficients (the outer product of the readout
-    vectors, ``_dot_modes``), or from those of ``start`` scaled to
-    ``elapsed`` and reset on the dot first, and hands its last ones to
-    the sampler: no grid <-> mode transform is made, and the field is
-    built only when the sampler's ``field`` is read. With D = 0 it steps
-    the field values. An instant pump of an unpolarized medium
-    (``t_pump`` = 0, no ``start``) runs no step: its sampler holds the
-    exact dot indicator and, with D > 0, the indicator's coefficients."""
+    The start is the sampler of the dot indicator, built once. With D > 0
+    it holds the indicator's modal coefficients, the outer product of the
+    readout vectors (``_dot_modes``); the exact 0/1 field is built only
+    where it is the state (D = 0) or is read as is (``t_pump`` = 0). An
+    instant pump returns that sampler and runs no step. A longer one
+    hands it to the clamped routine of ``evolve`` (``_clamped``), which
+    consumes it: with D > 0 no grid <-> mode transform is made, and the
+    field is built only when the returned sampler's ``field`` is read. A
+    pump from a polarized state (``kinetics.run_sequence``) hands its
+    sampler to ``_clamped`` directly."""
     _check_time("t_pump", t_pump)
-    if start is not None:
-        if start.cfg != cfg or start._grid != grid:
-            raise InvariantViolation(
-                "StartMismatch", "start sampler has another grid or cfg")
-        state = (start._coef_at(elapsed) if cfg.d_qd > 0
-                 else start.field_at(elapsed).values)
-        return _clamped(state, grid, cfg, start._t0 + elapsed, geometry,
-                        t_pump, reset_first=True)
     coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary))
             if cfg.d_qd > 0 else None)
-    if coef is not None and t_pump > 0:
-        return _clamped(coef, grid, cfg, 0.0, geometry, t_pump)
     # the field coerces the boolean mask to exact 0.0 and 1.0
-    indicator = PolarizationField(grid, grid.dot_mask(geometry))
-    if t_pump > 0:  # D = 0: the field values are the state
-        return _clamped(indicator.values, grid, cfg, 0.0, geometry, t_pump)
-    return DarkSampler._pumped(coef, grid, cfg, 0.0, geometry, indicator)
+    indicator = (PolarizationField(grid, grid.dot_mask(geometry))
+                 if coef is None or t_pump == 0 else None)
+    start = DarkSampler._pumped(coef, grid, cfg, 0.0, geometry, indicator)
+    return _clamped(start, 0.0, geometry, t_pump) if t_pump > 0 else start
 
 
 def simulate_dark(field: PolarizationField, cfg: SolverConfig, t_dark: float,

@@ -29,6 +29,11 @@ class TestMaterialParams:
         (dict(b_ext=-0.1), "NegativeField"),
         (dict(g_e_abs=-0.5), "NegativeGFactor"),
         (dict(g_h_abs=-1.0), "NegativeGFactor"),
+        (dict(b_ext=float("nan")), "NonFiniteValue"),
+        (dict(g_e_abs=float("nan")), "NonFiniteValue"),
+        (dict(g_h_abs=float("inf")), "NonFiniteValue"),
+        (dict(a_ga=float("inf")), "NonFiniteValue"),
+        (dict(i_as=float("inf")), "NonFiniteValue"),
     ])
     def test_invalid_material_rejected(self, kwargs, name):
         with pytest.raises(InvariantViolation) as err:
@@ -120,6 +125,20 @@ class TestDecaySeries:
             DecaySeries(t=np.array([0.0, 1.0, 1.0]),
                         y=np.array([1.0, 0.5, 0.4]),
                         y_kind=YKind.DOT_AVERAGE)
+
+    @pytest.mark.parametrize("name, bad", [("t", float("inf")),
+                                           ("t", float("nan")),
+                                           ("y", float("nan")),
+                                           ("y", -float("inf"))])
+    def test_non_finite_value_rejected(self, name, bad):
+        # checked before the time order: a NaN time is not reported as
+        # NonMonotonicTime
+        data = {"t": np.array([0.0, 1.0, 2.0]), "y": np.array([1.0, 0.5, 0.4])}
+        data[name][1] = bad
+        with pytest.raises(InvariantViolation,
+                           match=rf"{name}\[1\] = {bad}") as err:
+            DecaySeries(**data, y_kind=YKind.DOT_AVERAGE)
+        assert err.value.name == "NonFiniteValue"
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvariantViolation):

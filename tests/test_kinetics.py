@@ -150,6 +150,9 @@ class TestRunSequenceMatchesFieldRoute:
         # the second pump starts from a polarized, partly decayed state
         "repump": sequence((PUMP, 1.0), (DARK, 1.3), (PUMP, 0.5),
                            (PROBE, 0.1)),
+        # the second pump starts from the first one's sampler at elapsed 0
+        "pump_pump": sequence((PUMP, 1.0), (PUMP, 0.5), (DARK, 0.8),
+                              (PROBE, 0.1)),
         "repump_dark": sequence((PUMP, 1.0), (PROBE, 0.2), (DARK, 0.7),
                                 (PUMP, 0.5), (DARK, 1.1), (PROBE, 0.1)),
         "erase_mid": sequence((PUMP, 1.0), (DARK, 0.5), (ERASE, 0.5),

@@ -23,8 +23,9 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       PolarizationField, SolverConfig,
                       auto_dt, build_grid, dark_sample_times, dot_average,
                       evolve, simulate_dark, simulate_pump, step, total_spin)
-from spindiff.solver import (MAX_CELLS, _axial_coeffs, _dot, _dot_modes,
-                             _eigenbasis, _radial_coeffs, _to_modes)
+from spindiff.solver import (MAX_CELLS, _axial_coeffs, _clamped, _dot,
+                             _dot_modes, _eigenbasis, _radial_coeffs,
+                             _to_modes)
 
 GEO = DotGeometry()
 
@@ -540,15 +541,17 @@ class TestPumpedSampler:
             _dot_modes(self.GRID, DotGeometry(radius=100.0, height=5.0),
                        BoundaryMode.DIRICHLET_ZERO)
 
-    def test_start_from_another_grid_or_cfg_rejected(self):
+    def test_pump_consumes_its_start_only_at_elapsed_zero(self):
         cfg = SolverConfig(d_qd=10.0, dt=0.1)
         start = simulate_pump(GEO, cfg, 1.0, self.GRID)
-        other = build_grid(GEO, 1.0, 0.625, extent_factor=6.0)
-        for args in ((cfg, other), (SolverConfig(d_qd=5.0, dt=0.1),
-                                    self.GRID)):
-            with pytest.raises(InvariantViolation, match="StartMismatch"):
-                simulate_pump(GEO, args[0], 1.0, args[1], start=start,
-                              elapsed=0.5)
+        kept = start._coef_at(0.0).copy()
+        later = _clamped(start, 0.5, GEO, 0.5, reset_first=True)
+        np.testing.assert_array_equal(start._coef_at(0.0), kept)
+        assert later.field.time == 2.0
+        # at elapsed 0 the start's coefficients are advanced in place
+        coef = start._coef_at(0.0)
+        again = _clamped(start, 0.0, GEO, 0.5, reset_first=True)
+        assert again._coef_at(0.0) is coef and again.field.time == 1.5
 
     @pytest.mark.parametrize("t_pump", [0.0, 2.0])
     def test_zero_diffusion_pump_is_field_route(self, t_pump):
