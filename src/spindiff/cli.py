@@ -71,11 +71,11 @@ def cmd_simulate(args) -> int:
     if any(t > t_dark for t in rc.snapshot_times_s):
         raise ConfigError("[output] snapshot_times_s: entries must be "
                           f"<= t_dark_s = {t_dark!r}")
+    ts = dark_sample_times(t_dark, rc.sample_every_s)
     out = _out_dir(args, rc)
     grid = _grid_for(rc)
     dark = pumped_sampler(d_cm2s, rc.t_pump_s, rc.geometry, grid, rc.dt_s,
                           rc.t1_s)
-    ts = dark_sample_times(t_dark, rc.sample_every_s)
     p = dark.dot_averages(ts, rc.geometry)
 
     columns: dict[str, np.ndarray] = {"t_s": ts, "dot_average": p}

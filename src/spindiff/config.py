@@ -83,17 +83,14 @@ _BOUNDS = _checked(_get_float_list,
 
 
 def _get_helicity(section: str, key: str, raw: str) -> Helicity | None:
-    """A circular helicity; None (the field default) for an empty value."""
+    """sigma+ or sigma-; None (the field default) for an empty value."""
     if not raw:
         return None
     try:
-        helicity = Helicity(raw)
+        return Helicity(raw)
     except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key}: unknown value '{raw}'") from exc
-    if not helicity.is_circular:
-        raise ConfigError(f"[{section}] {key}: must be sigma+ or sigma-")
-    return helicity
+        raise ConfigError(f"[{section}] {key}: unknown value '{raw}', "
+                          f"must be sigma+ or sigma-") from exc
 
 
 def _get_dir(section: str, key: str, raw: str) -> str | None:

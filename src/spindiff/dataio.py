@@ -135,14 +135,18 @@ def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
 
 def write_measured_csv(path: str | os.PathLike, series: DecaySeries,
                        sigma: Sequence[float] | None = None) -> None:
-    """Write a decay series in the measured-data schema."""
+    """Write a decay series in the measured-data schema. Without a
+    ``sigma`` argument the sigma column is ``series.metadata["sigma"]``,
+    when present (as ``read_measured_csv`` stores it)."""
     columns: dict[str, Sequence[float]] = {"delay_s": series.t,
                                            "value": series.y}
+    if sigma is None:
+        sigma = series.metadata.get("sigma")
     if sigma is not None:
         columns["sigma"] = np.asarray(sigma, dtype=float)
     metadata = {"y_kind": series.y_kind.value}
     metadata.update({k: v for k, v in series.metadata.items()
-                     if k != "y_kind"})
+                     if k not in ("y_kind", "sigma")})
     write_table(path, columns, metadata)
 
 

@@ -2,7 +2,10 @@
 and measured/simulated time series.
 
 All types are plain immutable values; validation is explicit
-(``validate_material``) or happens where a value is consumed.
+(``validate_material``) or happens where a value is consumed. A pulse
+segment is a kind and a duration: the model computes the magnitude of
+the dot polarization only, and ``Helicity`` enters where its sign is
+observed (``observables``).
 """
 from __future__ import annotations
 
@@ -16,25 +19,16 @@ from .errors import InvariantViolation
 
 
 class Helicity(Enum):
-    """Polarization state of an optical pulse."""
+    """Circular helicity of the pump, which sets the sign of the
+    Overhauser shift."""
 
     SIGMA_PLUS = "sigma+"
     SIGMA_MINUS = "sigma-"
-    LINEAR = "linear"
-    NONE = "none"
-
-    @property
-    def is_circular(self) -> bool:
-        return self in (Helicity.SIGMA_PLUS, Helicity.SIGMA_MINUS)
 
     @property
     def sign(self) -> int:
-        """+1 for sigma+, -1 for sigma-; anything else has no sign."""
-        if self is Helicity.SIGMA_PLUS:
-            return 1
-        if self is Helicity.SIGMA_MINUS:
-            return -1
-        raise ValueError(f"{self} carries no polarization sign")
+        """+1 for sigma+, -1 for sigma-."""
+        return 1 if self is Helicity.SIGMA_PLUS else -1
 
 
 @dataclass(frozen=True)
@@ -115,28 +109,22 @@ class SegmentKind(Enum):
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One segment of an optical pulse sequence.
+    """One segment of an optical pulse sequence: a kind and a duration.
 
-    Erase and probe pulses are linearly polarized, dark periods carry no
-    light; only the pump helicity is free.
+    The segment carries no helicity. In the paper's protocol the erase
+    and probe pulses are linear and the pump is circular, but the model
+    tracks the magnitude of the polarization only, so the pump's sign
+    comes from ``[protocol] pump_helicity`` or the ``h`` argument of the
+    Zeeman functions.
     """
 
     kind: SegmentKind
     duration: float
-    helicity: Helicity = Helicity.NONE
 
     def __post_init__(self):
         if not (0 <= self.duration < math.inf):
             raise InvariantViolation("NegativeDuration",
                                      f"{self.kind.value} duration = {self.duration}")
-        if self.kind in (SegmentKind.ERASE, SegmentKind.PROBE):
-            if self.helicity is not Helicity.LINEAR:
-                raise InvariantViolation(
-                    "WrongSegmentHelicity",
-                    f"{self.kind.value} segments must be linearly polarized")
-        if self.kind is SegmentKind.DARK and self.helicity is not Helicity.NONE:
-            raise InvariantViolation("WrongSegmentHelicity",
-                                     "dark segments carry no light")
 
 
 @dataclass(frozen=True)
@@ -153,15 +141,16 @@ class PulseSequence:
 
 
 def paper_decay_sequence(t_dark: float, t_pump: float = 10.0,
-                         t_erase: float = 10.0, t_probe: float = 0.1,
-                         pump_helicity: Helicity = Helicity.SIGMA_PLUS) -> PulseSequence:
-    """The standard pump-probe decay protocol: linear erase, circular pump,
-    dark delay, short linear probe readout."""
+                         t_erase: float = 10.0,
+                         t_probe: float = 0.1) -> PulseSequence:
+    """The standard pump-probe decay protocol: erase, pump, dark delay,
+    short probe readout (linear, circular, dark and linear in the
+    paper)."""
     return PulseSequence(segments=(
-        PulseSegment(SegmentKind.ERASE, t_erase, Helicity.LINEAR),
-        PulseSegment(SegmentKind.PUMP, t_pump, pump_helicity),
-        PulseSegment(SegmentKind.DARK, t_dark, Helicity.NONE),
-        PulseSegment(SegmentKind.PROBE, t_probe, Helicity.LINEAR),
+        PulseSegment(SegmentKind.ERASE, t_erase),
+        PulseSegment(SegmentKind.PUMP, t_pump),
+        PulseSegment(SegmentKind.DARK, t_dark),
+        PulseSegment(SegmentKind.PROBE, t_probe),
     ))
 
 

@@ -2,7 +2,10 @@
 and the exciton/electron Zeeman splittings read off PL spectra.
 
 Sign convention: the polarization degree and the Overhauser field b_n are
-signed, positive for sigma+ pumping. g-factors enter as magnitudes.
+signed, positive for sigma+ pumping. The solver computes the magnitude of
+the polarization only; the pump's sign enters here, through the
+``Helicity`` argument ``h`` of the Zeeman functions (``h.sign``).
+g-factors enter as magnitudes.
 """
 from __future__ import annotations
 
@@ -55,12 +58,6 @@ def overhauser_state(p: float, m: MaterialParams) -> OverhauserState:
                            b_n=overhauser_field(p, m))
 
 
-def _require_circular(h: Helicity) -> int:
-    if not h.is_circular:
-        raise ValueError(f"Zeeman formulas are defined for circular pumping, got {h}")
-    return h.sign
-
-
 def electron_zeeman(m: MaterialParams, b_n: float, h: Helicity) -> float:
     """Electron Zeeman splitting mu_B*g_e*(b_ext -/+ b_n) in ueV.
 
@@ -69,14 +66,12 @@ def electron_zeeman(m: MaterialParams, b_n: float, h: Helicity) -> float:
     """
     if not m.g_e_abs:
         raise MissingGFactor("electron_zeeman requires g_e_abs > 0")
-    sign = _require_circular(h)
-    return MU_B_UEV_PER_T * m.g_e_abs * (m.b_ext - sign * b_n)
+    return MU_B_UEV_PER_T * m.g_e_abs * (m.b_ext - h.sign * b_n)
 
 
 def exciton_zeeman_splitting(m: MaterialParams, b_n: float, h: Helicity) -> float:
     """Exciton PL doublet splitting mu_B*[g_h*b_ext - g_e*(b_ext -/+ b_n)] in ueV."""
     if not m.g_e_abs or m.g_h_abs is None:
         raise MissingGFactor("exciton_zeeman_splitting requires g_e_abs and g_h_abs")
-    sign = _require_circular(h)
     return MU_B_UEV_PER_T * (m.g_h_abs * m.b_ext
-                             - m.g_e_abs * (m.b_ext - sign * b_n))
+                             - m.g_e_abs * (m.b_ext - h.sign * b_n))

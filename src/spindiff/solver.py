@@ -87,6 +87,10 @@ DT_CAP = 0.010
 # Most cells per axis: one dense eigenvector matrix of 2**14 cells takes
 # 2 GiB.
 MAX_CELLS = 2 ** 14
+# Most sampling instants of one dark interval: the times, the dot
+# averages and each column written from them take 128 MiB per 2**24
+# float64 values.
+MAX_SAMPLES = 2 ** 24
 _D_FLOOR = 1e-30
 # Multiply-adds per matrix product that OpenBLAS keeps on one thread:
 # threads do not pay off on the thin products here and stall whenever
@@ -405,9 +409,14 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
 
 def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
     """(dt, n): the fewest clamped sub-steps of at most cfg.dt (or the
-    automatic default) that land exactly on ``duration`` > 0."""
+    automatic default) that land exactly on ``duration`` > 0. A count
+    that is not finite is ``TooManySteps``."""
     dt_req = cfg.dt if cfg.dt is not None else auto_dt(grid, cfg.d_qd)
-    n = int(np.ceil(duration / dt_req))
+    steps = duration / dt_req
+    if not math.isfinite(steps):
+        raise InvariantViolation("TooManySteps",
+                                 f"duration = {duration} at dt = {dt_req}")
+    n = math.ceil(steps)
     return duration / n, n
 
 
@@ -582,11 +591,17 @@ def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
     """Sampling instants of a dark interval: 0, sample_every,
     2*sample_every, ... up to ``t_dark``, plus ``t_dark`` itself when it
     falls off the cadence. The last instant is always exactly
-    ``t_dark``."""
+    ``t_dark``. More than ``MAX_SAMPLES`` intervals are
+    ``TooManySamples``, rejected before anything is allocated."""
     _check_time("t_dark", t_dark)
     if not (sample_every > 0):
         raise InvariantViolation("NonPositiveSampleInterval",
                                  f"sample_every = {sample_every}")
+    if not (t_dark / sample_every <= MAX_SAMPLES):
+        raise InvariantViolation("TooManySamples", f"t_dark = {t_dark} at "
+                                 f"sample_every = {sample_every} is "
+                                 f"{t_dark / sample_every:.6g} intervals, "
+                                 f"need <= {MAX_SAMPLES}")
     n_samples = int(np.floor(t_dark / sample_every + 1e-9))
     t = np.arange(n_samples + 1) * sample_every
     if t_dark - n_samples * sample_every > 1e-9 * max(t_dark, 1.0):

@@ -209,6 +209,26 @@ class TestSimulate:
                          str(tmp_path / "out"), "--quiet"]) == 2
             assert "diffusion coefficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, message", [
+        ((("dt_s = 0.05", "dt_s = 1e-300"), ("[protocol]\n",
+                                             "[protocol]\nt_pump_s = 1e300\n")),
+         "TooManySteps: duration = 1e+300 at dt = 1e-300"),
+        ((("t_dark_s = 4", "t_dark_s = 1e300"),),
+         "TooManySamples: t_dark = 1e+300 at sample_every = 1.0"),
+    ])
+    def test_overflowing_count_exits_2(self, tmp_path, capsys, edits,
+                                       message):
+        text = FAST_SOLVER
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        # the sample count is checked before the output directory is made,
+        # the step count only when the pump runs
+        assert (tmp_path / "out").exists() == ("TooManySteps" in message)
+
     @pytest.mark.parametrize("old, new, count", [
         ("radius_nm = 10", "radius_nm = 1e300", "6e+300"),
         ("dr_nm = 1.0", "dr_nm = 1e-300", "6e+301"),

@@ -179,9 +179,12 @@ class TestLoadConfig:
             load_config(write(tmp_path, text))
 
     def test_unknown_helicity_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="pump_helicity: unknown value"):
-            load_config(write(tmp_path,
-                              GEO + "[protocol]\npump_helicity = sideways\n"))
+        for value in ("sideways", "linear", "none"):
+            with pytest.raises(ConfigError,
+                               match=f"pump_helicity: unknown value "
+                                     f"'{value}', must be sigma\\+ or sigma-"):
+                load_config(write(tmp_path, GEO + "[protocol]\n"
+                                  f"pump_helicity = {value}\n"))
 
     @pytest.mark.parametrize("section, line, key", [
         ("output", "sample_every_s = 0", "sample_every_s"),

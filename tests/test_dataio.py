@@ -165,6 +165,16 @@ class TestMeasuredCsv:
         assert back.metadata["helicity"] == "sigma+"
         assert back.metadata["sigma"] == (1.0, 1.0, 2.0, 2.0)
 
+    def test_read_write_read_keeps_sigma(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_measured_csv(first, self.series(), sigma=[0.5, 0.5, 1.0, 2.0])
+        read = read_measured_csv(first)
+        write_measured_csv(second, read)
+        back = read_measured_csv(second)
+        assert back.metadata == read.metadata
+        assert back.metadata["sigma"] == (0.5, 0.5, 1.0, 2.0)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_sigma_optional(self, tmp_path):
         path = tmp_path / "m.csv"
         write_measured_csv(path, self.series())

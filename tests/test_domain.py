@@ -68,11 +68,6 @@ class TestHelicity:
         assert Helicity.SIGMA_PLUS.sign == 1
         assert Helicity.SIGMA_MINUS.sign == -1
 
-    def test_non_circular_has_no_sign(self):
-        assert not Helicity.LINEAR.is_circular
-        with pytest.raises(ValueError):
-            Helicity.LINEAR.sign
-
     def test_values_match_data_labels(self):
         assert Helicity("sigma+") is Helicity.SIGMA_PLUS
         assert Helicity("sigma-") is Helicity.SIGMA_MINUS
@@ -90,23 +85,10 @@ class TestPulseSequence:
         assert seq.segments[3].duration == pytest.approx(0.1)
         assert seq.total_duration == pytest.approx(140.1)
 
-    def test_pump_helicity_selectable(self):
-        seq = paper_decay_sequence(t_dark=1.0,
-                                   pump_helicity=Helicity.SIGMA_MINUS)
-        assert seq.segments[1].helicity is Helicity.SIGMA_MINUS
-
     def test_negative_duration_rejected(self):
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(InvariantViolation, match="NegativeDuration"):
                 PulseSegment(SegmentKind.DARK, bad)
-
-    def test_erase_must_be_linear(self):
-        with pytest.raises(InvariantViolation):
-            PulseSegment(SegmentKind.ERASE, 10.0, Helicity.SIGMA_PLUS)
-
-    def test_dark_carries_no_light(self):
-        with pytest.raises(InvariantViolation):
-            PulseSegment(SegmentKind.DARK, 1.0, Helicity.LINEAR)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvariantViolation):

@@ -9,7 +9,7 @@ import pytest
 
 from spindiff import (BoundaryMode, DarkSampler, DecayFit, DecaySeries,
                       DiffusionFit, DotGeometry, FitDiverged,
-                      GeometryMismatch, Helicity, InvariantViolation,
+                      GeometryMismatch, InvariantViolation,
                       NotIdentifiable, PolarizationField, PulseSegment,
                       PulseSequence, RiseFit, SegmentKind, SolverConfig,
                       YKind,
@@ -28,31 +28,27 @@ def coarse_grid():
     return build_grid(GEO, 1.0, 0.625, extent_factor=6.0)
 
 
-def seg(kind, duration, helicity=Helicity.NONE):
-    return PulseSegment(kind, duration, helicity)
-
-
 class TestRunSequence:
     def test_clamped_dot_with_zero_diffusion_reads_one(self, coarse_grid):
-        seq = PulseSequence((seg(SegmentKind.ERASE, 10.0, Helicity.LINEAR),
-                             seg(SegmentKind.PUMP, 10.0, Helicity.SIGMA_PLUS),
-                             seg(SegmentKind.PROBE, 0.1, Helicity.LINEAR)))
+        seq = PulseSequence((PulseSegment(SegmentKind.ERASE, 10.0),
+                             PulseSegment(SegmentKind.PUMP, 10.0),
+                             PulseSegment(SegmentKind.PROBE, 0.1)))
         out = run_sequence(seq, SolverConfig(d_qd=0.0, dt=0.1), GEO,
                            coarse_grid)
         assert out.y.tolist() == [1.0]
         assert out.t.tolist() == [20.0]
 
     def test_erased_dot_reads_zero(self, coarse_grid):
-        seq = PulseSequence((seg(SegmentKind.ERASE, 10.0, Helicity.LINEAR),
-                             seg(SegmentKind.PROBE, 0.1, Helicity.LINEAR)))
+        seq = PulseSequence((PulseSegment(SegmentKind.ERASE, 10.0),
+                             PulseSegment(SegmentKind.PROBE, 0.1)))
         out = run_sequence(seq, SolverConfig(d_qd=10.0, dt=0.1), GEO,
                            coarse_grid)
         assert out.y.tolist() == [0.0]
 
     def test_erase_destroys_pumped_polarization(self, coarse_grid):
-        seq = PulseSequence((seg(SegmentKind.PUMP, 2.0, Helicity.SIGMA_PLUS),
-                             seg(SegmentKind.ERASE, 10.0, Helicity.LINEAR),
-                             seg(SegmentKind.PROBE, 0.1, Helicity.LINEAR)))
+        seq = PulseSequence((PulseSegment(SegmentKind.PUMP, 2.0),
+                             PulseSegment(SegmentKind.ERASE, 10.0),
+                             PulseSegment(SegmentKind.PROBE, 0.1)))
         out = run_sequence(seq, SolverConfig(d_qd=10.0, dt=0.05), GEO,
                            coarse_grid)
         assert out.y.tolist() == [0.0]
@@ -76,16 +72,32 @@ class TestRunSequence:
 
     def test_dot_beyond_grid_rejected(self, coarse_grid):
         # erase, pump, probe: the pump's clamp and the probe check the dot
-        seq = PulseSequence((seg(SegmentKind.ERASE, 1.0, Helicity.LINEAR),
-                             seg(SegmentKind.PUMP, 1.0, Helicity.SIGMA_PLUS),
-                             seg(SegmentKind.PROBE, 0.1, Helicity.LINEAR)))
+        seq = PulseSequence((PulseSegment(SegmentKind.ERASE, 1.0),
+                             PulseSegment(SegmentKind.PUMP, 1.0),
+                             PulseSegment(SegmentKind.PROBE, 0.1)))
         far = DotGeometry(radius=10.0, height=5.0, z_center=1000.0)
         with pytest.raises(GeometryMismatch):
             run_sequence(seq, SolverConfig(d_qd=10.0, dt=0.1), far,
                          coarse_grid)
 
+    def test_overflowing_counts_rejected(self, coarse_grid):
+        # a re-pump whose sub-step count, and a dark segment whose sample
+        # count, is not finite
+        pump = (PulseSegment(SegmentKind.PUMP, 0.0),
+                PulseSegment(SegmentKind.PUMP, 1e300),
+                PulseSegment(SegmentKind.PROBE, 0.1))
+        dark = (PulseSegment(SegmentKind.PUMP, 1.0),
+                PulseSegment(SegmentKind.DARK, 1e300))
+        for segments, every, name in ((pump, None, "TooManySteps"),
+                                      (dark, 1.0, "TooManySamples")):
+            for d in (10.0, 0.0):
+                cfg = SolverConfig(d_qd=d, dt=1e-300 if every is None else 0.1)
+                with pytest.raises(InvariantViolation, match=name):
+                    run_sequence(PulseSequence(segments), cfg, GEO,
+                                 coarse_grid, dark_sample_every=every)
+
     def test_sequence_without_readout_rejected(self, coarse_grid):
-        seq = PulseSequence((seg(SegmentKind.DARK, 1.0),))
+        seq = PulseSequence((PulseSegment(SegmentKind.DARK, 1.0),))
         with pytest.raises(InvariantViolation):
             run_sequence(seq, SolverConfig(d_qd=10.0, dt=0.1), GEO,
                          coarse_grid)
@@ -130,12 +142,10 @@ def field_route_sequence(seq, cfg, geometry, grid, dark_sample_every=None):
 
 ERASE, PUMP = SegmentKind.ERASE, SegmentKind.PUMP
 DARK, PROBE = SegmentKind.DARK, SegmentKind.PROBE
-HELICITY = {ERASE: Helicity.LINEAR, PUMP: Helicity.SIGMA_PLUS,
-            DARK: Helicity.NONE, PROBE: Helicity.LINEAR}
 
 
 def sequence(*segments):
-    return PulseSequence(tuple(seg(kind, duration, HELICITY[kind])
+    return PulseSequence(tuple(PulseSegment(kind, duration)
                                for kind, duration in segments))
 
 

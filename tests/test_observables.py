@@ -172,7 +172,3 @@ class TestElectronZeeman:
     def test_missing_g(self):
         with pytest.raises(MissingGFactor):
             electron_zeeman(DEFAULTS, 0.1, Helicity.SIGMA_PLUS)
-
-    def test_linear_pump_rejected(self):
-        with pytest.raises(ValueError, match="circular"):
-            electron_zeeman(WITH_G, 0.1, Helicity.LINEAR)

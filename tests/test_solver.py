@@ -23,9 +23,9 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       PolarizationField, SolverConfig,
                       auto_dt, build_grid, dark_sample_times, dot_average,
                       evolve, simulate_dark, simulate_pump, step, total_spin)
-from spindiff.solver import (MAX_CELLS, _axial_coeffs, _clamped, _dot,
-                             _dot_modes, _eigenbasis, _radial_coeffs,
-                             _to_modes)
+from spindiff.solver import (MAX_CELLS, MAX_SAMPLES, _axial_coeffs,
+                             _clamped, _dot, _dot_modes, _eigenbasis,
+                             _radial_coeffs, _to_modes)
 
 GEO = DotGeometry()
 
@@ -617,6 +617,39 @@ class TestPumpAndDark:
         n = round(t_dark / every)
         np.testing.assert_array_equal(dark_sample_times(t_dark, every),
                                       np.arange(n + 1) * every)
+
+    @pytest.mark.parametrize("t_dark, every", [
+        (1e300, 1.0), (1.0, 1e-300),  # the count overflows np.arange
+        (1e12, 1.0),  # 7.28 TiB of sample times
+        (MAX_SAMPLES + 1.0, 1.0),
+    ])
+    def test_too_many_samples_rejected(self, t_dark, every):
+        # the count is checked before anything is allocated
+        assert MAX_SAMPLES == 2 ** 24
+        grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
+        field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
+        for sample in (lambda: dark_sample_times(t_dark, every),
+                       lambda: simulate_dark(field, SolverConfig(d_qd=10.0),
+                                             t_dark, every, GEO)):
+            with pytest.raises(InvariantViolation,
+                               match="TooManySamples") as err:
+                sample()
+            assert f"t_dark = {t_dark} at sample_every = {every}" in \
+                str(err.value)
+
+    def test_too_many_sub_steps_rejected(self):
+        # duration / dt overflows to inf: no sub-step count exists
+        grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
+        field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
+        for d in (10.0, 0.0):
+            cfg = SolverConfig(d_qd=d, dt=1e-300)
+            for pump in (lambda: simulate_pump(GEO, cfg, 1e300, grid),
+                         lambda: evolve(field, cfg, 1e300, clamp=GEO)):
+                with pytest.raises(
+                        InvariantViolation,
+                        match=r"TooManySteps: duration = 1e\+300 at "
+                              r"dt = 1e-300"):
+                    pump()
 
     def test_dot_outside_grid_rejected(self):
         grid = Grid(nr=8, nz=16, dr=1.0, dz=1.0, z_min=-8.0)
