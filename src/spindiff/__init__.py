@@ -20,8 +20,8 @@ from .kinetics import (DecayFit, DiffusionFit, RiseFit,
                        fit_diffusion_coefficient, fit_exponential_decay,
                        fit_exponential_rise, pumped_sampler, run_sequence,
                        simulate_decay_curve, time_to_level)
-from .observables import (OverhauserState, electron_zeeman,
-                          exciton_zeeman_splitting, ohs_max,
+from .observables import (OverhauserState, degree_from_field,
+                          electron_zeeman, exciton_zeeman_splitting, ohs_max,
                           overhauser_field, overhauser_state,
                           polarization_degree)
 from .solver import (BoundaryMode, DarkSampler, Grid, PolarizationField,
@@ -42,8 +42,8 @@ __all__ = [
     "OverhauserState", "PolarizationField", "PulseSegment", "PulseSequence",
     "RiseFit", "RunConfig", "SegmentKind", "SolverConfig", "SpinDiffError",
     "UnphysicalShift", "YKind", "auto_dt", "build_grid", "dark_sample_times",
-    "diffusion_cm2s_to_nm2s", "diffusion_nm2s_to_cm2s", "dot_average",
-    "electron_zeeman", "evolve", "exciton_zeeman_splitting",
+    "degree_from_field", "diffusion_cm2s_to_nm2s", "diffusion_nm2s_to_cm2s",
+    "dot_average", "electron_zeeman", "evolve", "exciton_zeeman_splitting",
     "fit_diffusion_coefficient", "fit_exponential_decay",
     "fit_exponential_rise", "load_config", "ohs_max", "overhauser_field",
     "overhauser_state", "paper_decay_sequence", "polarization_degree",

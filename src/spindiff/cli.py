@@ -19,15 +19,14 @@ import numpy as np
 from .config import RunConfig, load_config
 from .dataio import (read_measured_csv, write_fit_report, write_snapshots,
                      write_table)
-from .domain import DotGeometry, MaterialParams
-from .errors import (ConfigError, MissingGFactor, SpinDiffError,
-                     UnphysicalShift)
+from .domain import MaterialParams
+from .errors import ConfigError, SpinDiffError
 from .kinetics import (fit_diffusion_coefficient, fit_exponential_rise,
                        pumped_sampler, simulate_decay_curve)
-from .observables import (exciton_zeeman_splitting, ohs_max,
-                          overhauser_field, polarization_degree)
+from .observables import (degree_from_field, exciton_zeeman_splitting,
+                          overhauser_field, overhauser_state,
+                          polarization_degree)
 from .solver import Grid, build_grid, dark_sample_times
-from .units import MU_B_UEV_PER_T
 
 
 def _say(args, msg: str) -> None:
@@ -47,7 +46,11 @@ def _require_config(args) -> RunConfig:
 
 def _out_dir(args, rc: RunConfig | None) -> str:
     out = args.out or (rc.out_dir if rc is not None else ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: "
+                          f"{exc}") from exc
     return out
 
 
@@ -146,11 +149,7 @@ def cmd_fit_d(args) -> int:
                                     rc.d_bounds_cm2s, dt=rc.dt_s,
                                     t1_uniform=rc.t1_s)
     report_path = os.path.join(out, "fit.json")
-    write_fit_report(report_path, d_qd_cm2s=fit.d_qd, scale_uev=fit.scale,
-                     offset_uev=fit.offset, sse=fit.sse,
-                     warnings=fit.warnings, d_grid_cm2s=fit.d_grid,
-                     sse_grid=fit.sse_grid,
-                     forward_solves=fit.forward_solves)
+    write_fit_report(report_path, fit)
     overlay_path = os.path.join(out, "fit_overlay.csv")
     write_table(overlay_path, {"t_s": measured.t, "measured": measured.y,
                                "model": fit.model},
@@ -168,11 +167,9 @@ def cmd_fit_rise(args) -> int:
     measured = read_measured_csv(args.measured)
     fit = fit_exponential_rise(measured)
     out = _out_dir(args, None)
-    model = (fit.offset
-             + fit.amplitude * (1.0 - np.exp(-measured.t / fit.tau)))
     overlay_path = os.path.join(out, "rise_overlay.csv")
     write_table(overlay_path, {"t_s": measured.t, "measured": measured.y,
-                               "model": model}, {"tau_s": repr(fit.tau)})
+                               "model": fit.model}, {"tau_s": repr(fit.tau)})
     print(f"amplitude = {fit.amplitude:.6g}")
     print(f"tau_s = {fit.tau:.6g}")
     print(f"offset = {fit.offset:.6g}")
@@ -181,36 +178,26 @@ def cmd_fit_rise(args) -> int:
     return 0
 
 
+# --kind -> the observables function that turns the value into a
+# polarization degree, and the name of the line that would print the value
+_KINDS = {"ohs_uev": (polarization_degree, "ohs_uev"),
+          "degree": (lambda p, m: p, "polarization_degree"),
+          "field_t": (degree_from_field, "overhauser_field_t")}
+
+
 def cmd_convert(args) -> int:
     """Convert between OHS (µeV), polarization degree, and Overhauser
-    field (T)."""
+    field (T): print every quantity but the input one. The field is
+    printed when [material] sets g_e_abs."""
     material = (load_config(args.config).material if args.config
                 else MaterialParams())
-    full = ohs_max(material)
-    if args.kind == "ohs_uev":
-        degree = polarization_degree(args.value, material)
-        print(f"polarization_degree = {degree:.6g}")
-        if material.g_e_abs is not None:
-            print(f"overhauser_field_t = "
-                  f"{overhauser_field(degree, material):.6g}")
-    elif args.kind == "degree":
-        if abs(args.value) > 1:
-            raise UnphysicalShift(
-                f"polarization degree {args.value} outside [-1, 1]")
-        print(f"ohs_uev = {args.value * full:.6g}")
-        if material.g_e_abs is not None:
-            print(f"overhauser_field_t = "
-                  f"{overhauser_field(args.value, material):.6g}")
-    else:  # field_t
-        if not material.g_e_abs:
-            raise MissingGFactor("converting a field requires g_e_abs > 0 "
-                                 "(set it in [material])")
-        degree = (args.value * material.g_e_abs * MU_B_UEV_PER_T) / full
-        if abs(degree) > 1:
-            raise UnphysicalShift(
-                f"field {args.value} T exceeds the fully polarized value")
-        print(f"polarization_degree = {degree:.6g}")
-        print(f"ohs_uev = {degree * full:.6g}")
+    to_degree, given = _KINDS[args.kind]
+    state = overhauser_state(to_degree(args.value, material), material)
+    for name, value in (("polarization_degree", state.polarization_degree),
+                        ("ohs_uev", state.ohs_energy),
+                        ("overhauser_field_t", state.b_n)):
+        if name != given and value is not None:
+            print(f"{name} = {value:.6g}")
     return 0
 
 

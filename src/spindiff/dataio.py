@@ -11,22 +11,39 @@ optional) with the series kind declared as `# y_kind=...` metadata.
 Field snapshots use the columns `t_s,r_nm,z_nm,s`, r-major, one block of
 nr x nz rows per snapshot time; `write_snapshots` writes them in this
 format without expanding the coordinate columns.
+
+A file that cannot be read or written is a ConfigError that names it.
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .domain import DecaySeries, YKind
 from .errors import ConfigError
 
+if TYPE_CHECKING:
+    from .kinetics import DiffusionFit
+
 _FMT = "%.17g"
 _BLOCK_ROWS = 4096
 
 MEASURED_COLUMNS = ("delay_s", "value", "sigma")
+
+
+@contextmanager
+def _writing(path: str | os.PathLike):
+    """``path`` opened for writing (UTF-8, LF line endings); an OSError
+    while opening, writing or closing it is a ConfigError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {os.fspath(path)}: {exc}") from exc
 
 
 def _write_header(fh, names: Sequence[str],
@@ -47,7 +64,7 @@ def write_table(path: str | os.PathLike, columns: Mapping[str, Sequence[float]],
     n_rows = arrays[0].size
     if any(a.ndim != 1 or a.size != n_rows for a in arrays):
         raise ValueError("columns must be equal-length 1-D arrays")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path) as fh:
         _write_header(fh, names, metadata)
         # one % call per block of rows; stacking per block, not the whole
         # table, keeps the extra memory to one block
@@ -78,7 +95,7 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
     r_text = [_FMT % ri for ri in np.asarray(r, float).tolist()]
     shape = (len(r_text), len(z_rows) - 1)
     per_block = max(1, _BLOCK_ROWS // max(1, shape[1]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path) as fh:
         _write_header(fh, ("t_s", "r_nm", "z_nm", "s"), metadata)
         for t, field in zip(np.asarray(times, float).tolist(), fields,
                             strict=True):
@@ -191,26 +208,21 @@ def read_measured_csv(path: str | os.PathLike) -> DecaySeries:
                        metadata=extra)
 
 
-def write_fit_report(path: str | os.PathLike, *, d_qd_cm2s: float,
-                     scale_uev: float, offset_uev: float, sse: float,
-                     warnings: Sequence[str],
-                     d_grid_cm2s: Sequence[float],
-                     sse_grid: Sequence[float] = (),
-                     forward_solves: int = 0) -> None:
-    """Write the structured diffusion-fit report as JSON. ``sse_grid``
-    holds the SSE of each ``d_grid_cm2s`` candidate, ``forward_solves``
-    the number of forward-model evaluations of the fit."""
+def write_fit_report(path: str | os.PathLike, fit: DiffusionFit) -> None:
+    """Write the structured diffusion-fit report of ``fit`` as JSON:
+    ``sse_grid`` holds the SSE of each ``d_grid_cm2s`` candidate,
+    ``forward_solves`` the number of forward-model evaluations."""
     report = {
-        "d_qd_cm2s": d_qd_cm2s,
-        "scale_uev": scale_uev,
-        "offset_uev": offset_uev,
-        "sse": sse,
-        "warnings": list(warnings),
-        "d_grid_cm2s": [float(d) for d in d_grid_cm2s],
-        "sse_grid": [float(s) for s in sse_grid],
-        "forward_solves": int(forward_solves),
+        "d_qd_cm2s": fit.d_qd,
+        "scale_uev": fit.scale,
+        "offset_uev": fit.offset,
+        "sse": fit.sse,
+        "warnings": list(fit.warnings),
+        "d_grid_cm2s": [float(d) for d in fit.d_grid],
+        "sse_grid": [float(s) for s in fit.sse_grid],
+        "forward_solves": int(fit.forward_solves),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 

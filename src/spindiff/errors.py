@@ -61,4 +61,5 @@ class FitDiverged(SpinDiffError):
 
 
 class ConfigError(SpinDiffError):
-    """Config file or measured-data file violates the documented schema."""
+    """Config file or measured-data file violates the documented schema,
+    or a file cannot be read or written."""

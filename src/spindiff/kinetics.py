@@ -26,12 +26,17 @@ _LOG_D_TOL = 1e-3  # resolves D to ~0.2%, far inside fit tolerances
 
 @dataclass(frozen=True)
 class RiseFit:
-    """Least-squares parameters of y = offset + amplitude*(1 - exp(-t/tau))."""
+    """Least-squares parameters of y = offset + amplitude*(1 - exp(-t/tau)).
+
+    ``model`` is the fitted curve at the series' times, from the model
+    function the fit minimized.
+    """
 
     amplitude: float
     tau: float
     offset: float
     residual_rms: float
+    model: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -169,11 +174,11 @@ def time_to_level(series: DecaySeries, level: float) -> float:
 
 
 def _fit_tau(series: DecaySeries, model, min_points: int, what: str,
-             guess) -> tuple[np.ndarray, float]:
+             guess) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares fit of ``model(t, *params, tau)`` to ``series``:
-    the fitted parameters (tau last, bounded below by 1e-12) and the
-    residual RMS. ``guess(y)`` starts the parameters before tau; tau
-    starts at a third of the time span."""
+    the fitted parameters (tau last, bounded below by 1e-12), the fitted
+    curve at the series' times and the residual RMS. ``guess(y)`` starts
+    the parameters before tau; tau starts at a third of the time span."""
     t, y = series.t, series.y
     if len(t) < min_points:
         raise InvariantViolation("TooFewPoints",
@@ -191,8 +196,8 @@ def _fit_tau(series: DecaySeries, model, min_points: int, what: str,
                             maxfev=20000)
     except RuntimeError as exc:
         raise FitDiverged(f"{what} fit did not converge: {exc}") from exc
-    res = y - model(t, *popt)
-    return popt, float(np.sqrt(np.mean(res ** 2)))
+    fitted = model(t, *popt)
+    return popt, fitted, float(np.sqrt(np.mean((y - fitted) ** 2)))
 
 
 def fit_exponential_rise(series: DecaySeries) -> RiseFit:
@@ -200,10 +205,11 @@ def fit_exponential_rise(series: DecaySeries) -> RiseFit:
     def model(t, offset, amplitude, tau):
         return offset + amplitude * (1.0 - np.exp(-t / tau))
 
-    (offset, amplitude, tau), rms = _fit_tau(
+    (offset, amplitude, tau), fitted, rms = _fit_tau(
         series, model, 4, "rise", lambda y: (float(y[0]), float(y[-1] - y[0])))
     return RiseFit(amplitude=float(amplitude), tau=float(tau),
-                   offset=float(offset), residual_rms=rms)
+                   offset=float(offset), residual_rms=rms,
+                   model=tuple(fitted.tolist()))
 
 
 def fit_exponential_decay(series: DecaySeries) -> DecayFit:
@@ -211,8 +217,8 @@ def fit_exponential_decay(series: DecaySeries) -> DecayFit:
     def model(t, amplitude, tau):
         return amplitude * np.exp(-t / tau)
 
-    (amplitude, tau), rms = _fit_tau(series, model, 3, "decay",
-                                     lambda y: (float(y[0]),))
+    (amplitude, tau), _, rms = _fit_tau(series, model, 3, "decay",
+                                        lambda y: (float(y[0]),))
     return DecayFit(amplitude=float(amplitude), tau=float(tau),
                     residual_rms=rms)
 

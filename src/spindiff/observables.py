@@ -5,7 +5,8 @@ Sign convention: the polarization degree and the Overhauser field b_n are
 signed, positive for sigma+ pumping. The solver computes the magnitude of
 the polarization only; the pump's sign enters here, through the
 ``Helicity`` argument ``h`` of the Zeeman functions (``h.sign``).
-g-factors enter as magnitudes.
+g-factors enter as magnitudes. Every range check rejects a value that is
+not a number with ``UnphysicalShift``, as it rejects one out of range.
 """
 from __future__ import annotations
 
@@ -24,10 +25,17 @@ def ohs_max(m: MaterialParams) -> float:
 def polarization_degree(ohs_uev: float, m: MaterialParams) -> float:
     """Nuclear polarization degree corresponding to an Overhauser shift."""
     full = ohs_max(m)
-    if abs(ohs_uev) > full:
+    if not abs(ohs_uev) <= full:
         raise UnphysicalShift(
             f"|OHS| = {abs(ohs_uev)} ueV exceeds the fully polarized maximum {full} ueV")
     return ohs_uev / full
+
+
+def _degree(p: float) -> float:
+    """``p``, checked to be a polarization degree in [-1, 1]."""
+    if not abs(p) <= 1:
+        raise UnphysicalShift(f"polarization degree {p} outside [-1, 1]")
+    return p
 
 
 def overhauser_field(p: float, m: MaterialParams) -> float:
@@ -36,26 +44,41 @@ def overhauser_field(p: float, m: MaterialParams) -> float:
     Defined so that the electron energy shift g_e_abs * mu_B * b_n equals
     the Overhauser shift p * ohs_max.
     """
-    if abs(p) > 1:
-        raise UnphysicalShift(f"|polarization degree| = {abs(p)} exceeds 1")
+    _degree(p)
     if not m.g_e_abs:
         raise MissingGFactor("overhauser_field requires g_e_abs > 0")
     return p * ohs_max(m) / (m.g_e_abs * MU_B_UEV_PER_T)
 
 
+def degree_from_field(b_n: float, m: MaterialParams) -> float:
+    """Polarization degree whose Overhauser field is ``b_n`` (T): the
+    inverse of ``overhauser_field``."""
+    if not m.g_e_abs:
+        raise MissingGFactor("converting a field requires g_e_abs > 0 "
+                             "(set it in [material])")
+    p = (b_n * m.g_e_abs * MU_B_UEV_PER_T) / ohs_max(m)
+    if not abs(p) <= 1:
+        raise UnphysicalShift(
+            f"field {b_n} T exceeds the fully polarized value")
+    return p
+
+
 @dataclass(frozen=True)
 class OverhauserState:
-    """Polarization degree with its equivalent shift (ueV) and field (T)."""
+    """Polarization degree with its equivalent shift (ueV) and field (T);
+    the field is None for a material without ``g_e_abs``."""
 
     polarization_degree: float
     ohs_energy: float
-    b_n: float
+    b_n: float | None
 
 
 def overhauser_state(p: float, m: MaterialParams) -> OverhauserState:
-    return OverhauserState(polarization_degree=p,
-                           ohs_energy=p * ohs_max(m),
-                           b_n=overhauser_field(p, m))
+    """The shift and field of polarization degree ``p``, checked to lie
+    in [-1, 1]."""
+    return OverhauserState(
+        polarization_degree=_degree(p), ohs_energy=p * ohs_max(m),
+        b_n=None if m.g_e_abs is None else overhauser_field(p, m))
 
 
 def electron_zeeman(m: MaterialParams, b_n: float, h: Helicity) -> float:

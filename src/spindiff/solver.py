@@ -91,6 +91,11 @@ MAX_CELLS = 2 ** 14
 # averages and each column written from them take 128 MiB per 2**24
 # float64 values.
 MAX_SAMPLES = 2 ** 24
+# Most clamped sub-steps of one pump: at about 0.40 ms per step on the
+# 400x400 production grid, 2**24 steps run for about 1.9 h, and 2**24
+# automatic steps of 10 ms cover 46 h of pump. A 10 s pump at
+# D = 1e-11 cm^2/s on that grid takes 80,000.
+MAX_STEPS = 2 ** 24
 _D_FLOOR = 1e-30
 # Multiply-adds per matrix product that OpenBLAS keeps on one thread:
 # threads do not pay off on the thin products here and stall whenever
@@ -409,13 +414,16 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
 
 def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
     """(dt, n): the fewest clamped sub-steps of at most cfg.dt (or the
-    automatic default) that land exactly on ``duration`` > 0. A count
-    that is not finite is ``TooManySteps``."""
+    automatic default) that land exactly on ``duration`` > 0. More than
+    ``MAX_STEPS`` (or a count that is not a number) is ``TooManySteps``,
+    raised before the first step."""
     dt_req = cfg.dt if cfg.dt is not None else auto_dt(grid, cfg.d_qd)
     steps = duration / dt_req
-    if not math.isfinite(steps):
+    if not (steps <= MAX_STEPS):
         raise InvariantViolation("TooManySteps",
-                                 f"duration = {duration} at dt = {dt_req}")
+                                 f"duration = {duration} at dt = {dt_req} "
+                                 f"is {steps:.6g} steps, need <= "
+                                 f"{MAX_STEPS}")
     n = math.ceil(steps)
     return duration / n, n
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from spindiff import solver
 from spindiff import (DarkSampler, DecaySeries, DotGeometry, YKind,
                       build_grid, read_fit_report, read_table,
                       write_measured_csv, write_table)
@@ -119,7 +120,95 @@ def test_flag_a_command_does_not_read_exits_2(capsys, argv):
     assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
 
 
+# the file each command writes first
+OUTPUT_FILE = {"simulate": "decay.csv", "sweep": "sweep.csv",
+               "fit-d": "fit.json", "fit-rise": "rise_overlay.csv"}
+
+
+@pytest.mark.parametrize("command, via, blocked", [
+    (command, via, blocked) for command in OUTPUT_FILE
+    for via in ("--out", "[output] dir") for blocked in ("dir", "file")
+    if (command, via) != ("fit-rise", "[output] dir")])  # reads no config
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, command, via,
+                                             blocked):
+    # blocked "dir": the output directory is a regular file; "file": a
+    # directory stands where the first output file goes
+    out = tmp_path / "out"
+    if blocked == "dir":
+        out.write_text("", encoding="utf-8")
+        named = out
+    else:
+        named = out / OUTPUT_FILE[command]
+        named.mkdir(parents=True)
+    text = FAST_SOLVER + (f"dir = {out}\n" if via == "[output] dir" else "")
+    if command == "fit-d":
+        text = text.replace("d_cm2s = 1e-13", "d_bounds_cm2s = 1e-15, 1e-14")
+    measured = tmp_path / "measured.csv"
+    measured.write_text("# y_kind=zeeman_splitting_uev\ndelay_s,value\n"
+                        + MEASURED_ROWS, encoding="utf-8")
+    argv = [command]
+    if command in ("fit-d", "fit-rise"):
+        argv.append(str(measured))
+    if command != "fit-rise":
+        argv += ["--config", write_config(tmp_path, text)]
+    if via == "--out":
+        argv += ["--out", str(out)]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(named) in err
+    assert "cannot" in err
+
+
+G_E_CONFIG = "[material]\ng_e_abs = 0.5\n"
+# (argv after "convert", with the g_e_abs config?) -> (exit code, stdout)
+CONVERT_TABLE = [
+    (["38"], False, 0, "polarization_degree = 0.287879\n"),
+    (["132"], False, 0, "polarization_degree = 1\n"),
+    (["-66"], False, 0, "polarization_degree = -0.5\n"),
+    (["0"], False, 0, "polarization_degree = 0\n"),
+    (["200"], False, 2, ""),
+    (["0.5", "--kind", "degree"], False, 0, "ohs_uev = 66\n"),
+    (["-1", "--kind", "degree"], False, 0, "ohs_uev = -132\n"),
+    (["1.5", "--kind", "degree"], False, 2, ""),
+    (["38"], True, 0,
+     "polarization_degree = 0.287879\noverhauser_field_t = 1.31298\n"),
+    (["132"], True, 0,
+     "polarization_degree = 1\noverhauser_field_t = 4.56086\n"),
+    (["-66"], True, 0,
+     "polarization_degree = -0.5\noverhauser_field_t = -2.28043\n"),
+    (["0"], True, 0, "polarization_degree = 0\noverhauser_field_t = 0\n"),
+    (["200"], True, 2, ""),
+    (["0.5", "--kind", "degree"], True, 0,
+     "ohs_uev = 66\noverhauser_field_t = 2.28043\n"),
+    (["-1", "--kind", "degree"], True, 0,
+     "ohs_uev = -132\noverhauser_field_t = -4.56086\n"),
+    (["1.5", "--kind", "degree"], True, 2, ""),
+    (["1.0", "--kind", "field_t"], True, 0,
+     "polarization_degree = 0.219257\nohs_uev = 28.9419\n"),
+    (["3.0", "--kind", "field_t"], True, 0,
+     "polarization_degree = 0.65777\nohs_uev = 86.8257\n"),
+    (["5.0", "--kind", "field_t"], True, 2, ""),
+    (["1.0", "--kind", "field_t"], False, 2, ""),
+]
+
+
 class TestConvert:
+    @pytest.mark.parametrize("argv, with_g, code, stdout", CONVERT_TABLE)
+    def test_pinned_output(self, tmp_path, capsys, argv, with_g, code,
+                           stdout):
+        config = (["--config", write_config(tmp_path, G_E_CONFIG)]
+                  if with_g else [])
+        assert main(["convert", *argv, *config]) == code
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("kind", ["ohs_uev", "degree", "field_t"])
+    def test_nan_exits_2_printing_nothing(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, G_E_CONFIG)
+        assert main(["convert", "nan", "--kind", kind, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nan" in captured.err
+
     def test_ohs_to_degree(self, capsys):
         assert main(["convert", "38"]) == 0
         out = capsys.readouterr().out
@@ -228,6 +317,22 @@ class TestSimulate:
         # the sample count is checked before the output directory is made,
         # the step count only when the pump runs
         assert (tmp_path / "out").exists() == ("TooManySteps" in message)
+
+    @pytest.mark.parametrize("d", ["1e-13", "0"])
+    def test_huge_finite_step_count_exits_2(self, tmp_path, capsys,
+                                            monkeypatch, d):
+        # 1e10 pump steps of 1 ms: rejected before the first step
+        def no_step(*args):
+            raise AssertionError("a pump step ran")
+        monkeypatch.setattr(solver, "_pump_modes", no_step)
+        cfg = write_config(tmp_path, FAST_SOLVER.replace(
+            "d_cm2s = 1e-13", f"d_cm2s = {d}").replace(
+            "dt_s = 0.05", "dt_s = 1e-3").replace(
+            "[protocol]\n", "[protocol]\nt_pump_s = 1e7\n"))
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+        assert ("TooManySteps: duration = 10000000.0 at dt = 0.001 is 1e+10 "
+                "steps, need <= 16777216" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("old, new, count", [
         ("radius_nm = 10", "radius_nm = 1e300", "6e+300"),

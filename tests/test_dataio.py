@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from spindiff import (ConfigError, DecaySeries, YKind, read_fit_report,
-                      read_measured_csv, read_table, write_fit_report,
-                      write_measured_csv, write_snapshots, write_table)
+from spindiff import (ConfigError, DecaySeries, DiffusionFit, YKind,
+                      read_fit_report, read_measured_csv, read_table,
+                      write_fit_report, write_measured_csv, write_snapshots,
+                      write_table)
 
 
 class TestTableRoundTrip:
@@ -84,6 +85,20 @@ class TestTableRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_table(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_table(path, {"a": [1.0]}),
+        lambda path: write_snapshots(path, [0.0], [1.0], [2.0],
+                                     [np.ones((1, 1))]),
+        lambda path: write_fit_report(path, DiffusionFit(
+            d_qd=1e-13, scale=1.0, offset=0.0, sse=0.0, d_grid=(1e-13,))),
+    ], ids=["write_table", "write_snapshots", "write_fit_report"])
+    def test_unwritable_path_names_it(self, tmp_path, write):
+        # a directory where the file should go
+        path = tmp_path / "taken.csv"
+        path.mkdir()
+        with pytest.raises(ConfigError, match=r"cannot write .*taken\.csv"):
+            write(path)
 
 
 class TestSnapshots:
@@ -226,10 +241,9 @@ class TestMeasuredCsv:
 class TestFitReport:
     def test_round_trip_and_field_names(self, tmp_path):
         path = tmp_path / "fit.json"
-        write_fit_report(path, d_qd_cm2s=2e-15, scale_uev=38.0,
-                         offset_uev=60.0, sse=1.5e-4,
-                         warnings=["BoundaryMinimum"],
-                         d_grid_cm2s=[1e-15, 1e-14])
+        write_fit_report(path, DiffusionFit(
+            d_qd=2e-15, scale=38.0, offset=60.0, sse=1.5e-4,
+            warnings=("BoundaryMinimum",), d_grid=(1e-15, 1e-14)))
         report = read_fit_report(path)
         assert report["d_qd_cm2s"] == 2e-15
         assert report["scale_uev"] == 38.0
@@ -240,10 +254,9 @@ class TestFitReport:
 
     def test_sse_grid_and_forward_solves(self, tmp_path):
         path = tmp_path / "fit.json"
-        write_fit_report(path, d_qd_cm2s=2e-15, scale_uev=38.0,
-                         offset_uev=60.0, sse=1.5e-4, warnings=[],
-                         d_grid_cm2s=[1e-15, 1e-14], sse_grid=[0.25, 3.5],
-                         forward_solves=17)
+        write_fit_report(path, DiffusionFit(
+            d_qd=2e-15, scale=38.0, offset=60.0, sse=1.5e-4,
+            d_grid=(1e-15, 1e-14), sse_grid=(0.25, 3.5), forward_solves=17))
         report = read_fit_report(path)
         assert report["sse_grid"] == [0.25, 3.5]
         assert report["forward_solves"] == 17

@@ -344,6 +344,14 @@ class TestRiseFit:
         s = self.make_series(0.4, noise=0.05, seed=9)
         assert fit_exponential_rise(s) == fit_exponential_rise(s)
 
+    def test_model_is_the_fitted_curve(self):
+        s = self.make_series(1.3, noise=0.05, seed=7)
+        fit = fit_exponential_rise(s)
+        expected = fit.offset + fit.amplitude * (1.0 - np.exp(-s.t / fit.tau))
+        np.testing.assert_array_equal(fit.model, expected)
+        assert fit.residual_rms == pytest.approx(
+            np.sqrt(np.mean((s.y - expected) ** 2)), rel=1e-12)
+
     def test_no_convergence_raises_fit_diverged(self, monkeypatch):
         import scipy.optimize
 

@@ -10,10 +10,10 @@ import pytest
 
 from spindiff import (Helicity, InvariantViolation, MaterialParams,
                       MissingGFactor, MU_B_UEV_PER_T, UnphysicalShift,
-                      diffusion_cm2s_to_nm2s, diffusion_nm2s_to_cm2s,
-                      electron_zeeman, exciton_zeeman_splitting, ohs_max,
-                      overhauser_field, overhauser_state,
-                      polarization_degree)
+                      degree_from_field, diffusion_cm2s_to_nm2s,
+                      diffusion_nm2s_to_cm2s, electron_zeeman,
+                      exciton_zeeman_splitting, ohs_max, overhauser_field,
+                      overhauser_state, polarization_degree)
 
 DEFAULTS = MaterialParams()
 WITH_G = MaterialParams(g_e_abs=0.54, g_h_abs=1.4)
@@ -80,6 +80,10 @@ class TestPolarizationDegree:
         with pytest.raises(UnphysicalShift):
             polarization_degree(-132.1, DEFAULTS)
 
+    def test_nan_rejected(self):
+        with pytest.raises(UnphysicalShift, match="nan"):
+            polarization_degree(float("nan"), DEFAULTS)
+
 
 class TestOverhauserField:
     def test_zero_polarization_zero_field(self):
@@ -102,6 +106,12 @@ class TestOverhauserField:
         with pytest.raises(UnphysicalShift):
             overhauser_field(1.5, WITH_G)
 
+    def test_nan_rejected(self):
+        for call in (lambda: overhauser_field(float("nan"), WITH_G),
+                     lambda: overhauser_state(float("nan"), DEFAULTS)):
+            with pytest.raises(UnphysicalShift, match="nan"):
+                call()
+
     def test_field_shift_equals_ohs(self):
         # g_e muB B_N must equal the shift that produced B_N
         p = 0.2879
@@ -115,6 +125,32 @@ class TestOverhauserField:
         assert st.polarization_degree == p
         assert st.ohs_energy == pytest.approx(38.0, rel=1e-12)
         assert st.b_n == pytest.approx(overhauser_field(p, WITH_G))
+
+    def test_state_without_g_factor_has_no_field(self):
+        st = overhauser_state(-0.5, DEFAULTS)
+        assert (st.ohs_energy, st.b_n) == (-66.0, None)
+        with pytest.raises(UnphysicalShift, match="outside"):
+            overhauser_state(1.5, DEFAULTS)
+
+
+class TestDegreeFromField:
+    def test_inverts_overhauser_field(self):
+        for p in (-0.9, -0.3, 0.0, 0.2879, 0.9):
+            assert degree_from_field(overhauser_field(p, WITH_G),
+                                     WITH_G) == pytest.approx(p, rel=1e-12,
+                                                              abs=1e-15)
+
+    def test_beyond_full_polarization_rejected(self):
+        b_full = overhauser_field(1.0, WITH_G)
+        for b_n in (1.01 * b_full, -1.01 * b_full, float("nan")):
+            with pytest.raises(UnphysicalShift,
+                               match="exceeds the fully polarized value"):
+                degree_from_field(b_n, WITH_G)
+
+    def test_requires_positive_g_factor(self):
+        for m in (DEFAULTS, MaterialParams(g_e_abs=0.0)):
+            with pytest.raises(MissingGFactor, match="g_e_abs > 0"):
+                degree_from_field(1.0, m)
 
 
 class TestZeemanSplittings:

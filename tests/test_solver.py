@@ -651,6 +651,32 @@ class TestPumpAndDark:
                               r"dt = 1e-300"):
                     pump()
 
+    def test_huge_finite_sub_step_count_rejected(self, monkeypatch):
+        # 1e10 steps of 1 ms, or 2**24 automatic 10 ms steps and a bit:
+        # rejected before the first step, at D > 0 and at D = 0
+        def no_step(*args):
+            raise AssertionError("a pump step ran")
+        monkeypatch.setattr(solver, "_pump_modes", no_step)
+        grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
+        field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
+        bound = solver.MAX_STEPS
+        cases = [(SolverConfig(d_qd=d, dt=1e-3), 1e7, "dt = 0.001 is 1e+10")
+                 for d in (10.0, 0.0)]
+        cases.append((SolverConfig(d_qd=0.0), 1.01 * bound * solver.DT_CAP,
+                      "dt = 0.01 is 1.6945e+07"))
+        for cfg, duration, detail in cases:
+            for pump in (lambda: simulate_pump(GEO, cfg, duration, grid),
+                         lambda: evolve(field, cfg, duration, clamp=GEO)):
+                with pytest.raises(InvariantViolation,
+                                   match="TooManySteps") as err:
+                    pump()
+                assert detail in str(err.value)
+                assert f"need <= {bound}" in str(err.value)
+        # at the bound itself the D = 0 pump runs: it takes no step loop
+        cfg = SolverConfig(d_qd=0.0, dt=1.0)
+        pumped = simulate_pump(GEO, cfg, float(bound), grid)
+        assert dot_average(pumped.field, GEO) == 1.0
+
     def test_dot_outside_grid_rejected(self):
         grid = Grid(nr=8, nz=16, dr=1.0, dz=1.0, z_min=-8.0)
         field = PolarizationField(grid, np.zeros((8, 16)))
