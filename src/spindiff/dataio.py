@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import DecaySeries, YKind
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 
 if TYPE_CHECKING:
     from .kinetics import DiffusionFit
@@ -33,6 +33,18 @@ _FMT = "%.17g"
 _BLOCK_ROWS = 4096
 
 MEASURED_COLUMNS = ("delay_s", "value", "sigma")
+
+
+@contextmanager
+def _reading(path: str | os.PathLike):
+    """``path`` opened for reading as UTF-8; an OSError or a ValueError
+    (a byte that is not UTF-8, malformed JSON) while reading it is a
+    ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {os.fspath(path)}: {exc}") from exc
 
 
 @contextmanager
@@ -117,11 +129,7 @@ def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
     metadata: dict[str, str] = {}
     names: list[str] | None = None
     rows: list[list[float]] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read table: {exc}") from exc
-    with fh:
+    with _reading(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -150,30 +158,24 @@ def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
     return {n: data[:, j] for j, n in enumerate(names)}, metadata
 
 
-def write_measured_csv(path: str | os.PathLike, series: DecaySeries,
-                       sigma: Sequence[float] | None = None) -> None:
-    """Write a decay series in the measured-data schema. Without a
-    ``sigma`` argument the sigma column is ``series.metadata["sigma"]``,
-    when present (as ``read_measured_csv`` stores it)."""
-    columns: dict[str, Sequence[float]] = {"delay_s": series.t,
-                                           "value": series.y}
-    if sigma is None:
-        sigma = series.metadata.get("sigma")
-    if sigma is not None:
-        columns["sigma"] = np.asarray(sigma, dtype=float)
-    metadata = {"y_kind": series.y_kind.value}
-    metadata.update({k: v for k, v in series.metadata.items()
-                     if k not in ("y_kind", "sigma")})
-    write_table(path, columns, metadata)
+def write_measured_csv(path: str | os.PathLike, series: DecaySeries) -> None:
+    """Write a decay series in the measured-data schema; the sigma column
+    is ``series.sigma``, when present."""
+    columns = {"delay_s": series.t, "value": series.y}
+    if series.sigma is not None:
+        columns["sigma"] = series.sigma
+    labels = {k: v for k, v in series.metadata.items() if k != "y_kind"}
+    write_table(path, columns, {"y_kind": series.y_kind.value, **labels})
 
 
 def read_measured_csv(path: str | os.PathLike) -> DecaySeries:
     """Strictly parse a measured CSV (`delay_s,value[,sigma]` plus a
     `# y_kind=...` declaration) into a DecaySeries.
 
-    All values must be finite and delays >= 0. Sigma values, when
-    present, must be positive; they are carried in the series metadata
-    under "sigma".
+    All values must be finite and delays >= 0; the sigma column, when
+    present, becomes ``DecaySeries.sigma``. A series that ``DecaySeries``
+    rejects (no rows, delays not strictly increasing, a sigma <= 0) is a
+    ConfigError naming the file.
     """
     columns, metadata = read_table(path)
     names = tuple(columns)
@@ -188,24 +190,18 @@ def read_measured_csv(path: str | os.PathLike) -> DecaySeries:
     except ValueError as exc:
         raise ConfigError(
             f"{path}: unknown y_kind '{metadata['y_kind']}'") from exc
-    t = columns["delay_s"]
-    if t.size == 0:
-        raise ConfigError(f"{path}: no data rows")
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"{path}: {name} values must be finite")
-    if np.any(t < 0):
+    if np.any(columns["delay_s"] < 0):
         raise ConfigError(f"{path}: delay_s must be >= 0")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise ConfigError(f"{path}: delay_s must be strictly increasing")
-    extra = {k: v for k, v in metadata.items() if k != "y_kind"}
-    if "sigma" in columns:
-        sigma = columns["sigma"]
-        if not np.all(sigma > 0):
-            raise ConfigError(f"{path}: sigma values must be positive")
-        extra["sigma"] = tuple(float(s) for s in sigma)
-    return DecaySeries(t=t, y=columns["value"], y_kind=y_kind,
-                       metadata=extra)
+    try:
+        return DecaySeries(t=columns["delay_s"], y=columns["value"],
+                           y_kind=y_kind, sigma=columns.get("sigma"),
+                           metadata={k: v for k, v in metadata.items()
+                                     if k != "y_kind"})
+    except InvariantViolation as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_fit_report(path: str | os.PathLike, fit: DiffusionFit) -> None:
@@ -228,5 +224,6 @@ def write_fit_report(path: str | os.PathLike, fit: DiffusionFit) -> None:
 
 
 def read_fit_report(path: str | os.PathLike) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The report that ``write_fit_report`` wrote, as a dict."""
+    with _reading(path) as fh:
         return json.load(fh)

@@ -166,14 +166,16 @@ class DecaySeries:
     """Time-stamped observable samples, measured or simulated.
 
     ``t`` and ``y`` are finite and ``t`` is strictly increasing;
-    ``metadata`` holds free-form labels (helicity, pump power, field,
-    ...).
+    ``sigma``, when given, is the finite, positive uncertainty of each
+    sample (a ``BadSigma`` otherwise); ``metadata`` holds free-form
+    labels (helicity, pump power, field, ...) and no ``"sigma"``.
     """
 
     t: np.ndarray
     y: np.ndarray
     y_kind: YKind = YKind.DOT_AVERAGE
     metadata: dict = field(default_factory=dict)
+    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -191,6 +193,18 @@ class DecaySeries:
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise InvariantViolation("NonMonotonicTime",
                                      "sample times must be strictly increasing")
+        if "sigma" in self.metadata:
+            raise InvariantViolation("BadSigma", "sigma is a field, not metadata")
+        if self.sigma is not None:
+            s = np.asarray(self.sigma, dtype=float)
+            object.__setattr__(self, "sigma", s)
+            if s.shape != t.shape:
+                raise InvariantViolation(
+                    "BadSigma", f"sigma shape {s.shape}, t shape {t.shape}")
+            bad = np.flatnonzero(~((s > 0) & (s < math.inf)))
+            if bad.size:
+                raise InvariantViolation("BadSigma",
+                                         f"sigma[{bad[0]}] = {s[bad[0]]:g}")
 
     def __len__(self) -> int:
         return int(self.t.size)

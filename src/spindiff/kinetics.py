@@ -261,8 +261,7 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     refines around the best candidate by golden-section search. The model
     is the dot average of ``pumped_sampler`` at the measured times, with
     the given pump step ``dt`` and uniform relaxation ``t1_uniform``; the
-    fit keeps each curve it solves. When the series carries a ``sigma``
-    per sample in its metadata (as ``read_measured_csv`` puts it there),
+    fit keeps each curve it solves. When the series carries a ``sigma``,
     each residual is divided by its sigma. A flat objective raises
     NotIdentifiable; a minimum pinned at a search bound is reported via
     the ``BoundaryMinimum`` warning.
@@ -271,15 +270,7 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     if len(t) < 5:
         raise InvariantViolation("TooFewPoints",
                                  f"need >= 5 points, got {len(t)}")
-    weight = None
-    if "sigma" in measured.metadata:
-        sigma = np.asarray(measured.metadata["sigma"], dtype=float)
-        if sigma.shape != y.shape or not np.all((sigma > 0)
-                                                & (sigma < math.inf)):
-            raise InvariantViolation(
-                "BadSigma", "sigma needs one positive, finite value per "
-                f"sample, got {measured.metadata['sigma']!r}")
-        weight = 1.0 / sigma
+    weight = None if measured.sigma is None else 1.0 / measured.sigma
     d_lo, d_hi = d_bounds
     # 0 < d_lo < d_hi makes the ratio at least 1 + 2**-52: decades > 0
     if not (0 < d_lo < d_hi and d_hi / d_lo < math.inf):

@@ -56,7 +56,8 @@ def degree_from_field(b_n: float, m: MaterialParams) -> float:
     if not m.g_e_abs:
         raise MissingGFactor("converting a field requires g_e_abs > 0 "
                              "(set it in [material])")
-    p = (b_n * m.g_e_abs * MU_B_UEV_PER_T) / ohs_max(m)
+    # dividing by the fully polarized field returns exactly +-1 there
+    p = b_n / overhauser_field(1.0, m)
     if not abs(p) <= 1:
         raise UnphysicalShift(
             f"field {b_n} T exceeds the fully polarized value")

@@ -631,7 +631,7 @@ t_pump_s = 10
         for name, sig in (("plain.csv", None), ("sigma.csv", sigma)):
             path = tmp_path / name
             write_measured_csv(path, DecaySeries(
-                t=s.t, y=y, y_kind=YKind.ZEEMAN_SPLITTING_UEV), sigma=sig)
+                t=s.t, y=y, y_kind=YKind.ZEEMAN_SPLITTING_UEV, sigma=sig))
             out = str(tmp_path / name[:-4])
             assert main(["fit-d", str(path), "--config", cfg, "--out", out,
                          "--quiet"]) == 0
@@ -672,6 +672,19 @@ t_pump_s = 10
                         encoding="utf-8")
         assert main(["fit-d", str(path), "--config", cfg, "--quiet",
                      "--out", str(tmp_path)]) == 2
+
+    def test_zero_sigma_exits_2_naming_file_and_entry(self, tmp_path,
+                                                      capsys):
+        cfg = write_config(tmp_path, self.FIT_CONFIG)
+        path = tmp_path / "zero_sigma.csv"
+        path.write_text("# y_kind=zeeman_splitting_uev\n"
+                        "delay_s,value,sigma\n0,98,1\n10,90,1\n20,85,0\n"
+                        "30,80,1\n40,75,1\n", encoding="utf-8")
+        assert main(["fit-d", str(path), "--config", cfg, "--quiet",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "zero_sigma.csv" in err
+        assert "sigma[2] = 0" in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -1,4 +1,6 @@
 """Table and measured-CSV round trips, strict ingestion checks."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,29 +174,31 @@ class TestMeasuredCsv:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_measured_csv(path, self.series(), sigma=[1.0, 1.0, 2.0, 2.0])
+        write_measured_csv(path, replace(self.series(),
+                                         sigma=[1.0, 1.0, 2.0, 2.0]))
         back = read_measured_csv(path)
         np.testing.assert_array_equal(back.t, self.series().t)
         np.testing.assert_array_equal(back.y, self.series().y)
         assert back.y_kind is YKind.ZEEMAN_SPLITTING_UEV
         assert back.metadata["helicity"] == "sigma+"
-        assert back.metadata["sigma"] == (1.0, 1.0, 2.0, 2.0)
+        assert back.sigma.tolist() == [1.0, 1.0, 2.0, 2.0]
 
     def test_read_write_read_keeps_sigma(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_measured_csv(first, self.series(), sigma=[0.5, 0.5, 1.0, 2.0])
+        write_measured_csv(first, replace(self.series(),
+                                          sigma=[0.5, 0.5, 1.0, 2.0]))
         read = read_measured_csv(first)
         write_measured_csv(second, read)
         back = read_measured_csv(second)
         assert back.metadata == read.metadata
-        assert back.metadata["sigma"] == (0.5, 0.5, 1.0, 2.0)
+        assert back.sigma.tolist() == [0.5, 0.5, 1.0, 2.0]
         assert second.read_bytes() == first.read_bytes()
 
     def test_sigma_optional(self, tmp_path):
         path = tmp_path / "m.csv"
         write_measured_csv(path, self.series())
         back = read_measured_csv(path)
-        assert "sigma" not in back.metadata
+        assert back.sigma is None
 
     def test_non_monotonic_delay_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -230,6 +234,12 @@ class TestMeasuredCsv:
         with pytest.raises(ConfigError):
             read_measured_csv(path)
 
+    def test_non_utf8_bytes_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# y_kind=dot_average\ndelay_s,value\n0,1\xff\n")
+        with pytest.raises(ConfigError, match="latin1.csv"):
+            read_measured_csv(path)
+
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("# y_kind=dot_average\ndelay_s,value\n",
@@ -260,3 +270,14 @@ class TestFitReport:
         report = read_fit_report(path)
         assert report["sse_grid"] == [0.25, 3.5]
         assert report["forward_solves"] == 17
+
+    def test_missing_file_names_it(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match="absent.json"):
+            read_fit_report(path)
+
+    def test_malformed_json_names_it(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"d_qd_cm2s": ', encoding="utf-8")
+        with pytest.raises(ConfigError, match="broken.json"):
+            read_fit_report(path)

@@ -132,6 +132,33 @@ class TestDecaySeries:
             DecaySeries(t=np.array([]), y=np.array([]),
                         y_kind=YKind.DOT_AVERAGE)
 
+    @pytest.mark.parametrize("sigma, detail", [
+        ([1.0, 1.0], r"sigma shape \(2,\), t shape \(3,\)"),
+        ([1.0, 0.0, 1.0], r"sigma\[1\] = 0"),
+        ([1.0, 1.0, -2.0], r"sigma\[2\] = -2"),
+        ([float("nan"), 1.0, 1.0], r"sigma\[0\] = nan"),
+        ([1.0, float("inf"), 1.0], r"sigma\[1\] = inf"),
+    ])
+    def test_bad_sigma_rejected(self, sigma, detail):
+        with pytest.raises(InvariantViolation, match=detail) as err:
+            DecaySeries(t=np.array([0.0, 1.0, 2.0]),
+                        y=np.array([1.0, 0.5, 0.4]), sigma=sigma)
+        assert err.value.name == "BadSigma"
+
+    def test_sigma_in_metadata_rejected(self):
+        # a label the fit does not read would leave it silently unweighted
+        with pytest.raises(InvariantViolation) as err:
+            DecaySeries(t=np.array([0.0, 1.0]), y=np.array([1.0, 0.5]),
+                        metadata={"sigma": (1.0, 2.0)})
+        assert err.value.name == "BadSigma"
+
+    def test_sigma_stored_as_float_array(self):
+        s = DecaySeries(t=np.array([0.0, 1.0]), y=np.array([1.0, 0.5]),
+                        sigma=[1, 2])
+        assert isinstance(s.sigma, np.ndarray)
+        assert s.sigma.dtype == np.float64
+        assert s.sigma.tolist() == [1.0, 2.0]
+
     def test_kind_labels(self):
         assert YKind.DOT_AVERAGE.value == "dot_average"
         assert YKind.ZEEMAN_SPLITTING_UEV.value == "zeeman_splitting_uev"

@@ -498,7 +498,7 @@ class TestDiffusionFit:
 
     def sigma_series(self, measured, sigma):
         return DecaySeries(t=measured.t, y=measured.y, y_kind=measured.y_kind,
-                           metadata={"sigma": tuple(sigma)})
+                           sigma=sigma)
 
     def test_uniform_sigma_changes_nothing_but_the_sse_scale(self,
                                                             coarse_grid):

@@ -140,6 +140,10 @@ class TestDegreeFromField:
                                      WITH_G) == pytest.approx(p, rel=1e-12,
                                                               abs=1e-15)
 
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    def test_full_polarization_round_trips_exactly(self, p):
+        assert degree_from_field(overhauser_field(p, WITH_G), WITH_G) == p
+
     def test_beyond_full_polarization_rejected(self):
         b_full = overhauser_field(1.0, WITH_G)
         for b_n in (1.01 * b_full, -1.01 * b_full, float("nan")):
