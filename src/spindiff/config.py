@@ -151,8 +151,9 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"cannot read config {os.fspath(path)}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 

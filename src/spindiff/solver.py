@@ -6,10 +6,12 @@ space. The spatial operator is separable, D (A_r x I + I x A_z); A_z is
 symmetric and A_r is symmetric after weighting with sqrt(r). Both ways
 of advancing time work in the eigenbasis of the two 1-D operators, the
 fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
-1964), built on first use and cached per (grid, boundary). The axial
-modes are closed-form DST-II or DCT-II vectors; the radial ones come
-from LAPACK's MRRR tridiagonal solver (``stemr``). Both are built on the
-calling thread, with no threaded BLAS (``_eigenbasis``):
+1964), built on first use (``_eigenbasis``). The axial modes are
+closed-form DST-II or DCT-II vectors, cached per parity
+(``_axial_modes``); the radial ones come from LAPACK's MRRR tridiagonal
+solver (``stemr``), solved once per (grid, boundary)
+(``_radial_modes``). Both are built on the calling thread, with no
+threaded BLAS:
 
   * Dot unclamped (dark delays, probes): any interval is propagated
     exactly. There is no time step and no time-discretization error;
@@ -44,6 +46,21 @@ objective and ``kinetics.run_sequence`` make no transform, whatever the
 pump's duration, and the sampler builds the pumped field only when its
 ``field`` is read.
 
+Which axial modes a sampler carries. Every ``DarkSampler`` holds its own
+basis, which its pump steps, readouts and transforms read. A sampler
+built from a field (``DarkSampler(field)``, behind ``evolve`` and
+``simulate_dark``) holds all nz modes. ``simulate_pump`` starts from the
+unpolarized medium; when the dot's columns are mirror-symmetric on the
+grid (``cols.start + cols.stop == nz``, always so on a ``build_grid``
+grid, which centers z on the dot's mid-plane), the start, the clamp and
+the operator are all even under the reflection j -> nz - 1 - j, so the
+pumped field stays even and its odd axial modes stay exactly zero. That
+sampler, and every one ``_clamped`` makes from it, holds only the
+ceil(nz / 2) even modes, so each pump step, readout and field transform
+makes half the passes over the coefficients. A clamp that is not
+mirror-symmetric would feed the odd modes; ``_clamped`` rejects it for
+an even start (``AsymmetricClamp``).
+
 The dot is a rectangle of cells in index space: the radial cell
 centers inside the disk are a prefix of the rows and the axial ones an
 interval of the columns. One cached builder, ``_dot``, returns it as a
@@ -54,7 +71,8 @@ rejects a dot beyond the grid or without a cell center, on every call,
 so every use of the dot is checked: ``Grid.dot_mask``, the readouts, the
 pump's clamp and ``kinetics.run_sequence``. The readout vectors
 (``_dot_modes``), whose outer product is also the indicator's modal
-coefficients, are cached the same way per (grid, geometry, boundary).
+coefficients, are cached the same way per (grid, geometry, boundary,
+parity).
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -91,8 +109,9 @@ MAX_CELLS = 2 ** 14
 # averages and each column written from them take 128 MiB per 2**24
 # float64 values.
 MAX_SAMPLES = 2 ** 24
-# Most clamped sub-steps of one pump: at about 0.40 ms per step on the
-# 400x400 production grid, 2**24 steps run for about 1.9 h, and 2**24
+# Most clamped sub-steps of one pump: at about 0.19 ms per step on the
+# 400x400 production grid (the even axial modes of a centered dot; about
+# 0.37 ms in all 400), 2**24 steps run for about 0.9 h, and 2**24
 # automatic steps of 10 ms cover 46 h of pump. A 10 s pump at
 # D = 1e-11 cm^2/s on that grid takes 80,000.
 MAX_STEPS = 2 ** 24
@@ -102,7 +121,9 @@ _D_FLOOR = 1e-30
 # another process holds a core. The eigenbasis is built on one thread
 # too (``_eigenbasis``), so the pump and the readouts run on the calling
 # thread alone; only the dense grid <-> mode transforms of a full field
-# (400^3 multiply-adds per product on the production grid) are threaded.
+# are threaded: on the production grid 400*400*200 multiply-adds per
+# product for a pumped state in the even axial modes, 400^3 for a field
+# handed in as values.
 _ONE_THREAD_MADDS = 2 ** 18
 
 
@@ -293,9 +314,12 @@ def _axial_coeffs(nz: int, dz: float, boundary: BoundaryMode):
     return lo, di, hi
 
 
-def _axial_modes(nz: int, dz: float, boundary: BoundaryMode):
+@lru_cache(maxsize=8)
+def _axial_modes(nz: int, dz: float, boundary: BoundaryMode,
+                 even: bool = False):
     """Eigenpairs (lam, q) of the axial operator (``_axial_coeffs``) in
-    closed form, q orthogonal and C-ordered.
+    closed form, q orthogonal and C-ordered; with ``even``, only the
+    modes symmetric about the grid's mid-plane, cached apart.
 
     With S = 0 on the boundary faces the modes are the DST-II vectors
     sqrt(2/n) sin(k pi (j + 1/2) / n), k = 1..n; with zero flux they are
@@ -305,42 +329,58 @@ def _axial_modes(nz: int, dz: float, boundary: BoundaryMode):
     lam_k = -(4 / dz^2) sin^2(k pi / 2n). The integer (2j + 1) k is
     reduced mod 4n before it is scaled by pi / 2n: an unreduced angle
     loses digits to its size (largest entry of q^T q - I at n = 400:
-    2.0e-14 to 2.8e-14 unreduced, 2.7e-15 to 2.9e-15 reduced).
+    2.0e-14 to 2.8e-14 unreduced, 2.7e-15 to 2.9e-15 reduced). Reflecting
+    j to n - 1 - j multiplies mode k by (-1)^(k+1) for the sines and
+    (-1)^k for the cosines, so the symmetric modes are every other one
+    from the first, k = 1, 3, ... and k = 0, 2, ...: the even modes are
+    columns ``0::2`` of the full q and lam, entry for entry.
     """
     dirichlet = boundary is BoundaryMode.DIRICHLET_ZERO
     k = np.arange(1, nz + 1) if dirichlet else np.arange(nz)
+    if even:
+        k = k[::2]
     angle = np.outer(2 * np.arange(nz) + 1, k) % (4 * nz) * (np.pi / (2 * nz))
     q = math.sqrt(2.0 / nz) * (np.sin(angle) if dirichlet else np.cos(angle))
-    if dirichlet:
-        q[:, -1] = (-1.0) ** np.arange(nz) / math.sqrt(nz)
-    else:
+    if not dirichlet:
         q[:, 0] = 1.0 / math.sqrt(nz)
+    elif k[-1] == nz:
+        q[:, -1] = (-1.0) ** np.arange(nz) / math.sqrt(nz)
     lam = -4.0 / (dz * dz) * np.sin(k * (np.pi / (2 * nz))) ** 2
     return lam, q
 
 
 @lru_cache(maxsize=8)
-def _eigenbasis(grid: Grid, boundary: BoundaryMode):
-    """Eigenpairs of the unclamped operator per unit D, built on the
-    calling thread.
+def _radial_modes(grid: Grid, boundary: BoundaryMode):
+    """(lam_r, q_r, sqrt_r): the eigenpairs of the radial operator per
+    unit D, built on the calling thread, and the weights sqrt(r).
 
-    Returns (lam_r, q_r, lam_z, q_z, sqrt_r) with
-    A_r = diag(1/sqrt_r) q_r diag(lam_r) q_r^T diag(sqrt_r) and
-    A_z = q_z diag(lam_z) q_z^T, q_r and q_z orthogonal. The axial modes
-    are closed-form sines or cosines (``_axial_modes``). Weighting the
-    radial operator with sqrt(r) makes it symmetric, with off-diagonal
-    sqrt(hi[i] * lo[i+1]); its eigenpairs come from LAPACK's MRRR driver
-    ``stemr`` (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), which
-    uses no level-3 BLAS and so wakes no BLAS worker thread. The default
-    divide-and-conquer driver ``stevd`` runs on threaded BLAS and leaves
-    a worker spinning through the single-threaded pump. q_r comes back
-    Fortran-ordered.
+    A_r = diag(1/sqrt_r) q_r diag(lam_r) q_r^T diag(sqrt_r), q_r
+    orthogonal. Weighting the radial operator with sqrt(r) makes it
+    symmetric, with off-diagonal sqrt(hi[i] * lo[i+1]); its eigenpairs
+    come from LAPACK's MRRR driver ``stemr`` (Dhillon & Parlett, Linear
+    Algebra Appl. 387, 2004), which uses no level-3 BLAS and so wakes no
+    BLAS worker thread. The default divide-and-conquer driver ``stevd``
+    runs on threaded BLAS and leaves a worker spinning through the
+    single-threaded pump. q_r comes back Fortran-ordered.
     """
     lo, di, hi = _radial_coeffs(grid.nr, grid.dr, boundary)
     lam_r, q_r = eigh_tridiagonal(di, np.sqrt(hi[:-1] * lo[1:]),
                                   lapack_driver="stemr")
-    return (lam_r, q_r, *_axial_modes(grid.nz, grid.dz, boundary),
-            np.sqrt(grid.r_centers))
+    return lam_r, q_r, np.sqrt(grid.r_centers)
+
+
+def _eigenbasis(grid: Grid, boundary: BoundaryMode, even: bool = False):
+    """Eigenpairs of the unclamped operator per unit D:
+    (lam_r, q_r, lam_z, q_z, sqrt_r) with
+    A_r = diag(1/sqrt_r) q_r diag(lam_r) q_r^T diag(sqrt_r) and
+    A_z = q_z diag(lam_z) q_z^T. The radial modes (``_radial_modes``) are
+    solved once per grid and boundary; the axial ones (``_axial_modes``)
+    are all ``nz`` modes, or with ``even`` the ceil(nz / 2) symmetric
+    ones, which span every field that is even about the mid-plane.
+    """
+    lam_r, q_r, sqrt_r = _radial_modes(grid, boundary)
+    return (lam_r, q_r, *_axial_modes(grid.nz, grid.dz, boundary, even),
+            sqrt_r)
 
 
 @lru_cache(maxsize=64)
@@ -392,9 +432,11 @@ def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
+def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
+               even: bool = False):
     """The dot's readout vectors, read-only: (a, b) with
-    a = sqrt(r)^T q_r and b = 1^T q_z over the dot's rows and columns.
+    a = sqrt(r)^T q_r and b = 1^T q_z over the dot's rows and columns,
+    for the axial modes of ``_eigenbasis(grid, boundary, even)``.
 
     The sum of r * S over the dot is a^T c b for modal coefficients c,
     and the dot indicator's coefficients are the outer product of a and
@@ -404,7 +446,7 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode):
     C-ordered already.
     """
     rows, cols, _, _ = _dot(grid, geometry)
-    _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary)
+    _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
     a = sqrt_r[rows] @ q_r[rows].copy()
     b = q_z[cols].sum(axis=0)
     for v in (a, b):
@@ -428,12 +470,13 @@ def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
     return duration / n, n
 
 
-def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
+def _pump_modes(coef: np.ndarray, basis, cfg: SolverConfig, dt: float,
                 n_steps: int, decay: float, dot, reset_start) -> np.ndarray:
     """Run ``n_steps`` >= 0 Crank-Nicolson steps of size ``dt`` on the
     modal coefficients ``coef`` (updated in place and returned) of a
-    field, resetting the cells of ``dot`` (a ``_dot`` record) to
-    S = 1 after each, and first when ``reset_start``; needs D > 0.
+    field in the modes of ``basis`` (an ``_eigenbasis``), resetting the
+    cells of ``dot`` (a ``_dot`` record) to S = 1 after each, and first
+    when ``reset_start``; needs D > 0.
 
     Each step is S <- reset(decay * M S), ``decay`` the T1 factor of one
     step and M the Peaceman-Rachford factor
@@ -450,15 +493,15 @@ def _pump_modes(coef: np.ndarray, grid: Grid, cfg: SolverConfig, dt: float,
     """
     rows, cols, _, _ = dot
     mu = 0.5 * cfg.d_qd * dt
-    lam_r, q_r, lam_z, q_z, sqrt_r = _eigenbasis(grid, cfg.boundary)
+    lam_r, q_r, lam_z, q_z, sqrt_r = basis
     rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
         * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
     # a C-ordered copy of q_r's dot rows, as in _dot_modes
     a, b, w = q_r[rows].copy(), q_z[cols], sqrt_r[rows, None]
     # row blocks keep each product on one OpenBLAS thread
     n_rows = max(1, _ONE_THREAD_MADDS // b.size)
-    blocks = [slice(i, i + n_rows) for i in range(0, grid.nr, n_rows)]
-    read = np.empty((grid.nr, len(b)))
+    blocks = [slice(i, i + n_rows) for i in range(0, len(coef), n_rows)]
+    read = np.empty((len(coef), len(b)))
     views = [(coef[k], read[k], k) for k in blocks]
 
     def reset():
@@ -502,29 +545,35 @@ class DarkSampler:
     time. The uniform T1 factor exp(-t/T1) is applied exactly. At t = 0
     the dot average is the start field's (exactly 1 for the pumped dot),
     and for every t when D = 0 it is read from the field directly,
-    without transforms.
+    without transforms. The sampler holds its own basis: all nz axial
+    modes when built from a field, only the even ones for the pump of a
+    mirror-symmetric dot (see the module docstring).
     """
 
     def __init__(self, field: PolarizationField, cfg: SolverConfig):
         self._field, self.cfg = field, cfg
         self._grid, self._t0, self._clamp = field.grid, field.time, None
         self._basis = self._coef = None
+        self._even = False
         if cfg.d_qd > 0:
             self._basis = _eigenbasis(field.grid, cfg.boundary)
             self._coef = _to_modes(field.values, self._basis)
 
     @classmethod
     def _pumped(cls, coef: np.ndarray | None, grid: Grid, cfg: SolverConfig,
-                t0: float, clamp: DotGeometry,
+                t0: float, clamp: DotGeometry, even: bool,
                 field: PolarizationField | None = None) -> DarkSampler:
         """The sampler of the field at time ``t0`` whose modal
-        coefficients are ``coef`` (None at D = 0), with the cells of
-        ``clamp`` at exactly S = 1. ``field``, when given, is that field
-        (at D = 0 it is the only state)."""
+        coefficients are ``coef`` (None at D = 0), in the even axial
+        modes when ``even``, with the cells of ``clamp`` at exactly
+        S = 1. ``field``, when given, is that field (at D = 0 it is the
+        only state)."""
         self = cls.__new__(cls)
         self._field, self.cfg, self._coef = field, cfg, coef
         self._grid, self._t0, self._clamp = grid, t0, clamp
-        self._basis = _eigenbasis(grid, cfg.boundary) if cfg.d_qd > 0 else None
+        self._even = even
+        self._basis = (_eigenbasis(grid, cfg.boundary, even)
+                       if cfg.d_qd > 0 else None)
         return self
 
     @property
@@ -579,7 +628,8 @@ class DarkSampler:
         if self._basis is None:
             return dot_average(self.field, geometry) * self._factors(t)[0]
         # sum of r * S over the dot, mode by mode, over the sum of r
-        a, b = _dot_modes(self._grid, geometry, self.cfg.boundary)
+        a, b = _dot_modes(self._grid, geometry, self.cfg.boundary,
+                          self._even)
         _, _, _, w_sum = _dot(self._grid, geometry)
         g = a[:, None] * self._coef * b / w_sum
         out = np.empty(t.size)
@@ -638,19 +688,23 @@ def _clamped(start: DarkSampler, elapsed: float, clamp: DotGeometry,
     new array: no two cells couple, so a step is the T1 factor followed
     by the reset, and the last reset covers the first.
     """
-    grid, cfg = start._grid, start.cfg
+    grid, cfg, even = start._grid, start.cfg, start._even
     rows, cols, _, _ = dot = _dot(grid, clamp)
+    if even and cols.start + cols.stop != grid.nz:
+        raise InvariantViolation(
+            "AsymmetricClamp", f"{clamp} is not mirror-symmetric on the "
+            f"grid, but the start carries only the even axial modes")
     dt, n = _substeps(grid, cfg, duration) if duration > 0 else (0.0, 0)
     decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     t = start._t0 + elapsed + duration
     if cfg.d_qd > 0:
-        coef = _pump_modes(start._coef_at(elapsed), grid, cfg, dt, n, decay,
-                           dot, reset_first)
-        return DarkSampler._pumped(coef, grid, cfg, t, clamp)
+        coef = _pump_modes(start._coef_at(elapsed), start._basis, cfg, dt, n,
+                           decay, dot, reset_first)
+        return DarkSampler._pumped(coef, grid, cfg, t, clamp, even)
     values = start.field_at(elapsed).values * decay ** n
     _require_finite(values, dt)
     values[rows, cols] = 1.0
-    return DarkSampler._pumped(None, grid, cfg, t, clamp,
+    return DarkSampler._pumped(None, grid, cfg, t, clamp, even,
                                PolarizationField(grid, values, t))
 
 
@@ -693,21 +747,26 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
 
     The start is the sampler of the dot indicator, built once. With D > 0
     it holds the indicator's modal coefficients, the outer product of the
-    readout vectors (``_dot_modes``); the exact 0/1 field is built only
-    where it is the state (D = 0) or is read as is (``t_pump`` = 0). An
-    instant pump returns that sampler and runs no step. A longer one
-    hands it to the clamped routine of ``evolve`` (``_clamped``), which
-    consumes it: with D > 0 no grid <-> mode transform is made, and the
-    field is built only when the returned sampler's ``field`` is read. A
-    pump from a polarized state (``kinetics.run_sequence``) hands its
-    sampler to ``_clamped`` directly."""
+    readout vectors (``_dot_modes``), in the even axial modes alone when
+    the dot's columns are mirror-symmetric on the grid; the exact 0/1
+    field is built only where it is the state (D = 0) or is read as is
+    (``t_pump`` = 0). An instant pump returns that sampler and runs no
+    step. A longer one hands it to the clamped routine of ``evolve``
+    (``_clamped``), which consumes it: with D > 0 no grid <-> mode
+    transform is made, and the field is built only when the returned
+    sampler's ``field`` is read. A pump from a polarized state
+    (``kinetics.run_sequence``) hands its sampler to ``_clamped``
+    directly."""
     _check_time("t_pump", t_pump)
-    coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary))
+    _, cols, _, _ = _dot(grid, geometry)
+    even = cols.start + cols.stop == grid.nz
+    coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary, even))
             if cfg.d_qd > 0 else None)
     # the field coerces the boolean mask to exact 0.0 and 1.0
     indicator = (PolarizationField(grid, grid.dot_mask(geometry))
                  if coef is None or t_pump == 0 else None)
-    start = DarkSampler._pumped(coef, grid, cfg, 0.0, geometry, indicator)
+    start = DarkSampler._pumped(coef, grid, cfg, 0.0, geometry, even,
+                                indicator)
     return _clamped(start, 0.0, geometry, t_pump) if t_pump > 0 else start
 
 

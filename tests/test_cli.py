@@ -86,6 +86,20 @@ def test_out_of_range_solver_key_exits_2_naming_key(tmp_path, capsys, old,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "convert"])
+def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys,
+                                                   command):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(FAST_SOLVER.replace("radius_nm = 10",
+                                         "radius_nm = 1\xff").encode("latin-1"))
+    argv = [command] + (["66"] if command == "convert" else
+                        ["--out", str(tmp_path / "out")])
+    assert main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ini" in err and "0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "fit-d"])
 @pytest.mark.parametrize("geometry, key", [
     ("", "radius_nm"),

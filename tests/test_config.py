@@ -169,6 +169,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="malformed config"):
             load_config(write(tmp_path, "radius_nm = 10\n" + GEO))
 
+    def test_file_that_is_not_utf8_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[geometry]\nradius_nm = \xff\nheight_nm = 5\n")
+        with pytest.raises(ConfigError,
+                           match="cannot read config .*bad.ini: .*0xff"):
+            load_config(path)
+
     def test_default_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
             load_config(write(tmp_path, "[DEFAULT]\nx = 1\n" + GEO))

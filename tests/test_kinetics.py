@@ -193,6 +193,22 @@ class TestRunSequenceMatchesFieldRoute:
         np.testing.assert_array_equal(got.t, t)
         np.testing.assert_allclose(got.y, y, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("every", [None, 0.4])
+    @pytest.mark.parametrize("name", ["repump", "pump_pump", "repump_dark"])
+    @pytest.mark.parametrize("t1", [None, 4.0])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_even_mode_repumps_match_field_route(self, boundary, t1, name,
+                                                 every):
+        # the dot is mirror-symmetric on the grid, so every pump runs in
+        # the even axial modes; the field route runs in all of them
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, dt=0.05,
+                           boundary=boundary)
+        seq = self.SEQUENCES[name]
+        got = run_sequence(seq, cfg, GEO, self.GRID, dark_sample_every=every)
+        t, y = field_route_sequence(seq, cfg, GEO, self.GRID, every)
+        np.testing.assert_array_equal(got.t, t)
+        np.testing.assert_allclose(got.y, y, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("d", [10.0, 0.0])
     def test_probe_after_pump_reads_one(self, d):
         cfg = SolverConfig(d_qd=d, t1_uniform=4.0, dt=0.05)

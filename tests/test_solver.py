@@ -24,8 +24,9 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       auto_dt, build_grid, dark_sample_times, dot_average,
                       evolve, simulate_dark, simulate_pump, step, total_spin)
 from spindiff.solver import (MAX_CELLS, MAX_SAMPLES, _axial_coeffs,
+                             _axial_modes,
                              _clamped, _dot, _dot_modes, _eigenbasis,
-                             _radial_coeffs, _to_modes)
+                             _radial_coeffs, _radial_modes, _to_modes)
 
 GEO = DotGeometry()
 
@@ -303,8 +304,8 @@ class TestEigenbasis:
             return eigh_tridiagonal(*args, **kwargs)
 
         monkeypatch.setattr(solver, "eigh_tridiagonal", spy)
-        # past the cache, so every call builds the basis
-        _eigenbasis.__wrapped__(self.GRIDS[size], boundary)
+        # past the cache, so every call solves for the radial modes
+        _radial_modes.__wrapped__(self.GRIDS[size], boundary)
         assert drivers == ["stemr"]
 
 
@@ -563,6 +564,97 @@ class TestPumpedSampler:
         np.testing.assert_array_equal(
             sampler.dot_averages(times, GEO),
             DarkSampler(old, cfg).dot_averages(times, GEO))
+
+
+class TestEvenAxialModes:
+    """A dot whose columns are mirror-symmetric on the grid is pumped in
+    the even axial modes alone; the result must agree with the field
+    route, which runs in the full basis."""
+
+    GRIDS = {"build_grid": build_grid(GEO, 1.0, 0.625, extent_factor=5.0),
+             "odd_nz": Grid(nr=20, nz=25, dr=0.5, dz=0.4, z_min=-5.0)}
+    DOTS = {"build_grid": GEO, "odd_nz": DotGeometry(radius=4.0, height=3.0)}
+
+    @staticmethod
+    def indicator(grid, geometry):
+        values = np.zeros((grid.nr, grid.nz))
+        values[grid.dot_mask(geometry)] = 1.0
+        return PolarizationField(grid, values)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("nz", [12, 13, 400])
+    def test_even_modes_are_every_other_column(self, nz, boundary):
+        lam, q = _axial_modes(nz, 0.5, boundary)
+        lam_even, q_even = _axial_modes(nz, 0.5, boundary, True)
+        np.testing.assert_array_equal(lam_even, lam[::2])
+        np.testing.assert_array_equal(q_even, q[:, ::2])
+        # each is symmetric about the mid-plane
+        assert max_abs(q_even[::-1] - q_even) <= 1e-14
+
+    @pytest.mark.parametrize("t1", [None, 0.8])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_matches_full_basis_route(self, name, boundary, t1):
+        grid, geo = self.GRIDS[name], self.DOTS[name]
+        cfg = SolverConfig(d_qd=10.0, dt=0.05, t1_uniform=t1,
+                           boundary=boundary)
+        sampler = simulate_pump(geo, cfg, 1.0, grid)
+        assert sampler._coef_at(0.0).shape == (grid.nr, (grid.nz + 1) // 2)
+        old = evolve(self.indicator(grid, geo), cfg, 1.0, clamp=geo)
+        np.testing.assert_allclose(sampler.field.values, old.values,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sampler.field_at(2.5).values,
+                                   evolve(old, cfg, 2.5).values,
+                                   rtol=0, atol=1e-13)
+        times = [0.0, 0.3, 2.5, 40.0]
+        wider = DotGeometry(radius=6.0, height=2.0, z_center=0.5)
+        for readout in (geo, wider):
+            np.testing.assert_allclose(
+                sampler.dot_averages(times, readout),
+                DarkSampler(old, cfg).dot_averages(times, readout),
+                rtol=0, atol=1e-13)
+        # a second pump from the even state after a dark interval
+        again = _clamped(sampler, 0.7, geo, 0.5, reset_first=True)
+        v = evolve(old, cfg, 0.7).values
+        v[grid.dot_mask(geo)] = 1.0
+        want = evolve(PolarizationField(grid, v, 1.7), cfg, 0.5, clamp=geo)
+        np.testing.assert_allclose(again.field.values, want.values,
+                                   rtol=0, atol=1e-13)
+
+    def test_production_pump_carries_half_the_axial_modes(self):
+        grid = build_grid(GEO, 0.5, 0.5)
+        cfg = SolverConfig(d_qd=10.0, dt=0.01)
+        assert simulate_pump(GEO, cfg, 0.0, grid)._coef_at(0.0).shape == \
+            (400, 200)
+        grid = self.GRIDS["build_grid"]
+        for t_pump in (0.0, 0.2):
+            coef = simulate_pump(GEO, cfg, t_pump, grid)._coef_at(0.0)
+            assert coef.shape == (grid.nr, (grid.nz + 1) // 2)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_off_center_dot_keeps_all_modes(self, boundary):
+        grid = self.GRIDS["build_grid"]
+        geo = DotGeometry(z_center=1.25)
+        cfg = SolverConfig(d_qd=10.0, dt=0.05, t1_uniform=0.8,
+                           boundary=boundary)
+        sampler = simulate_pump(geo, cfg, 1.0, grid)
+        assert sampler._coef_at(0.0).shape == (grid.nr, grid.nz)
+        old = evolve(self.indicator(grid, geo), cfg, 1.0, clamp=geo)
+        np.testing.assert_allclose(sampler.field.values, old.values,
+                                   rtol=0, atol=1e-13)
+        times = [0.0, 0.3, 2.5]
+        np.testing.assert_allclose(
+            sampler.dot_averages(times, geo),
+            DarkSampler(old, cfg).dot_averages(times, geo),
+            rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("elapsed", [0.0, 0.4])
+    def test_even_start_rejects_asymmetric_clamp(self, elapsed):
+        grid = self.GRIDS["build_grid"]
+        cfg = SolverConfig(d_qd=10.0, dt=0.05)
+        start = simulate_pump(GEO, cfg, 0.5, grid)
+        with pytest.raises(InvariantViolation, match="AsymmetricClamp"):
+            _clamped(start, elapsed, DotGeometry(z_center=1.25), 0.5)
 
 
 class TestPumpAndDark:
