@@ -35,7 +35,7 @@ class GeometryMismatch(SpinDiffError):
 
 
 class NumericalBlowup(SpinDiffError):
-    """Non-finite values appeared during time stepping."""
+    """Non-finite values appeared in a pump or a capacitance solve."""
 
     exit_code = 3
 

@@ -3,8 +3,8 @@
 Runs erase/pump/dark/probe sequences against the diffusion solver,
 produces decay series of the dot-average polarization, and provides the
 two fits used against measured data: exponential rise times and the
-diffusion coefficient (grid search in log10 D with golden-section
-refinement, an affine nuisance pair absorbed by linear least squares).
+diffusion coefficient (a coarse scan in log10 D refined by Brent's
+method, an affine nuisance pair absorbed by linear least squares).
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .units import diffusion_cm2s_to_nm2s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_D_TOL = 1e-3  # resolves D to ~0.2%, far inside fit tolerances
+_SCAN_PER_DECADE = 2  # candidates per decade of the D bounds
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class DiffusionFit:
     ``sse`` and ``sse_grid`` (one value per ``d_grid`` candidate) are
     sums of squared residuals, each residual divided by its sigma when
     the data carry one. ``forward_solves`` counts the forward-model
-    solves the fit ran: the scan and the golden-section steps.
+    solves the fit ran: the scan and the refinement.
     ``model`` is offset + scale * P(t; d_qd) at the measured times, from
     the curve the fit solved at d_qd.
     """
@@ -95,8 +96,8 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
     unpolarized state, whose dot average is exactly 0. A pump from the
     unpolarized state is ``simulate_pump``, the forward model's pump; a
     pump from a polarized state hands the sampler and the elapsed time to
-    the clamped routine (``solver._clamped``), which resets the dot first
-    and consumes the sampler. Dark and probe segments only add to the
+    the clamped routine (``solver._clamped``), which sets the dot to 1 at
+    once and consumes the sampler. Dark and probe segments only add to the
     elapsed time: a dark segment is read at ``dark_sample_times`` when
     ``dark_sample_every`` is given, and a probe records (time, dot
     average) at its start without perturbing the state. Times are the
@@ -115,8 +116,7 @@ def run_sequence(seq: PulseSequence, cfg: SolverConfig,
         elif seg.kind is SegmentKind.PUMP:
             pumped = (simulate_pump(geometry, cfg, seg.duration, grid)
                       if pumped is None else
-                      _clamped(pumped, elapsed, geometry, seg.duration,
-                               reset_first=True))
+                      _clamped(pumped, elapsed, geometry, seg.duration))
             elapsed = 0.0
         elif seg.kind is SegmentKind.PROBE:
             times = np.zeros(1)
@@ -227,9 +227,10 @@ def pumped_sampler(d_cm2s: float, t_pump: float, geometry: DotGeometry,
                    grid: Grid, dt: float | None = None,
                    t1_uniform: float | None = None) -> DarkSampler:
     """The pump->dark forward model at D = ``d_cm2s`` (cm^2/s): pump an
-    unpolarized medium for ``t_pump`` with step ``dt`` (``None``: the
-    automatic default) and uniform relaxation ``t1_uniform``, and return
-    the free evolution from the end of the pump. The pump leaves the dot
+    unpolarized medium for ``t_pump``, exactly in time, with uniform
+    relaxation ``t1_uniform``, and return the free evolution from the end
+    of the pump. ``dt`` is kept in ``SolverConfig`` for ``step()`` and
+    does not change the pump. The pump leaves the dot
     at exactly S = 1, so the dot average at dark time 0 is exactly 1."""
     cfg = SolverConfig(d_qd=diffusion_cm2s_to_nm2s(d_cm2s),
                        t1_uniform=t1_uniform, dt=dt)
@@ -248,6 +249,49 @@ def _affine_lsq(p: np.ndarray, y: np.ndarray, weight: np.ndarray | None = None
     return float(coef[0]), float(coef[1]), float(res @ res)
 
 
+def _brent(f, a: float, b: float, x: float, fx: float, tol: float
+           ) -> tuple[float, float]:
+    """Minimize ``f`` on [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5), from the interior
+    point ``x`` where f is ``fx``: the least point so far and the two
+    before it define a parabola, whose vertex is the next point when it
+    lies inside the bracket and moves less than half the step before the
+    last; otherwise a golden-section step goes into the larger part of
+    the bracket. No new point is closer than ``tol`` to the least one.
+    Stops when the least point is within 2 tol of both ends of the
+    bracket and returns it with its value."""
+    v, fv, w, fw = x, fx, x, fx
+    step = prev = 0.0  # the last step and the one before it
+    while max(x - a, b - x) > 2.0 * tol:
+        mid = 0.5 * (a + b)
+        golden = True
+        if abs(prev) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0 else p), abs(q)
+            if abs(p) < abs(0.5 * q * prev) and q * (a - x) < p < q * (b - x):
+                golden, prev, step = False, step, p / q
+                if min(x + step - a, b - x - step) < 2.0 * tol:
+                    step = tol if x < mid else -tol
+        if golden:
+            prev = (a if x >= mid else b) - x
+            step = (1.0 - _GOLDEN) * prev
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
+
 def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                               geometry: DotGeometry, grid: Grid,
                               d_bounds: tuple[float, float], *,
@@ -256,15 +300,17 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                               ) -> DiffusionFit:
     """Fit the diffusion coefficient to a measured decay series.
 
-    Scans log10 D on a coarse grid (>= 8 candidates per decade), solving
-    scale and offset by linear least squares at each candidate, then
-    refines around the best candidate by golden-section search. The model
-    is the dot average of ``pumped_sampler`` at the measured times, with
-    the given pump step ``dt`` and uniform relaxation ``t1_uniform``; the
-    fit keeps each curve it solves. When the series carries a ``sigma``,
-    each residual is divided by its sigma. A flat objective raises
-    NotIdentifiable; a minimum pinned at a search bound is reported via
-    the ``BoundaryMinimum`` warning.
+    Scans log10 D on a coarse grid (``_SCAN_PER_DECADE`` candidates per
+    decade, both bounds included), solving scale and offset by linear
+    least squares at each candidate, then refines between the neighbors
+    of the best candidate by Brent's method (``_brent``) to
+    ``_LOG_D_TOL`` in log10 D. The model is the dot average of
+    ``pumped_sampler`` at the measured times, with uniform relaxation
+    ``t1_uniform`` (``dt`` is accepted and plays no part: the pump is
+    exact in time); the fit keeps each curve it solves. When the series
+    carries a ``sigma``, each residual is divided by its sigma. A flat
+    objective across the scan raises NotIdentifiable; a minimum pinned
+    at a search bound is reported via the ``BoundaryMinimum`` warning.
     """
     t, y = measured.t, measured.y
     if len(t) < 5:
@@ -286,7 +332,7 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
         return _affine_lsq(p, y, weight)[2]
 
     logs = np.linspace(math.log10(d_lo), math.log10(d_hi),
-                       int(np.ceil(8 * decades)) + 1)
+                       int(np.ceil(_SCAN_PER_DECADE * decades)) + 1)
     sses = np.array([objective(l) for l in logs])
     # flat objective: no candidate is meaningfully better, either in
     # relative terms or because every candidate fits to round-off
@@ -299,22 +345,17 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
             "constrain the diffusion coefficient")
     best = int(np.argmin(sses))
 
-    # golden-section refinement between the neighbors of the best candidate
-    a = logs[max(best - 1, 0)]
-    b = logs[min(best + 1, len(logs) - 1)]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > _LOG_D_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    log_best = c if fc < fd else d
+    # Brent between the neighbors of the best candidate, from that
+    # candidate, or from the golden point when it is a bound
+    a = float(logs[max(best - 1, 0)])
+    b = float(logs[min(best + 1, len(logs) - 1)])
+    x = float(logs[best])
+    if a < x < b:
+        fx = float(sses[best])
+    else:
+        x = a + (1.0 - _GOLDEN) * (b - a)
+        fx = objective(x)
+    log_best, _ = _brent(objective, a, b, x, fx, _LOG_D_TOL / 2)
     p = curves[log_best]
     scale, offset, sse = _affine_lsq(p, y, weight)
 

@@ -17,22 +17,28 @@ threaded BLAS:
     exactly. There is no time step and no time-discretization error;
     ``DarkSampler`` reads the dot average at any list of times from its
     modal coefficients, all times in one vectorized pass.
-  * Dot clamped at S = 1 (the pump): Crank-Nicolson in its
-    Peaceman-Rachford split, unconditionally stable, each step followed
-    by resetting the dot cells to S = 1. The step is diagonal on the
-    modes and the reset is a low-rank correction through the dot
-    rectangle, so the recurrence is carried in modal coefficients; the
-    coefficients are checked for non-finite values once, after the last
-    step. The reset makes the pump first-order in dt, and the staircase
-    dot boundary makes it first-order in dr.
+  * Dot clamped at S = 1 (the pump): exact in time as well, through
+    the Laplace transform (``_exact_pump``). A source on the dot's cells
+    holds them at S = 1, so the modal coefficients obey
+    dc/dt = (D lam - 1/T1) c + Lift(g). At each node s of a contour the
+    modal part is the diagonal W(s) = 1 / (s - D lam + 1/T1), and the
+    source is the solution of one small system on the dot's cells, the
+    capacitance matrix Read o W o Lift (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971). The inverse transform is the
+    trapezoidal rule on the optimized cotangent contour of Weideman &
+    Trefethen (Math. Comp. 76, 2007), 24 nodes, 12 of them by conjugate
+    symmetry, accurate to about 1e-14. The pump has no time step; the
+    staircase dot boundary makes it first-order in dr.
 
 One routine advances a field with the dot clamped, ``_clamped``: its
 start is a ``DarkSampler`` plus the time elapsed since that sampler's
 start, and the grid, the cfg and the start time are the sampler's. The
 state is the start's modal coefficients at that time (at elapsed 0 the
 start's own array, advanced in place: the routine consumes its start),
-or its field values when D = 0. It runs the sub-steps and returns the
-``DarkSampler`` of the pumped state, which keeps the last coefficients.
+or its field values when D = 0. A start whose dot is not at S = 1 (a
+re-pump after a dark interval) needs no reset: the source sets the dot
+at once. It returns the ``DarkSampler`` of the pumped state, which keeps
+the pumped coefficients.
 ``evolve(clamp=)`` hands it a ``DarkSampler`` built from its field and
 reads the result's ``field``; ``simulate_pump`` hands it the sampler of
 an unpolarized medium's dot indicator (at D > 0 its coefficients are the
@@ -47,7 +53,7 @@ pump's duration, and the sampler builds the pumped field only when its
 ``field`` is read.
 
 Which axial modes a sampler carries. Every ``DarkSampler`` holds its own
-basis, which its pump steps, readouts and transforms read. A sampler
+basis, which its pump, readouts and transforms read. A sampler
 built from a field (``DarkSampler(field)``, behind ``evolve`` and
 ``simulate_dark``) holds all nz modes. ``simulate_pump`` starts from the
 unpolarized medium; when the dot's columns are mirror-symmetric on the
@@ -56,8 +62,10 @@ grid, which centers z on the dot's mid-plane), the start, the clamp and
 the operator are all even under the reflection j -> nz - 1 - j, so the
 pumped field stays even and its odd axial modes stay exactly zero. That
 sampler, and every one ``_clamped`` makes from it, holds only the
-ceil(nz / 2) even modes, so each pump step, readout and field transform
-makes half the passes over the coefficients. A clamp that is not
+ceil(nz / 2) even modes, so each pump, readout and field transform
+makes half the passes over the coefficients, and the pump's capacitance
+system folds the dot's columns over the mid-plane: 20 x 5 unknowns on
+the production grid, not 20 x 10. A clamp that is not
 mirror-symmetric would feed the odd modes; ``_clamped`` rejects it for
 an even start (``AsymmetricClamp``).
 
@@ -66,12 +74,13 @@ centers inside the disk are a prefix of the rows and the axial ones an
 interval of the columns. One cached builder, ``_dot``, returns it as a
 record (rows, cols, w, w_sum): the two index slices, the read-only
 volume weights r of its cells and their sum, built once per (grid,
-geometry), so the readout and the reset touch only its cells. It
+geometry), so the readout and the clamp touch only its cells. It
 rejects a dot beyond the grid or without a cell center, on every call,
 so every use of the dot is checked: ``Grid.dot_mask``, the readouts, the
 pump's clamp and ``kinetics.run_sequence``. The readout vectors
 (``_dot_modes``), whose outer product is also the indicator's modal
-coefficients, are cached the same way per (grid, geometry, boundary,
+coefficients, and the pump's rows and columns of the basis on the dot
+(``_dot_rect``) are cached the same way per (grid, geometry, boundary,
 parity).
 
 Discretization notes:
@@ -95,12 +104,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgesv
 
 from .domain import DecaySeries, DotGeometry, YKind, reject_non_finite
 from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
                      NumericalBlowup)
 
-# Accuracy-driven default step cap; Crank-Nicolson needs no stability bound.
+# Default step of ``step()``: no advance of the solver takes a time step.
 DT_CAP = 0.010
 # Most cells per axis: one dense eigenvector matrix of 2**14 cells takes
 # 2 GiB.
@@ -109,12 +119,6 @@ MAX_CELLS = 2 ** 14
 # averages and each column written from them take 128 MiB per 2**24
 # float64 values.
 MAX_SAMPLES = 2 ** 24
-# Most clamped sub-steps of one pump: at about 0.19 ms per step on the
-# 400x400 production grid (the even axial modes of a centered dot; about
-# 0.37 ms in all 400), 2**24 steps run for about 0.9 h, and 2**24
-# automatic steps of 10 ms cover 46 h of pump. A 10 s pump at
-# D = 1e-11 cm^2/s on that grid takes 80,000.
-MAX_STEPS = 2 ** 24
 _D_FLOOR = 1e-30
 # Multiply-adds per matrix product that OpenBLAS keeps on one thread:
 # threads do not pay off on the thin products here and stall whenever
@@ -125,6 +129,17 @@ _D_FLOOR = 1e-30
 # product for a pumped state in the even axial modes, 400^3 for a field
 # handed in as values.
 _ONE_THREAD_MADDS = 2 ** 18
+# The optimized cotangent contour of Weideman & Trefethen (Math. Comp.
+# 76, 2007): z(theta) = N (sigma + mu theta cot(alpha theta)
+# + i nu theta), -pi < theta < pi, whose trapezoidal rule converges as
+# exp(-1.358 N). N = 24 leaves about 1e-14; 16 leaves about 1e-9.
+_CONTOUR = (-0.6122, 0.5017, 0.6407, 0.2645)  # sigma, mu, alpha, nu
+_NODES = 24
+# Longest pump in lifetimes of the fastest mode (t times the largest
+# rate D |lam| + 1/T1). A longer one is cut to this: it keeps the squares
+# in the resolvent finite, and only a clamped mode some 1e98 times
+# slower than the fastest would not yet be at its steady state.
+_MAX_STIFFNESS = 1e100
 
 
 class BoundaryMode(Enum):
@@ -208,12 +223,14 @@ class PolarizationField:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Diffusion coefficient in nm^2/s plus stepping and boundary options.
+    """Diffusion coefficient in nm^2/s plus the step of ``step()`` and
+    boundary options.
 
-    ``dt`` is the step of the clamped pump; ``None`` picks the
-    accuracy-driven default min(dr, dz)^2 / (2 D), capped at 10 ms.
-    Unclamped intervals are exact and take no step. ``t1_uniform`` adds a
-    uniform exp(-t/T1) relaxation of all unclamped cells.
+    Every advance is exact in time, clamped (the pump) or not, and is
+    first-order in dr only: no advance takes a time step. ``dt`` is only
+    the default step of the public ``step()``; ``None`` there picks
+    min(dr, dz)^2 / (2 D), capped at 10 ms (``auto_dt``). ``t1_uniform``
+    adds a uniform exp(-t/T1) relaxation of all unclamped cells.
     """
 
     d_qd: float
@@ -273,8 +290,8 @@ def build_grid(geometry: DotGeometry, dr: float, dz: float,
 
 
 def auto_dt(grid: Grid, d_qd: float) -> float:
-    """Default pump time step: accuracy budget min(dr,dz)^2/(2 D), capped
-    at DT_CAP."""
+    """Default step of ``step()``: min(dr,dz)^2/(2 D), capped at
+    DT_CAP."""
     return min(min(grid.dr, grid.dz) ** 2 / (2.0 * max(d_qd, _D_FLOOR)),
                DT_CAP)
 
@@ -454,76 +471,155 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
     return a, b
 
 
-def _substeps(grid: Grid, cfg: SolverConfig, duration: float):
-    """(dt, n): the fewest clamped sub-steps of at most cfg.dt (or the
-    automatic default) that land exactly on ``duration`` > 0. More than
-    ``MAX_STEPS`` (or a count that is not a number) is ``TooManySteps``,
-    raised before the first step."""
-    dt_req = cfg.dt if cfg.dt is not None else auto_dt(grid, cfg.d_qd)
-    steps = duration / dt_req
-    if not (steps <= MAX_STEPS):
-        raise InvariantViolation("TooManySteps",
-                                 f"duration = {duration} at dt = {dt_req} "
-                                 f"is {steps:.6g} steps, need <= "
-                                 f"{MAX_STEPS}")
-    n = math.ceil(steps)
-    return duration / n, n
+@lru_cache(maxsize=64)
+def _dot_rect(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
+              even: bool = False):
+    """The basis on the dot's cells, for the pump's capacitance system,
+    read-only: (a, s, b, b2t, i, k, flat), for the axial modes of
+    ``_eigenbasis(grid, boundary, even)``.
 
-
-def _pump_modes(coef: np.ndarray, basis, cfg: SolverConfig, dt: float,
-                n_steps: int, decay: float, dot, reset_start) -> np.ndarray:
-    """Run ``n_steps`` >= 0 Crank-Nicolson steps of size ``dt`` on the
-    modal coefficients ``coef`` (updated in place and returned) of a
-    field in the modes of ``basis`` (an ``_eigenbasis``), resetting the
-    cells of ``dot`` (a ``_dot`` record) to S = 1 after each, and first
-    when ``reset_start``; needs D > 0.
-
-    Each step is S <- reset(decay * M S), ``decay`` the T1 factor of one
-    step and M the Peaceman-Rachford factor
-    (I - mu A_z)^-1 (I + mu A_r) (I - mu A_r)^-1 (I + mu A_z).
-    A_r x I and I x A_z commute, so M is diagonal on the eigenbasis
-    modes, and the step is c <- rho * c; the reset then adds
-    sqrt(r) (1 - S) on the dot rectangle back through the rows of q_r
-    and q_z inside it, a low-rank correction (the capacitance-matrix idea
-    of Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).
-
-    Non-finite values are checked once, after the last step: a NaN or
-    inf coefficient stays non-finite under the scaling, the products and
-    the additions of the loop, and |rho| <= 1 keeps finite ones finite.
+    a holds the dot's rows of q_r (a C-ordered copy, as in
+    ``_dot_modes``) and s their weights sqrt(r); b holds the rows of q_z
+    of the dot's columns. In the even axial modes b holds only the
+    columns up to the mid-plane: an even state's source is even, so the
+    dot's columns fold over it. The capacitance matrix of a contour node,
+    K[(i, j), (k, l)] = sum_pq a_ip a_kp V_pq b_jq b_lq, is symmetric in
+    i <-> k and in j <-> l apart, so it is read from a table of its
+    distinct pairs: b2t holds the products b_jq b_lq of the pairs j <= l
+    as columns, (i, k) are the index arrays of the pairs i <= k, and
+    ``flat`` is the position of each entry of K in the flattened table.
     """
-    rows, cols, _, _ = dot
-    mu = 0.5 * cfg.d_qd * dt
-    lam_r, q_r, lam_z, q_z, sqrt_r = basis
-    rho = (decay * (1.0 + mu * lam_r) / (1.0 - mu * lam_r))[:, None] \
-        * ((1.0 + mu * lam_z) / (1.0 - mu * lam_z))
-    # a C-ordered copy of q_r's dot rows, as in _dot_modes
-    a, b, w = q_r[rows].copy(), q_z[cols], sqrt_r[rows, None]
-    # row blocks keep each product on one OpenBLAS thread
-    n_rows = max(1, _ONE_THREAD_MADDS // b.size)
-    blocks = [slice(i, i + n_rows) for i in range(0, len(coef), n_rows)]
-    read = np.empty((len(coef), len(b)))
-    views = [(coef[k], read[k], k) for k in blocks]
+    rows, cols, _, _ = _dot(grid, geometry)
+    _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
+    if even:
+        cols = slice(cols.start, (cols.start + cols.stop + 1) // 2)
+    a, b = q_r[rows].copy(), q_z[cols]
+    i, k = np.triu_indices(len(a))
+    j, l = np.triu_indices(len(b))
+    pair_r = np.empty((len(a), len(a)), dtype=np.intp)
+    pair_r[i, k] = pair_r[k, i] = np.arange(i.size)
+    pair_z = np.empty((len(b), len(b)), dtype=np.intp)
+    pair_z[j, l] = pair_z[l, j] = np.arange(j.size)
+    m = len(a) * len(b)
+    flat = (pair_r[:, None, :, None] * j.size
+            + pair_z[None, :, None, :]).reshape(m, m)
+    rect = (a, sqrt_r[rows], b, np.ascontiguousarray((b[j] * b[l]).T), i, k,
+            flat)
+    for x in rect:
+        x.setflags(write=False)
+    return rect
 
-    def reset():
-        for c, r, _ in views:
-            np.matmul(c, b.T, out=r)
-        y = a.T @ (w - a @ read)
-        for c, _, k in views:
-            c += y[k] @ b
 
-    if reset_start:
-        reset()
-    for _ in range(n_steps):
-        coef *= rho
-        reset()
-    _require_finite(coef, dt)
+@lru_cache(maxsize=4)
+def _talbot(n: int):
+    """(z, w): the n // 2 nodes of the n-node ``_CONTOUR`` with Im z > 0,
+    at the midpoints theta_k = (k + 1/2) 2 pi / n, and their weights
+    w_k = -2i exp(z_k) z'(theta_k) / n. For a real f whose Laplace
+    transform F has its singularities on the negative real axis,
+    f(t) = sum_k Re(w_k F(z_k / t)) / t: the nodes with Im z < 0 are the
+    conjugates of these and add the conjugate terms."""
+    sigma, mu, alpha, nu = _CONTOUR
+    theta = (np.arange(n // 2) + 0.5) * (2.0 * np.pi / n)
+    cot = 1.0 / np.tan(alpha * theta)
+    z = n * (sigma + mu * theta * cot + 1j * nu * theta)
+    dz = n * (mu * cot - mu * alpha * theta / np.sin(alpha * theta) ** 2
+              + 1j * nu)
+    return z, -2j * np.exp(z) * dz / n
+
+
+def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
+                rect) -> np.ndarray:
+    """Hold the dot at S = 1 for ``duration`` >= 0, exactly in time, on
+    the modal coefficients ``coef`` (updated in place and returned) in
+    the modes of ``basis`` (an ``_eigenbasis``); ``rect`` is the clamp's
+    ``_dot_rect`` in that basis. Needs D > 0.
+
+    The duration t enters only through M = t (D lam - 1/T1), so at the
+    contour node z (s = z / t) the modal part is V = 1 / (z - M) =
+    W(s) / t, and a pump of any length has finite nodes; one longer than
+    ``_MAX_STIFFNESS`` lifetimes of the fastest mode is cut to that. With
+    Read(c) = a c b^T (the dot's values times s) and Lift(u) = a^T u b
+    (a source u on the dot's cells), the source of the node solves
+    K u = s / z - Read(V c), K = Read o V o Lift (LAPACK ``zgesv``, which
+    stays on one thread and allocates less than the symmetric ``zsysv``),
+    so that the dot reads 1 at every t > 0, whatever it read at the
+    start. The pumped coefficients are the exact free
+    part exp(M) c plus sum_k Re(w_k V_k Lift(u_k)) (``_talbot``).
+
+    Every product runs over blocks of radial modes and stays under
+    ``_ONE_THREAD_MADDS``; V is split into its real and imaginary parts,
+    so each is a real product. A first pass sums the pair table of each
+    node's K and Read(V c) over the blocks; a second pass adds the
+    source's part, computing V again. The buffers are a few blocks in
+    size. Non-finite values are checked once, at the end.
+    """
+    lam_r, _, lam_z, _, _ = basis
+    a, s, b, b2t, i, k, flat = rect
+    z, w = _talbot(_NODES)
+    relax = 1.0 / cfg.t1_uniform if cfg.t1_uniform else 0.0
+    fastest = -cfg.d_qd * (lam_r.min() + lam_z.min()) + relax
+    t = min(duration, _MAX_STIFFNESS / fastest)
+    m_r, m_z = t * (cfg.d_qd * lam_r - relax), t * cfg.d_qd * lam_z
+    nr, ne = coef.shape
+    n = max(1, _ONE_THREAD_MADDS // (b2t.shape[1] * max(ne, i.size)))
+    blocks = [slice(r, min(r + n, nr)) for r in range(0, nr, n)]
+    neg_m, inv = np.empty((n, ne)), np.empty((n, ne))
+    v, prod = np.empty((2, n, ne)), np.empty((2, n, ne))
+
+    def resolvents(blk):
+        """(node, V) for each node, V = 1 / (z - M) on the rows ``blk``
+        as (Re V, Im V), in one buffer."""
+        rows = blk.stop - blk.start
+        base, den, vk = neg_m[:rows], inv[:rows], v[:, :rows]
+        np.subtract(-m_r[blk, None], m_z, out=base)
+        for node, zk in enumerate(z):
+            np.add(base, zk.real, out=vk[0])
+            np.multiply(vk[0], vk[0], out=den)
+            den += zk.imag ** 2
+            np.divide(1.0, den, out=den)
+            vk[0] *= den
+            np.multiply(den, -zk.imag, out=vk[1])
+            yield node, vk
+
+    pairs = np.zeros((z.size, 2, i.size, b2t.shape[1]))
+    read = np.zeros((z.size, 2, len(a), len(b)))
+    for blk in blocks:
+        a_b, c_b, p = a[:, blk], coef[blk], prod[:, :blk.stop - blk.start]
+        a2_b = a[i, blk]
+        a2_b *= a[k, blk]
+        for node, vk in resolvents(blk):
+            pairs[node] += a2_b @ (vk @ b2t)
+            np.multiply(vk, c_b, out=p)
+            read[node] += a_b @ (p @ b.T)
+    src = np.empty_like(read)
+    for node in range(z.size):
+        cap = (pairs[node, 0] + 1j * pairs[node, 1]).ravel()[flat]
+        rhs = (s[:, None] / z[node] - (read[node, 0] + 1j * read[node, 1]))
+        _, _, u, info = zgesv(cap, rhs.ravel(), overwrite_a=True,
+                              overwrite_b=True)
+        if info:
+            raise NumericalBlowup(f"singular capacitance system at node "
+                                  f"{z[node]} of a pump of {duration} s")
+        u = w[node] * u.reshape(rhs.shape)
+        src[node, 0], src[node, 1] = u.real, u.imag
+    coef *= np.exp(m_r)[:, None]
+    coef *= np.exp(m_z)
+    for blk in blocks:
+        a_t, c_b = a[:, blk].T, coef[blk]
+        p = prod[:, :blk.stop - blk.start]
+        for node, vk in resolvents(blk):
+            np.matmul(a_t @ src[node], b, out=p)
+            p *= vk
+            c_b += p[0]
+            c_b -= p[1]
+    _require_finite(coef, duration)
     return coef
 
 
-def _require_finite(x: np.ndarray, dt: float) -> None:
+def _require_finite(x: np.ndarray, duration: float) -> None:
     if not np.isfinite(x).all():
         raise NumericalBlowup(
-            f"non-finite polarization after step of dt = {dt}")
+            f"non-finite polarization after a pump of {duration} s")
 
 
 class DarkSampler:
@@ -670,39 +766,38 @@ def dark_sample_times(t_dark: float, sample_every: float) -> np.ndarray:
 
 
 def _clamped(start: DarkSampler, elapsed: float, clamp: DotGeometry,
-             duration: float, reset_first: bool = False) -> DarkSampler:
+             duration: float) -> DarkSampler:
     """The ``DarkSampler`` of the free evolution of ``start`` to
     ``elapsed`` after its start, then held at S = 1 on the cells of
     ``clamp`` for ``duration`` >= 0: the one clamped advance, behind
     ``evolve(clamp=)``, ``simulate_pump`` and the re-pumps of
     ``kinetics.run_sequence``. The grid, the cfg and the start time are
-    ``start``'s.
+    ``start``'s. The dot is at S = 1 from the start of the clamp on,
+    whatever ``start`` holds there.
 
     The routine consumes ``start``. At D > 0 the state is
     ``start._coef_at(elapsed)``: at ``elapsed`` = 0 the start's own
-    coefficients, which ``_pump_modes`` updates in place and hands to the
-    returned sampler, so the caller drops ``start``. ``_pump_modes`` runs
-    the sub-steps of ``_substeps``, resetting the dot first when
-    ``reset_first``. At D = 0 the state is the values of
-    ``start.field_at(elapsed)`` times the T1 factor of the sub-steps, a
-    new array: no two cells couple, so a step is the T1 factor followed
-    by the reset, and the last reset covers the first.
+    coefficients, which ``_exact_pump`` updates in place and hands to the
+    returned sampler, so the caller drops ``start``. At D = 0 no two
+    cells couple: the state is the values of ``start.field_at(elapsed)``
+    times the T1 factor exp(-duration / T1), a new array, with the dot's
+    cells set to 1.
     """
     grid, cfg, even = start._grid, start.cfg, start._even
-    rows, cols, _, _ = dot = _dot(grid, clamp)
+    rows, cols, _, _ = _dot(grid, clamp)
     if even and cols.start + cols.stop != grid.nz:
         raise InvariantViolation(
             "AsymmetricClamp", f"{clamp} is not mirror-symmetric on the "
             f"grid, but the start carries only the even axial modes")
-    dt, n = _substeps(grid, cfg, duration) if duration > 0 else (0.0, 0)
-    decay = math.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     t = start._t0 + elapsed + duration
     if cfg.d_qd > 0:
-        coef = _pump_modes(start._coef_at(elapsed), start._basis, cfg, dt, n,
-                           decay, dot, reset_first)
+        coef = _exact_pump(start._coef_at(elapsed), start._basis, cfg,
+                           duration, _dot_rect(grid, clamp, cfg.boundary,
+                                               even))
         return DarkSampler._pumped(coef, grid, cfg, t, clamp, even)
-    values = start.field_at(elapsed).values * decay ** n
-    _require_finite(values, dt)
+    relax = math.exp(-duration / cfg.t1_uniform) if cfg.t1_uniform else 1.0
+    values = start.field_at(elapsed).values * relax
+    _require_finite(values, duration)
     values[rows, cols] = 1.0
     return DarkSampler._pumped(None, grid, cfg, t, clamp, even,
                                PolarizationField(grid, values, t))
@@ -710,8 +805,8 @@ def _clamped(start: DarkSampler, elapsed: float, clamp: DotGeometry,
 
 def step(field: PolarizationField, cfg: SolverConfig,
          clamp: DotGeometry | None = None) -> PolarizationField:
-    """Advance by one time step (cfg.dt, or the automatic default), as
-    ``evolve`` does."""
+    """Advance by one time step (cfg.dt, or the automatic default
+    ``auto_dt``), as ``evolve`` does: the only use of a time step."""
     dt = cfg.dt if cfg.dt is not None else auto_dt(field.grid, cfg.d_qd)
     return evolve(field, cfg, dt, clamp)
 
@@ -721,13 +816,12 @@ def evolve(field: PolarizationField, cfg: SolverConfig, duration: float,
     """Advance by ``duration``.
 
     Unclamped, the propagation is exact (``DarkSampler``). With
-    ``clamp``, first-order Crank-Nicolson sub-steps of at most cfg.dt (or
-    the automatic default) land exactly on the requested time; cells
-    inside the disk are reset to S = 1 after each, and the uniform T1
-    factor, when configured, multiplies everything else. The sub-steps
-    are those of the pump (``_clamped``): with D > 0 the field goes into
-    the modes once, as a ``DarkSampler``, and comes out once, as the
-    pumped sampler's ``field``.
+    ``clamp``, the cells inside the disk are held at S = 1 for
+    ``duration``, exactly in time, and the uniform T1 factor, when
+    configured, multiplies everything else. That is the pump
+    (``_clamped``): with D > 0 the field goes into the modes once, as a
+    ``DarkSampler``, and comes out once, as the pumped sampler's
+    ``field``. ``cfg.dt`` plays no part.
     """
     _check_time("duration", duration)
     if clamp is not None:
@@ -751,7 +845,7 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
     the dot's columns are mirror-symmetric on the grid; the exact 0/1
     field is built only where it is the state (D = 0) or is read as is
     (``t_pump`` = 0). An instant pump returns that sampler and runs no
-    step. A longer one hands it to the clamped routine of ``evolve``
+    pump. A longer one hands it to the clamped routine of ``evolve``
     (``_clamped``), which consumes it: with D > 0 no grid <-> mode
     transform is made, and the field is built only when the returned
     sampler's ``field`` is read. A pump from a polarized state

@@ -1,20 +1,17 @@
 """Acceptance gate: one test per contracted behavior of the toolkit.
 
 Every anchor decay curve runs at production resolution (dr = dz = 0.5 nm,
-radial extent 20x the dot radius, automatic time step); expensive shared
+radial extent 20x the dot radius, exact in time); expensive shared
 curves are computed once per session and reused across checks.
 
 Two checks are known to fail on the implemented model and are kept red on
 purpose rather than weakened:
 
-* criterion 06e (resolution halving): halving (dr, dz, dt) moves the 5 s
-  anchor level by 0.79 percentage points, above the 0.5 pp bound. Nearly
-  all of it is spatial. A prototype of an exact-in-time pump measured the
-  time error of the pump's clamp projection at -0.565 pp on the
-  production grid (dt = 0.01 s) and -0.513 pp on the halved one
-  (dt = 0.005 s), which nearly cancel in the difference, and a shift of
-  0.733 pp from the staircase placement of the clamp interface, an O(dr)
-  error inherent to the clamped-pump scheme.
+* criterion 06e (resolution halving): halving (dr, dz) moves the 5 s
+  anchor level by 0.733 percentage points (0.34503 -> 0.35236), above
+  the 0.5 pp bound. The pump is exact in time (its dt plays no part), so
+  all of it is spatial: the staircase placement of the clamp interface,
+  an O(dr) error inherent to the clamped-pump scheme.
 * criterion 08 (quasi-1D insensitivity): polarizing a 50 nm ring around
   the dot changes the slow decay curve by roughly a factor of 2 at late
   times, far beyond the 10% bound, because at D = 2e-15 cm2/s stored ring

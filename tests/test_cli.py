@@ -10,7 +10,6 @@ import sys
 import numpy as np
 import pytest
 
-from spindiff import solver
 from spindiff import (DarkSampler, DecaySeries, DotGeometry, YKind,
                       build_grid, read_fit_report, read_table,
                       write_measured_csv, write_table)
@@ -312,41 +311,30 @@ class TestSimulate:
                          str(tmp_path / "out"), "--quiet"]) == 2
             assert "diffusion coefficient" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edits, message", [
-        ((("dt_s = 0.05", "dt_s = 1e-300"), ("[protocol]\n",
-                                             "[protocol]\nt_pump_s = 1e300\n")),
-         "TooManySteps: duration = 1e+300 at dt = 1e-300"),
-        ((("t_dark_s = 4", "t_dark_s = 1e300"),),
-         "TooManySamples: t_dark = 1e+300 at sample_every = 1.0"),
-    ])
-    def test_overflowing_count_exits_2(self, tmp_path, capsys, edits,
-                                       message):
-        text = FAST_SOLVER
-        for old, new in edits:
-            text = text.replace(old, new)
-        cfg = write_config(tmp_path, text)
+    def test_overflowing_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_SOLVER.replace(
+            "t_dark_s = 4", "t_dark_s = 1e300"))
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "out"), "--quiet"]) == 2
-        assert message in capsys.readouterr().err
-        # the sample count is checked before the output directory is made,
-        # the step count only when the pump runs
-        assert (tmp_path / "out").exists() == ("TooManySteps" in message)
+        assert ("TooManySamples: t_dark = 1e+300 at sample_every = 1.0"
+                in capsys.readouterr().err)
+        # the sample count is checked before the output directory is made
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("d", ["1e-13", "0"])
-    def test_huge_finite_step_count_exits_2(self, tmp_path, capsys,
-                                            monkeypatch, d):
-        # 1e10 pump steps of 1 ms: rejected before the first step
-        def no_step(*args):
-            raise AssertionError("a pump step ran")
-        monkeypatch.setattr(solver, "_pump_modes", no_step)
+    def test_endless_pump_simulates(self, tmp_path, d):
+        # no step count to overflow: a 1e300 s pump, even at a 1e-300 s
+        # step, is the steady state, and the dot starts at exactly 1
         cfg = write_config(tmp_path, FAST_SOLVER.replace(
             "d_cm2s = 1e-13", f"d_cm2s = {d}").replace(
-            "dt_s = 0.05", "dt_s = 1e-3").replace(
-            "[protocol]\n", "[protocol]\nt_pump_s = 1e7\n"))
+            "dt_s = 0.05", "dt_s = 1e-300").replace(
+            "[protocol]\n", "[protocol]\nt_pump_s = 1e300\n"))
         assert main(["simulate", "--config", cfg, "--out",
-                     str(tmp_path / "out"), "--quiet"]) == 2
-        assert ("TooManySteps: duration = 10000000.0 at dt = 0.001 is 1e+10 "
-                "steps, need <= 16777216" in capsys.readouterr().err)
+                     str(tmp_path / "out"), "--quiet"]) == 0
+        cols, _ = read_table(tmp_path / "out" / "decay.csv")
+        assert cols["dot_average"][0] == 1.0
+        assert np.all(np.isfinite(cols["dot_average"]))
+        assert np.all(np.diff(cols["dot_average"]) <= 0.0)
 
     @pytest.mark.parametrize("old, new, count", [
         ("radius_nm = 10", "radius_nm = 1e300", "6e+300"),
@@ -588,7 +576,7 @@ t_pump_s = 10
         assert report["scale_uev"] == pytest.approx(38.0, rel=0.02)
         assert report["offset_uev"] == pytest.approx(60.0, rel=0.02)
         assert report["warnings"] == []
-        assert len(report["sse_grid"]) == len(report["d_grid_cm2s"]) == 9
+        assert len(report["sse_grid"]) == len(report["d_grid_cm2s"]) == 3
         assert report["forward_solves"] > len(report["sse_grid"])
         overlay, _ = read_table(tmp_path / "out" / "fit_overlay.csv")
         assert list(overlay) == ["t_s", "measured", "model"]

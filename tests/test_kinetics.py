@@ -9,7 +9,7 @@ import pytest
 
 from spindiff import (BoundaryMode, DarkSampler, DecayFit, DecaySeries,
                       DiffusionFit, DotGeometry, FitDiverged,
-                      GeometryMismatch, InvariantViolation,
+                      GeometryMismatch, Grid, InvariantViolation,
                       NotIdentifiable, PolarizationField, PulseSegment,
                       PulseSequence, RiseFit, SegmentKind, SolverConfig,
                       YKind,
@@ -18,7 +18,7 @@ from spindiff import (BoundaryMode, DarkSampler, DecayFit, DecaySeries,
                       fit_exponential_rise, paper_decay_sequence,
                       run_sequence, simulate_decay_curve, time_to_level)
 from spindiff import kinetics, solver
-from spindiff.kinetics import _affine_lsq, pumped_sampler
+from spindiff.kinetics import _affine_lsq, _brent, pumped_sampler
 
 GEO = DotGeometry()
 
@@ -81,20 +81,31 @@ class TestRunSequence:
                          coarse_grid)
 
     def test_overflowing_counts_rejected(self, coarse_grid):
-        # a re-pump whose sub-step count, and a dark segment whose sample
-        # count, is not finite
-        pump = (PulseSegment(SegmentKind.PUMP, 0.0),
-                PulseSegment(SegmentKind.PUMP, 1e300),
-                PulseSegment(SegmentKind.PROBE, 0.1))
+        # a dark segment whose sample count is not finite
         dark = (PulseSegment(SegmentKind.PUMP, 1.0),
                 PulseSegment(SegmentKind.DARK, 1e300))
-        for segments, every, name in ((pump, None, "TooManySteps"),
-                                      (dark, 1.0, "TooManySamples")):
-            for d in (10.0, 0.0):
-                cfg = SolverConfig(d_qd=d, dt=1e-300 if every is None else 0.1)
-                with pytest.raises(InvariantViolation, match=name):
-                    run_sequence(PulseSequence(segments), cfg, GEO,
-                                 coarse_grid, dark_sample_every=every)
+        for d in (10.0, 0.0):
+            cfg = SolverConfig(d_qd=d, dt=0.1)
+            with pytest.raises(InvariantViolation, match="TooManySamples"):
+                run_sequence(PulseSequence(dark), cfg, GEO, coarse_grid,
+                             dark_sample_every=1.0)
+
+    @pytest.mark.parametrize("d", [10.0, 0.0])
+    def test_endless_repump_finishes(self, coarse_grid, d):
+        # a re-pump of any finite length ends at the steady state: the
+        # decay read 3 s after it is the same after 1e200 s and 1e300 s
+        cfg = SolverConfig(d_qd=d, dt=1e-300)
+        y = []
+        for t_pump in (1e200, 1e300):
+            seq = PulseSequence((PulseSegment(SegmentKind.PUMP, 0.0),
+                                 PulseSegment(SegmentKind.PUMP, t_pump),
+                                 PulseSegment(SegmentKind.DARK, 3.0),
+                                 PulseSegment(SegmentKind.PROBE, 0.1)))
+            out = run_sequence(seq, cfg, GEO, coarse_grid)
+            assert out.t.tolist() == [t_pump]  # 3 s is below its ulp
+            y.append(out.y[0])
+        assert np.isfinite(y[0]) and (y[0] < 1.0) == (d > 0)
+        assert y[1] == pytest.approx(y[0], rel=0, abs=1e-13)
 
     def test_sequence_without_readout_rejected(self, coarse_grid):
         seq = PulseSequence((PulseSegment(SegmentKind.DARK, 1.0),))
@@ -103,11 +114,13 @@ class TestRunSequence:
                          coarse_grid)
 
 
-def field_route_sequence(seq, cfg, geometry, grid, dark_sample_every=None):
+def field_route_sequence(seq, cfg, geometry, grid, dark_sample_every=None,
+                         pump=None):
     """Reference run_sequence: the field is held between segments, each
-    pump resets the dot cells and runs the clamped ``evolve``, each dark
-    segment starts a ``DarkSampler`` of the field, and a probe reads the
-    field's dot average before an unclamped ``evolve``."""
+    pump resets the dot cells and runs the clamped ``evolve`` (or
+    ``pump(values, duration)``, when given), each dark segment starts a
+    ``DarkSampler`` of the field, and a probe reads the field's dot
+    average before an unclamped ``evolve``."""
     field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)), 0.0)
     ts, ys = [], []
 
@@ -123,8 +136,12 @@ def field_route_sequence(seq, cfg, geometry, grid, dark_sample_every=None):
         elif s.kind is SegmentKind.PUMP:
             v = field.values.copy()
             v[grid.dot_mask(geometry)] = 1.0
-            field = evolve(PolarizationField(grid, v, field.time), cfg,
-                           s.duration, clamp=geometry)
+            if pump is None:
+                field = evolve(PolarizationField(grid, v, field.time), cfg,
+                               s.duration, clamp=geometry)
+            else:
+                field = PolarizationField(grid, pump(v, s.duration),
+                                          field.time + s.duration)
         elif s.kind is SegmentKind.DARK:
             dark = DarkSampler(field, cfg)
             if dark_sample_every is None:
@@ -208,6 +225,25 @@ class TestRunSequenceMatchesFieldRoute:
         t, y = field_route_sequence(seq, cfg, GEO, self.GRID, every)
         np.testing.assert_array_equal(got.t, t)
         np.testing.assert_allclose(got.y, y, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["repump", "pump_pump", "repump_dark"])
+    @pytest.mark.parametrize("t1", [None, 0.7])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_repumps_match_expm_oracle(self, expm_clamped, boundary, t1,
+                                       name):
+        # pumps from polarized starts, in the even axial modes, against
+        # the exact clamped system on a grid small enough for a dense one
+        grid = Grid(nr=16, nz=20, dr=0.5, dz=0.5, z_min=-5.0)
+        dot = DotGeometry(radius=3.0, height=2.0)
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, boundary=boundary)
+        mask = grid.dot_mask(dot)
+        seq = self.SEQUENCES[name]
+        got = run_sequence(seq, cfg, dot, grid, dark_sample_every=0.4)
+        t, y = field_route_sequence(
+            seq, cfg, dot, grid, 0.4,
+            lambda v, duration: expm_clamped(v, grid, cfg, duration, mask))
+        np.testing.assert_array_equal(got.t, t)
+        np.testing.assert_allclose(got.y, y, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [10.0, 0.0])
     def test_probe_after_pump_reads_one(self, d):
@@ -432,7 +468,7 @@ class TestDiffusionFit:
         assert fit.scale == pytest.approx(38.0, rel=0.01)
         assert fit.offset == pytest.approx(60.0, rel=0.01)
         assert not fit.warnings
-        assert len(fit.d_grid) >= 8 * 3  # >= 8 candidates per decade
+        assert len(fit.d_grid) == 2 * 3 + 1  # 2 per decade, both bounds
 
     def test_deterministic_refit(self, coarse_grid):
         measured = self.synthetic(coarse_grid)
@@ -500,17 +536,43 @@ class TestDiffusionFit:
         monkeypatch.setattr(kinetics, "pumped_sampler", counted)
         fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
                                         (1e-16, 1e-13), dt=0.2)
-        assert len(fit.sse_grid) == len(fit.d_grid) == 25
-        assert fit.d_grid[int(np.argmin(fit.sse_grid))] == pytest.approx(
-            2e-15, rel=0.2, abs=0)
-        # the golden-section bracket spans two grid steps and shrinks by
-        # the golden ratio per step until it is below the tolerance
-        width, golden = 2 * 3 / 24, 0
+        assert len(fit.sse_grid) == len(fit.d_grid) == 7
+        # the best candidate is one of the two around D_true, half a
+        # decade apart
+        best = fit.d_grid[int(np.argmin(fit.sse_grid))]
+        assert abs(np.log10(best / 2e-15)) < 0.5
+        # Brent takes no more steps than golden-section search on the
+        # bracket of two scan steps, and solves no D twice
+        width, golden = 2 * 0.5, 0
         while width > kinetics._LOG_D_TOL:
             width *= kinetics._GOLDEN
             golden += 1
-        assert fit.forward_solves == len(calls) == 25 + 2 + golden
+        assert fit.forward_solves == len(calls) == len(set(calls))
+        assert 7 < fit.forward_solves <= 7 + golden
         assert fit.d_qd in calls
+
+    @pytest.mark.parametrize("d_true, bounds", [
+        (1.1e-15, (1e-15, 1e-13)),  # 0.04 decades above the lower bound
+        (9e-14, (1e-16, 1e-13)),  # 0.05 decades below the upper bound
+    ])
+    def test_minimum_near_a_bound(self, coarse_grid, d_true, bounds):
+        fit = fit_diffusion_coefficient(self.synthetic(coarse_grid, d=d_true),
+                                        10.0, GEO, coarse_grid, bounds)
+        assert fit.d_qd == pytest.approx(d_true, rel=0.01, abs=0)
+        assert not fit.warnings
+
+    def test_heavy_noise_finds_the_dense_scan_minimum(self, coarse_grid):
+        # the coarse scan must not miss the minimum of a noisy objective:
+        # Brent's answer is at least as good as a scan of 40 per decade
+        measured = self.synthetic(coarse_grid, noise=3.0, seed=11)
+        fit = fit_diffusion_coefficient(measured, 10.0, GEO, coarse_grid,
+                                        (1e-16, 1e-13))
+        dense = np.linspace(-16.0, -13.0, 121)
+        sse = [_affine_lsq(pumped_sampler(10.0 ** l, 10.0, GEO, coarse_grid)
+                           .dot_averages(measured.t, GEO), measured.y)[2]
+               for l in dense]
+        assert fit.sse <= min(sse) * (1.0 + 1e-9)
+        assert abs(np.log10(fit.d_qd) - dense[int(np.argmin(sse))]) < 0.025
 
     def sigma_series(self, measured, sigma):
         return DecaySeries(t=measured.t, y=measured.y, y_kind=measured.y_kind,
@@ -560,3 +622,35 @@ class TestDiffusionFit:
         assert scale == pytest.approx(38.0, rel=1e-10)
         assert offset == pytest.approx(60.0, rel=1e-10)
         assert sse < 1e-18
+
+
+class TestBrent:
+    """``_brent`` on functions whose minimum is known."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g, calls
+
+    def test_parabola_in_few_steps(self):
+        f, calls = self.counted(lambda x: (x - 0.3) ** 2 + 1.0)
+        x, fx = _brent(f, -1.0, 1.0, 0.0, f(0.0), 1e-4)
+        assert abs(x - 0.3) <= 2e-4 and fx == f(x)
+        assert len(calls) <= 8
+
+    def test_kink_by_golden_steps(self):
+        # no parabola fits |x - c|: the golden fallback still converges
+        f, calls = self.counted(lambda x: abs(x - 0.37))
+        x, _ = _brent(f, -1.0, 1.0, 0.0, f(0.0), 1e-4)
+        assert abs(x - 0.37) <= 2e-4
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_minimum_at_an_end(self, slope):
+        x, _ = _brent(lambda x: slope * x, 0.0, 1.0, 0.5, slope * 0.5, 1e-4)
+        assert min(x, 1.0 - x) <= 2e-4
+        assert (x < 0.5) == (slope > 0)

@@ -9,12 +9,14 @@ Oracles used here, all closed-form:
     boundaries, and the discrete maximum principle at the automatic step;
   * the matrix exponential of the assembled 2-D operator, which the
     modal propagation of unclamped intervals must reproduce;
-  * a Peaceman-Rachford ADI step with tridiagonal solves in physical
-    space, which the modal clamped pump must reproduce step for step.
+  * the matrix exponential of the clamped system, the halo block of that
+    operator augmented by its coupling to the dot at S = 1
+    (``expm_clamped`` in conftest.py), which the exact pump must
+    reproduce, and its steady state, which a long pump must reach.
 """
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, expm, solve_banded
+from scipy.linalg import eigh_tridiagonal, expm
 
 from spindiff import solver
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
@@ -405,53 +407,81 @@ class TestModalPropagation:
             assert got[i] == pytest.approx(want, rel=0, abs=1e-13)
 
 
-def adi_clamped(values, grid, cfg, dt, n_steps, mask):
-    """Reference pump: Peaceman-Rachford sweeps implicit in r, then in z,
-    with banded solves, the T1 factor, and the dot reset after each step."""
-    mu = 0.5 * cfg.d_qd * dt
-    decay = np.exp(-dt / cfg.t1_uniform) if cfg.t1_uniform else 1.0
-    a_r = tridiagonal(_radial_coeffs(grid.nr, grid.dr, cfg.boundary))
-    a_z = tridiagonal(_axial_coeffs(grid.nz, grid.dz, cfg.boundary))
-
-    def banded(a):
-        m = np.eye(len(a)) - mu * a
-        return np.array([np.append(0.0, np.diag(m, 1)), np.diag(m),
-                         np.append(np.diag(m, -1), 0.0)])
-
-    ab_r, ab_z = banded(a_r), banded(a_z)
-    S = np.array(values, dtype=float)
-    for _ in range(n_steps):
-        S = solve_banded((1, 1), ab_r, S + mu * (S @ a_z.T))
-        S = solve_banded((1, 1), ab_z, (S + mu * (a_r @ S)).T).T
-        S *= decay
-        S[mask] = 1.0
-    return S
-
-
 class TestModalPump:
+    """The exact pump against the matrix exponential of the clamped
+    system, on a grid small enough for a dense one (``SMALL``)."""
+
     GRID = Grid(nr=24, nz=30, dr=0.5, dz=0.5, z_min=-7.5)
     GEO = DotGeometry(radius=4.0, height=3.0)
+    # the oracle's grid and dot: 296 halo cells
+    SMALL = Grid(nr=16, nz=20, dr=0.5, dz=0.5, z_min=-5.0)
+    DOT = DotGeometry(radius=3.0, height=2.0)
 
-    @pytest.mark.parametrize("t1", [None, 0.8])
+    def start(self, cfg, even, seed=17):
+        """A random start field and its sampler, in the even axial modes
+        (the field made mirror-symmetric) or in all of them."""
+        g = self.SMALL
+        values = np.random.default_rng(seed).random((g.nr, g.nz))
+        if not even:
+            return values, DarkSampler(PolarizationField(g, values), cfg)
+        values = 0.5 * (values + values[:, ::-1])
+        coef = _to_modes(values, _eigenbasis(g, cfg.boundary, even=True))
+        return values, DarkSampler._pumped(coef, g, cfg, 0.0, self.DOT, True)
+
+    @pytest.mark.parametrize("t1", [None, 0.7])
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
-    def test_matches_adi_reference(self, boundary, t1):
-        g, n, dt = self.GRID, 250, 0.004
-        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, dt=dt,
-                           boundary=boundary)
-        start = np.random.default_rng(17).random((g.nr, g.nz))
-        out = evolve(PolarizationField(g, start), cfg, n * dt, clamp=self.GEO)
-        want = adi_clamped(start, g, cfg, dt, n, g.dot_mask(self.GEO))
-        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("even", [False, True])
+    def test_matches_expm_oracle(self, expm_clamped, even, boundary, t1):
+        g = self.SMALL
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, boundary=boundary)
+        values, start = self.start(cfg, even)
+        out = _clamped(start, 0.0, self.DOT, 0.3)
+        assert out._coef_at(0.0).shape[1] == (10 if even else 20)
+        want = expm_clamped(values, g, cfg, 0.3, g.dot_mask(self.DOT))
+        np.testing.assert_allclose(out.field.values, want, rtol=0,
+                                   atol=1e-12)
 
-    def test_tall_grid_in_row_blocks_matches_adi_reference(self):
-        # 60 axial dot cells on 400 axial cells make the pump split the
-        # 24 radial rows into blocks
-        g = Grid(nr=24, nz=400, dr=0.5, dz=0.05, z_min=-10.0)
-        cfg = SolverConfig(d_qd=10.0, t1_uniform=0.8, dt=0.004)
-        start = np.random.default_rng(23).random((g.nr, g.nz))
-        out = evolve(PolarizationField(g, start), cfg, 0.8, clamp=self.GEO)
-        want = adi_clamped(start, g, cfg, 0.004, 200, g.dot_mask(self.GEO))
-        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("t1", [None, 0.7])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_indicator_start_matches_expm_oracle(self, expm_clamped,
+                                                 boundary, t1):
+        # simulate_pump runs in the even axial modes, the indicator
+        # field's clamped evolve in all of them
+        g, geo = self.SMALL, self.DOT
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, boundary=boundary)
+        mask = g.dot_mask(geo)
+        want = expm_clamped(mask, g, cfg, 0.45, mask)
+        pumped = simulate_pump(geo, cfg, 0.45, g)
+        assert pumped._coef_at(0.0).shape[1] == 10
+        old = evolve(PolarizationField(g, mask), cfg, 0.45, clamp=geo)
+        for got in (pumped.field, old):
+            np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_24_and_32_nodes_agree(self, monkeypatch, boundary):
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=0.7, boundary=boundary)
+        for even in (False, True):
+            got = {}
+            for nodes in (24, 32):
+                monkeypatch.setattr(solver, "_NODES", nodes)
+                got[nodes] = _clamped(self.start(cfg, even)[1], 0.0,
+                                      self.DOT, 0.3).field.values
+            np.testing.assert_allclose(got[24], got[32], rtol=0, atol=1e-13)
+
+    def test_row_blocks_match_one_block(self, monkeypatch, expm_clamped):
+        # one radial mode per block instead of all 16 in one
+        g = self.SMALL
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=0.7)
+        one = _clamped(self.start(cfg, True)[1], 0.0, self.DOT, 0.3)
+        monkeypatch.setattr(solver, "_ONE_THREAD_MADDS", 1)
+        values, start = self.start(cfg, True)
+        rows = _clamped(start, 0.0, self.DOT, 0.3)
+        np.testing.assert_allclose(rows._coef_at(0.0), one._coef_at(0.0),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            rows.field.values,
+            expm_clamped(values, g, cfg, 0.3, g.dot_mask(self.DOT)),
+            rtol=0, atol=1e-12)
 
     def test_dot_cells_exactly_one(self):
         g = self.GRID
@@ -546,12 +576,12 @@ class TestPumpedSampler:
         cfg = SolverConfig(d_qd=10.0, dt=0.1)
         start = simulate_pump(GEO, cfg, 1.0, self.GRID)
         kept = start._coef_at(0.0).copy()
-        later = _clamped(start, 0.5, GEO, 0.5, reset_first=True)
+        later = _clamped(start, 0.5, GEO, 0.5)
         np.testing.assert_array_equal(start._coef_at(0.0), kept)
         assert later.field.time == 2.0
         # at elapsed 0 the start's coefficients are advanced in place
         coef = start._coef_at(0.0)
-        again = _clamped(start, 0.0, GEO, 0.5, reset_first=True)
+        again = _clamped(start, 0.0, GEO, 0.5)
         assert again._coef_at(0.0) is coef and again.field.time == 1.5
 
     @pytest.mark.parametrize("t_pump", [0.0, 2.0])
@@ -614,7 +644,7 @@ class TestEvenAxialModes:
                 DarkSampler(old, cfg).dot_averages(times, readout),
                 rtol=0, atol=1e-13)
         # a second pump from the even state after a dark interval
-        again = _clamped(sampler, 0.7, geo, 0.5, reset_first=True)
+        again = _clamped(sampler, 0.7, geo, 0.5)
         v = evolve(old, cfg, 0.7).values
         v[grid.dot_mask(geo)] = 1.0
         want = evolve(PolarizationField(grid, v, 1.7), cfg, 0.5, clamp=geo)
@@ -729,45 +759,39 @@ class TestPumpAndDark:
             assert f"t_dark = {t_dark} at sample_every = {every}" in \
                 str(err.value)
 
-    def test_too_many_sub_steps_rejected(self):
-        # duration / dt overflows to inf: no sub-step count exists
-        grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
-        field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
-        for d in (10.0, 0.0):
-            cfg = SolverConfig(d_qd=d, dt=1e-300)
-            for pump in (lambda: simulate_pump(GEO, cfg, 1e300, grid),
-                         lambda: evolve(field, cfg, 1e300, clamp=GEO)):
-                with pytest.raises(
-                        InvariantViolation,
-                        match=r"TooManySteps: duration = 1e\+300 at "
-                              r"dt = 1e-300"):
-                    pump()
-
-    def test_huge_finite_sub_step_count_rejected(self, monkeypatch):
-        # 1e10 steps of 1 ms, or 2**24 automatic 10 ms steps and a bit:
-        # rejected before the first step, at D > 0 and at D = 0
-        def no_step(*args):
-            raise AssertionError("a pump step ran")
-        monkeypatch.setattr(solver, "_pump_modes", no_step)
-        grid = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
-        field = PolarizationField(grid, np.zeros((grid.nr, grid.nz)))
-        bound = solver.MAX_STEPS
-        cases = [(SolverConfig(d_qd=d, dt=1e-3), 1e7, "dt = 0.001 is 1e+10")
-                 for d in (10.0, 0.0)]
-        cases.append((SolverConfig(d_qd=0.0), 1.01 * bound * solver.DT_CAP,
-                      "dt = 0.01 is 1.6945e+07"))
-        for cfg, duration, detail in cases:
-            for pump in (lambda: simulate_pump(GEO, cfg, duration, grid),
-                         lambda: evolve(field, cfg, duration, clamp=GEO)):
-                with pytest.raises(InvariantViolation,
-                                   match="TooManySteps") as err:
-                    pump()
-                assert detail in str(err.value)
-                assert f"need <= {bound}" in str(err.value)
-        # at the bound itself the D = 0 pump runs: it takes no step loop
-        cfg = SolverConfig(d_qd=0.0, dt=1.0)
-        pumped = simulate_pump(GEO, cfg, float(bound), grid)
-        assert dot_average(pumped.field, GEO) == 1.0
+    @pytest.mark.parametrize("d, t1, boundary", [
+        (10.0, None, BoundaryMode.DIRICHLET_ZERO),
+        (10.0, 0.7, BoundaryMode.DIRICHLET_ZERO),
+        (10.0, None, BoundaryMode.REFLECTIVE),
+        (0.0, None, BoundaryMode.DIRICHLET_ZERO),
+        (0.0, 0.7, BoundaryMode.DIRICHLET_ZERO),
+    ])
+    def test_any_finite_pump_finishes(self, steady_clamped, d, t1, boundary):
+        # no step count to overflow: a 1e300 s pump is the steady state,
+        # as a 1e200 s one is, from the unpolarized medium or a field
+        g = TestModalPump.SMALL
+        geo = TestModalPump.DOT
+        cfg = SolverConfig(d_qd=d, t1_uniform=t1, dt=1e-300,
+                           boundary=boundary)
+        mask = g.dot_mask(geo)
+        start = PolarizationField(g, np.random.default_rng(5).random(
+            (g.nr, g.nz)))
+        if d > 0:
+            want = dict.fromkeys(("unpolarized", "field"),
+                                 steady_clamped(g, cfg, mask))
+        else:  # nothing couples: the halo relaxes or stays
+            want = {"unpolarized": np.where(mask, 1.0, 0.0),
+                    "field": np.where(mask, 1.0,
+                                      0.0 if t1 else start.values)}
+        for t in (1e200, 1e300):
+            pumped = {"unpolarized": simulate_pump(geo, cfg, t, g).field,
+                      "field": evolve(start, cfg, t, clamp=geo)}
+            for name, field in pumped.items():
+                assert np.all(np.isfinite(field.values))
+                assert np.all(field.values[mask] == 1.0)
+                assert dot_average(field, geo) == 1.0
+                np.testing.assert_allclose(field.values, want[name],
+                                           rtol=0, atol=1e-13)
 
     def test_dot_outside_grid_rejected(self):
         grid = Grid(nr=8, nz=16, dr=1.0, dz=1.0, z_min=-8.0)
