@@ -20,15 +20,16 @@ threaded BLAS:
   * Dot clamped at S = 1 (the pump): exact in time as well, through
     the Laplace transform (``_exact_pump``). A source on the dot's cells
     holds them at S = 1, so the modal coefficients obey
-    dc/dt = (D lam - 1/T1) c + Lift(g). At each node s of a contour the
-    modal part is the diagonal W(s) = 1 / (s - D lam + 1/T1), and the
-    source is the solution of one small system on the dot's cells, the
-    capacitance matrix Read o W o Lift (Buzbee, Dorr, George & Golub,
-    SIAM J. Numer. Anal. 8, 1971). The inverse transform is the
-    trapezoidal rule on the optimized cotangent contour of Weideman &
-    Trefethen (Math. Comp. 76, 2007), 24 nodes, 12 of them by conjugate
-    symmetry, accurate to about 1e-14. The pump has no time step; the
-    staircase dot boundary makes it first-order in dr.
+    dc/dt = (D lam - 1/T1) c + Lift(g). At each node s the modal part is
+    the diagonal W(s) = 1 / (s - D lam + 1/T1), and the source is the
+    solution of one small system on the dot's cells, the capacitance
+    matrix Read o W o Lift (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+    Anal. 8, 1971). The inverse transform is a weighted sum over 10
+    nodes of the optimized cotangent contour of Weideman & Trefethen
+    (Math. Comp. 76, 2007) and their conjugates, with least-squares
+    weights (``_POLES``): it matches e^x on x <= 0 to 3.8e-14. The pump
+    has no time step; the staircase dot boundary makes it first-order in
+    dr.
 
 One routine advances a field with the dot clamped, ``_clamped``: its
 start is a ``DarkSampler`` plus the time elapsed since that sampler's
@@ -129,12 +130,32 @@ _D_FLOOR = 1e-30
 # product for a pumped state in the even axial modes, 400^3 for a field
 # handed in as values.
 _ONE_THREAD_MADDS = 2 ** 18
-# The optimized cotangent contour of Weideman & Trefethen (Math. Comp.
-# 76, 2007): z(theta) = N (sigma + mu theta cot(alpha theta)
-# + i nu theta), -pi < theta < pi, whose trapezoidal rule converges as
-# exp(-1.358 N). N = 24 leaves about 1e-14; 16 leaves about 1e-9.
-_CONTOUR = (-0.6122, 0.5017, 0.6407, 0.2645)  # sigma, mu, alpha, nu
-_NODES = 24
+# The pump's inverse Laplace transform: rows (z_k, w_k) with
+# f(t) = sum_k Re(w_k F(z_k / t)) / t. The z_k are the 10 nodes with
+# Im z > 0 nearest the real axis of the 24-node optimized cotangent
+# contour of Weideman & Trefethen (Math. Comp. 76, 2007),
+# z(theta) = 24 (sigma + mu theta cot(alpha theta) + i nu theta) with
+# (sigma, mu, alpha, nu) = (-0.6122, 0.5017, 0.6407, 0.2645), at
+# theta_k = (k + 1/2) pi / 12; its last two nodes, of trapezoidal weight
+# 1.5e-9 and 1.4e-12, are left out. The w_k are fitted to e^x by linear
+# least squares on {0} and -logspace(-8, 8, 20001); they are within
+# 2e-6 of the trapezoidal weights on the first five nodes. Over x in {0}
+# and -logspace(-8, 5), the largest |sum_k Re(w_k / (z_k - x)) - e^x| is
+# 3.8e-14, and sum_k |w_k / z_k| = 15.7 bounds how much the sum can
+# amplify round-off in its terms. ``fitted_table`` in
+# tests/test_solver.py derives the table again.
+_POLES = np.array([
+    (4.056312078191684+0.8309512568745002j, 18.20414035787101+24.75417758039123j),
+    (3.7021515030617627+2.492853770623501j, -21.24347540867816+7.472783688512377j),
+    (2.985706644555175+4.154756284372501j, -0.7167276552784536-11.897538151799402j),
+    (1.8900529388482434+5.816658798121502j, 4.353403119413889+0.858963984278108j),
+    (0.3879973995919297+7.478561311870502j, -0.4637429849336088+1.0209000192433808j),
+    (-1.5604376258702102+9.140463825619504j, -0.1477029418803608-0.10930595122344029j),
+    (-4.012059602761186+10.802366339368504j, 0.013580045543213903-0.012411331113336158j),
+    (-7.046939798899983+12.464268853117504j, 0.0005527507921209206+0.0008792823562361955j),
+    (-10.77879568377669+14.126171366866503j, -2.719822035865175e-05+1.1319796124220423e-05j),
+    (-15.372252770892977+15.788073880615503j, -8.463545601047136e-08-3.6395403884918326e-07j),
+])
 # Longest pump in lifetimes of the fastest mode (t times the largest
 # rate D |lam| + 1/T1). A longer one is cut to this: it keeps the squares
 # in the resolvent finite, and only a clamped mode some 1e98 times
@@ -510,23 +531,6 @@ def _dot_rect(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
     return rect
 
 
-@lru_cache(maxsize=4)
-def _talbot(n: int):
-    """(z, w): the n // 2 nodes of the n-node ``_CONTOUR`` with Im z > 0,
-    at the midpoints theta_k = (k + 1/2) 2 pi / n, and their weights
-    w_k = -2i exp(z_k) z'(theta_k) / n. For a real f whose Laplace
-    transform F has its singularities on the negative real axis,
-    f(t) = sum_k Re(w_k F(z_k / t)) / t: the nodes with Im z < 0 are the
-    conjugates of these and add the conjugate terms."""
-    sigma, mu, alpha, nu = _CONTOUR
-    theta = (np.arange(n // 2) + 0.5) * (2.0 * np.pi / n)
-    cot = 1.0 / np.tan(alpha * theta)
-    z = n * (sigma + mu * theta * cot + 1j * nu * theta)
-    dz = n * (mu * cot - mu * alpha * theta / np.sin(alpha * theta) ** 2
-              + 1j * nu)
-    return z, -2j * np.exp(z) * dz / n
-
-
 def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
                 rect) -> np.ndarray:
     """Hold the dot at S = 1 for ``duration`` >= 0, exactly in time, on
@@ -543,36 +547,42 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     K u = s / z - Read(V c), K = Read o V o Lift (LAPACK ``zgesv``, which
     stays on one thread and allocates less than the symmetric ``zsysv``),
     so that the dot reads 1 at every t > 0, whatever it read at the
-    start. The pumped coefficients are the exact free
-    part exp(M) c plus sum_k Re(w_k V_k Lift(u_k)) (``_talbot``).
+    start. The pumped coefficients are the exact free part exp(M) c plus
+    sum_k Re(w_k V_k Lift(u_k)) over the 10 nodes z_k of ``_POLES``
+    and their weights w_k: the inverse Laplace transform
+    f(t) = sum_k Re(w_k F(z_k / t)) / t, one ``zgesv`` per node.
 
     Every product runs over blocks of radial modes and stays under
     ``_ONE_THREAD_MADDS``; V is split into its real and imaginary parts,
     so each is a real product. A first pass sums the pair table of each
     node's K and Read(V c) over the blocks; a second pass adds the
     source's part, computing V again. The buffers are a few blocks in
-    size. Non-finite values are checked once, at the end.
+    size, and no larger than the modes. When the modes are one block and
+    V of every node takes no more values than ``_ONE_THREAD_MADDS`` (a
+    50x80 grid, not a 400x400 one), V is kept per node instead, and the
+    second pass reads it. Non-finite values are checked once, at the end.
     """
     lam_r, _, lam_z, _, _ = basis
     a, s, b, b2t, i, k, flat = rect
-    z, w = _talbot(_NODES)
+    z, w = _POLES.T
     relax = 1.0 / cfg.t1_uniform if cfg.t1_uniform else 0.0
     fastest = -cfg.d_qd * (lam_r.min() + lam_z.min()) + relax
     t = min(duration, _MAX_STIFFNESS / fastest)
     m_r, m_z = t * (cfg.d_qd * lam_r - relax), t * cfg.d_qd * lam_z
     nr, ne = coef.shape
-    n = max(1, _ONE_THREAD_MADDS // (b2t.shape[1] * max(ne, i.size)))
+    n = min(nr, max(1, _ONE_THREAD_MADDS // b2t.shape[1] // max(ne, i.size)))
     blocks = [slice(r, min(r + n, nr)) for r in range(0, nr, n)]
-    neg_m, inv = np.empty((n, ne)), np.empty((n, ne))
-    v, prod = np.empty((2, n, ne)), np.empty((2, n, ne))
+    keep = len(blocks) == 1 and z.size * nr * ne <= _ONE_THREAD_MADDS
+    inv, prod = np.empty((n, ne)), np.empty((2, n, ne))
+    v = np.empty((z.size if keep else 1, 2, n, ne))
 
     def resolvents(blk):
         """(node, V) for each node, V = 1 / (z - M) on the rows ``blk``
-        as (Re V, Im V), in one buffer."""
+        as (Re V, Im V), in one buffer, or in one per node if ``keep``."""
         rows = blk.stop - blk.start
-        base, den, vk = neg_m[:rows], inv[:rows], v[:, :rows]
-        np.subtract(-m_r[blk, None], m_z, out=base)
+        base, den = -m_r[blk, None] - m_z, inv[:rows]
         for node, zk in enumerate(z):
+            vk = v[node if keep else 0, :, :rows]
             np.add(base, zk.real, out=vk[0])
             np.multiply(vk[0], vk[0], out=den)
             den += zk.imag ** 2
@@ -585,29 +595,27 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     read = np.zeros((z.size, 2, len(a), len(b)))
     for blk in blocks:
         a_b, c_b, p = a[:, blk], coef[blk], prod[:, :blk.stop - blk.start]
-        a2_b = a[i, blk]
-        a2_b *= a[k, blk]
+        a2_b = a[i, blk] * a[k, blk]
         for node, vk in resolvents(blk):
             pairs[node] += a2_b @ (vk @ b2t)
             np.multiply(vk, c_b, out=p)
             read[node] += a_b @ (p @ b.T)
-    src = np.empty_like(read)
+    rhs = s[:, None] / z[:, None, None] - (read[:, 0] + 1j * read[:, 1])
     for node in range(z.size):
         cap = (pairs[node, 0] + 1j * pairs[node, 1]).ravel()[flat]
-        rhs = (s[:, None] / z[node] - (read[node, 0] + 1j * read[node, 1]))
-        _, _, u, info = zgesv(cap, rhs.ravel(), overwrite_a=True,
+        _, _, u, info = zgesv(cap, rhs[node].ravel(), overwrite_a=True,
                               overwrite_b=True)
         if info:
             raise NumericalBlowup(f"singular capacitance system at node "
                                   f"{z[node]} of a pump of {duration} s")
-        u = w[node] * u.reshape(rhs.shape)
-        src[node, 0], src[node, 1] = u.real, u.imag
+        rhs[node] = u.reshape(rhs.shape[1:])
+    rhs *= w[:, None, None]
+    src = np.stack([rhs.real, rhs.imag], axis=1)
     coef *= np.exp(m_r)[:, None]
     coef *= np.exp(m_z)
     for blk in blocks:
-        a_t, c_b = a[:, blk].T, coef[blk]
-        p = prod[:, :blk.stop - blk.start]
-        for node, vk in resolvents(blk):
+        a_t, c_b, p = a[:, blk].T, coef[blk], prod[:, :blk.stop - blk.start]
+        for node, vk in enumerate(v) if keep else resolvents(blk):
             np.matmul(a_t @ src[node], b, out=p)
             p *= vk
             c_b += p[0]

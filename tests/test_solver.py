@@ -12,11 +12,15 @@ Oracles used here, all closed-form:
   * the matrix exponential of the clamped system, the halo block of that
     operator augmented by its coupling to the dot at S = 1
     (``expm_clamped`` in conftest.py), which the exact pump must
-    reproduce, and its steady state, which a long pump must reach.
+    reproduce, and its steady state, which a long pump must reach;
+  * the pump's pole table against e^x on x <= 0, against its own
+    derivation from the optimized cotangent contour and a least-squares
+    fit (``fitted_table``), and against the 32-node contour (``talbot``).
 """
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg.lapack import zgesv
 
 from spindiff import solver
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
@@ -53,6 +57,34 @@ def slab_average_series(t, height, box, d, n_terms=2000):
     coef = 2.0 * box / (n * np.pi) ** 2 / height \
         * (np.sin(k * b) - np.sin(k * a)) ** 2
     return height / box + np.sum(coef * np.exp(-d * k ** 2 * t))
+
+
+def talbot(n):
+    """The table (rows (z_k, w_k), as ``solver._POLES``) of the
+    n-node optimized cotangent contour of Weideman & Trefethen (Math.
+    Comp. 76, 2007), z(theta) = n (sigma + mu theta cot(alpha theta)
+    + i nu theta): its n // 2 nodes with Im z > 0, at the midpoints
+    theta_k = (k + 1/2) 2 pi / n, with the trapezoidal weights
+    w_k = -2i exp(z_k) z'(theta_k) / n."""
+    sigma, mu, alpha, nu = -0.6122, 0.5017, 0.6407, 0.2645
+    theta = (np.arange(n // 2) + 0.5) * (2.0 * np.pi / n)
+    cot = 1.0 / np.tan(alpha * theta)
+    z = n * (sigma + mu * theta * cot + 1j * nu * theta)
+    dz = n * (mu * cot - mu * alpha * theta / np.sin(alpha * theta) ** 2
+              + 1j * nu)
+    return np.column_stack([z, -2j * np.exp(z) * dz / n])
+
+
+def fitted_table(n=24, nodes=10):
+    """``talbot(n)``'s first ``nodes`` nodes, nearest the real axis, with
+    weights fitted to e^x by linear least squares on {0} and
+    -logspace(-8, 8, 20001), as ``solver._POLES`` is built."""
+    z = talbot(n)[:nodes, 0]
+    x = np.concatenate(([0.0], -np.logspace(-8, 8, 20001)))
+    r = 1.0 / (z - x[:, None])
+    fit = np.linalg.lstsq(np.hstack([r.real, -r.imag]), np.exp(x),
+                          rcond=None)[0]
+    return np.column_stack([z, fit[:nodes] + 1j * fit[nodes:]])
 
 
 class TestGrid:
@@ -428,16 +460,20 @@ class TestModalPump:
         coef = _to_modes(values, _eigenbasis(g, cfg.boundary, even=True))
         return values, DarkSampler._pumped(coef, g, cfg, 0.0, self.DOT, True)
 
+    # 1e-4 s and 30 s are the near-zero and the near-steady ends of the
+    # pole table's range
+    @pytest.mark.parametrize("duration", [1e-4, 0.3, 30.0])
     @pytest.mark.parametrize("t1", [None, 0.7])
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
     @pytest.mark.parametrize("even", [False, True])
-    def test_matches_expm_oracle(self, expm_clamped, even, boundary, t1):
+    def test_matches_expm_oracle(self, expm_clamped, even, boundary, t1,
+                                 duration):
         g = self.SMALL
         cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, boundary=boundary)
         values, start = self.start(cfg, even)
-        out = _clamped(start, 0.0, self.DOT, 0.3)
+        out = _clamped(start, 0.0, self.DOT, duration)
         assert out._coef_at(0.0).shape[1] == (10 if even else 20)
-        want = expm_clamped(values, g, cfg, 0.3, g.dot_mask(self.DOT))
+        want = expm_clamped(values, g, cfg, duration, g.dot_mask(self.DOT))
         np.testing.assert_allclose(out.field.values, want, rtol=0,
                                    atol=1e-12)
 
@@ -457,16 +493,31 @@ class TestModalPump:
         for got in (pumped.field, old):
             np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("t1", [None, 0.7])
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
-    def test_24_and_32_nodes_agree(self, monkeypatch, boundary):
-        cfg = SolverConfig(d_qd=10.0, t1_uniform=0.7, boundary=boundary)
+    def test_poles_match_32_node_contour(self, monkeypatch, boundary, t1):
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, boundary=boundary)
         for even in (False, True):
-            got = {}
-            for nodes in (24, 32):
-                monkeypatch.setattr(solver, "_NODES", nodes)
-                got[nodes] = _clamped(self.start(cfg, even)[1], 0.0,
-                                      self.DOT, 0.3).field.values
-            np.testing.assert_allclose(got[24], got[32], rtol=0, atol=1e-13)
+            poles = _clamped(self.start(cfg, even)[1], 0.0, self.DOT, 0.3)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_POLES", talbot(32))
+                contour = _clamped(self.start(cfg, even)[1], 0.0, self.DOT,
+                                   0.3)
+            np.testing.assert_allclose(poles.field.values,
+                                       contour.field.values, rtol=0,
+                                       atol=1e-13)
+
+    def test_one_zgesv_per_node(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zgesv(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "zgesv", counted)
+        simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
+        # the dot's 6 rows times its 2 columns up to the mid-plane
+        assert calls == [(12, 12)] * 10
 
     def test_row_blocks_match_one_block(self, monkeypatch, expm_clamped):
         # one radial mode per block instead of all 16 in one
@@ -511,6 +562,38 @@ class TestModalPump:
         want = np.where(mask, 1.0, start * np.exp(-0.1 / 2.0) ** 10)
         np.testing.assert_allclose(out.values, want, rtol=1e-14, atol=0)
         assert np.all(out.values[mask] == 1.0)
+
+
+class TestPoleTable:
+    """``solver._POLES``: the pump's inverse Laplace transform."""
+
+    def test_approximates_exp_on_negative_axis(self):
+        z, w = solver._POLES.T
+        x = np.concatenate(([0.0], -np.logspace(-8, 5, 50001)))
+        r = (w / (z - x[:, None])).real.sum(axis=1)
+        assert np.abs(r - np.exp(x)).max() < 5e-14
+
+    def test_table_is_the_fitted_contour(self):
+        want = fitted_table()
+        np.testing.assert_allclose(solver._POLES[:, 0], want[:, 0], rtol=0,
+                                   atol=1e-13)
+        # the fit's matrix has condition number 1e9: another LAPACK
+        # driver moves the weights by up to 1e-7 without moving the fit;
+        # a change that moves the fit fails the scalar check above
+        np.testing.assert_allclose(solver._POLES[:, 1], want[:, 1], rtol=0,
+                                   atol=1e-6)
+
+    def test_round_off_amplification_is_the_contours(self):
+        # sum_k |w_k / (z_k - x)| bounds how much the sum amplifies
+        # round-off in its terms: it peaks at x = 0, at the value of the
+        # full 24-node contour
+        z, w = solver._POLES.T
+        x = np.concatenate(([0.0], -np.logspace(-8, 5, 501)))
+        lebesgue = np.abs(w / (z - x[:, None])).sum(axis=1)
+        full = talbot(24)
+        assert lebesgue.max() == lebesgue[0]
+        np.testing.assert_allclose(
+            lebesgue[0], np.abs(full[:, 1] / full[:, 0]).sum(), rtol=1e-9)
 
 
 class TestPumpedSampler:
