@@ -75,6 +75,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError("[output] snapshot_times_s: entries must be "
                           f"<= t_dark_s = {t_dark!r}")
     ts = dark_sample_times(t_dark, rc.sample_every_s)
+    have_g = (rc.material.g_e_abs is not None
+              and rc.material.g_h_abs is not None)
+
+    def zeeman(p: float) -> float:
+        return exciton_zeeman_splitting(
+            rc.material, overhauser_field(p, rc.material), rc.pump_helicity)
+
+    if have_g:
+        # the column's first entry, the pumped dot's 1: a g_e_abs of 0
+        # exits 2 here, before the solve and the output directory
+        zeeman(1.0)
     out = _out_dir(args, rc)
     grid = _grid_for(rc)
     dark = pumped_sampler(d_cm2s, rc.t_pump_s, rc.geometry, grid, rc.dt_s,
@@ -82,13 +93,8 @@ def cmd_simulate(args) -> int:
     p = dark.dot_averages(ts, rc.geometry)
 
     columns: dict[str, np.ndarray] = {"t_s": ts, "dot_average": p}
-    have_g = (rc.material.g_e_abs is not None
-              and rc.material.g_h_abs is not None)
     if have_g:
-        zeeman = [exciton_zeeman_splitting(
-            rc.material, overhauser_field(pi, rc.material), rc.pump_helicity)
-            for pi in p]
-        columns["zeeman_uev"] = np.array(zeeman)
+        columns["zeeman_uev"] = np.array([zeeman(pi) for pi in p])
     meta = {"d_cm2s": repr(d_cm2s),
             "t_pump_s": repr(rc.t_pump_s), "t_dark_s": repr(t_dark),
             "helicity": rc.pump_helicity.value}

@@ -149,7 +149,8 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig skips the byte-order mark a Windows editor may write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(

@@ -3,7 +3,8 @@
 All tables share one format: optional `# key=value` metadata lines, a
 comma-separated header, then numeric rows printed with %.17g so that a
 write/read cycle reproduces float64 values exactly. UTF-8, LF line
-endings, `.` decimal separator.
+endings, `.` decimal separator. A byte-order mark at the start of a file
+that is read (as a spreadsheet may write it) is skipped; none is written.
 
 Measured decay data uses the fixed schema `delay_s,value,sigma` (sigma
 optional) with the series kind declared as `# y_kind=...` metadata.
@@ -37,11 +38,11 @@ MEASURED_COLUMNS = ("delay_s", "value", "sigma")
 
 @contextmanager
 def _reading(path: str | os.PathLike):
-    """``path`` opened for reading as UTF-8; an OSError or a ValueError
-    (a byte that is not UTF-8, malformed JSON) while reading it is a
-    ConfigError naming it."""
+    """``path`` opened for reading as UTF-8, a leading byte-order mark
+    skipped; an OSError or a ValueError (a byte that is not UTF-8,
+    malformed JSON) while reading it is a ConfigError naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {os.fspath(path)}: {exc}") from exc
@@ -125,7 +126,8 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
 def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
                                                  dict[str, str]]:
     """Read a table written by write_table or write_snapshots: (columns,
-    metadata)."""
+    metadata). Columns are keyed by name, so a header that repeats a
+    name is a ConfigError."""
     metadata: dict[str, str] = {}
     names: list[str] | None = None
     rows: list[list[float]] = []
@@ -142,6 +144,10 @@ def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
                 continue
             if names is None:
                 names = [c.strip() for c in line.split(",")]
+                for j, name in enumerate(names):
+                    if name in names[:j]:
+                        raise ConfigError(f"{path}:{lineno}: header "
+                                          f"repeats column '{name}'")
                 continue
             cells = line.split(",")
             if len(cells) != len(names):

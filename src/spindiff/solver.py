@@ -46,9 +46,10 @@ an unpolarized medium's dot indicator (at D > 0 its coefficients are the
 outer product of the readout vectors), and ``kinetics.run_sequence``
 the last pumped sampler with the dark time since, to pump again. Each
 caller drops the start. Who transforms between the grid and the
-modes: a ``DarkSampler`` built from a field (in), and a sampler's
-``field`` and ``field_at`` (out), so ``evolve`` transforms its field in
-and out once, clamped or not. With D > 0 a pump-then-dark solve, the fit
+modes: a ``DarkSampler`` built from a field (in, ``_to_modes``), and a
+sampler's ``field`` and ``field_at`` (out, both through ``_from_modes``,
+the one route from modes to a field), so ``evolve`` transforms its field
+in and out once, clamped or not. With D > 0 a pump-then-dark solve, the fit
 objective and ``kinetics.run_sequence`` make no transform, whatever the
 pump's duration, and the sampler builds the pumped field only when its
 ``field`` is read.
@@ -78,11 +79,13 @@ volume weights r of its cells and their sum, built once per (grid,
 geometry), so the readout and the clamp touch only its cells. It
 rejects a dot beyond the grid or without a cell center, on every call,
 so every use of the dot is checked: ``Grid.dot_mask``, the readouts, the
-pump's clamp and ``kinetics.run_sequence``. The readout vectors
-(``_dot_modes``), whose outer product is also the indicator's modal
-coefficients, and the pump's rows and columns of the basis on the dot
-(``_dot_rect``) are cached the same way per (grid, geometry, boundary,
-parity).
+pump's clamp and ``kinetics.run_sequence``. A second cached builder,
+``_dot_modes``, slices the basis on the dot once per (grid, geometry,
+boundary, parity) and returns both things that are read from it: the
+readout vectors, whose outer product is also the indicator's modal
+coefficients, and the pump's tables of the rows and columns of the basis
+on the dot. ``dot_averages``, ``simulate_pump`` and ``_clamped`` all read
+that one record.
 
 Discretization notes:
   * Cell centers sit at r_i = (i + 1/2) dr, so the axis r = 0 is a cell
@@ -464,79 +467,74 @@ def _to_modes(values: np.ndarray, basis) -> np.ndarray:
 
 
 def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
-    """The field q_r c q_z^T / sqrt(r) of modal coefficients c."""
+    """The field q_r c q_z^T / sqrt(r) of modal coefficients c: the one
+    route from modes to a field. ``coef`` is dropped after the first
+    product and the quotient is taken in place, so scaled coefficients
+    handed in as a temporary (``DarkSampler.field_at``) are freed before
+    the field is formed."""
     _, q_r, _, q_z, sqrt_r = basis
-    return q_r @ coef @ q_z.T / sqrt_r[:, None]
+    values = q_r @ coef
+    del coef
+    values = values @ q_z.T
+    values /= sqrt_r[:, None]
+    return values
 
 
 @lru_cache(maxsize=64)
 def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
                even: bool = False):
-    """The dot's readout vectors, read-only: (a, b) with
-    a = sqrt(r)^T q_r and b = 1^T q_z over the dot's rows and columns,
-    for the axial modes of ``_eigenbasis(grid, boundary, even)``.
+    """The basis on the dot's cells, read-only, for the axial modes of
+    ``_eigenbasis(grid, boundary, even)``: ((ra, rb), rect), the dot's
+    readout vectors and the pump's tables, sliced from the basis once.
 
-    The sum of r * S over the dot is a^T c b for modal coefficients c,
-    and the dot indicator's coefficients are the outer product of a and
-    b: the dot is a rectangle of rows and columns. The rows of q_r are
-    taken as a C-ordered copy: ``eigh_tridiagonal`` returns q_r
-    Fortran-ordered, and a strided slice rounds differently. q_z is
-    C-ordered already.
+    The readout vectors are ra = sqrt(r)^T q_r over the dot's rows and
+    rb = 1^T q_z over all its columns. The sum of r * S over the dot is
+    ra^T c rb for modal coefficients c, and the dot indicator's
+    coefficients are the outer product of ra and rb: the dot is a
+    rectangle of rows and columns. The rows of q_r are taken as a
+    C-ordered copy: ``eigh_tridiagonal`` returns q_r Fortran-ordered, and
+    a strided slice rounds differently. q_z is C-ordered already.
+
+    rect = (a, s, b, b2t, i, k, pair_r, pair_z) holds the pump's tables.
+    a is that copy of the dot's rows of q_r and s their weights sqrt(r);
+    b holds the rows of q_z of the dot's columns, in the even axial modes
+    only those up to the mid-plane: an even state's source is even, so
+    the dot's columns fold over it. The capacitance matrix of a contour
+    node, K[(i, j), (k, l)] = sum_pq a_ip a_kp V_pq b_jq b_lq, is
+    symmetric in i <-> k and in j <-> l apart, so it is read from a table
+    of its distinct pairs: b2t holds the products b_jq b_lq of the pairs
+    j <= l as columns, (i, k) are the index arrays of the pairs i <= k,
+    and entry K[(i, j), (k, l)] is at row pair_r[i, k] and column
+    pair_z[j, l] of the table. The pump spreads the table into K itself,
+    so nothing here grows with the square of the dot's cell count, and a
+    readout of a region much larger than the dot stays cheap.
     """
     rows, cols, _, _ = _dot(grid, geometry)
     _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
-    a = sqrt_r[rows] @ q_r[rows].copy()
-    b = q_z[cols].sum(axis=0)
-    for v in (a, b):
-        v.setflags(write=False)
-    return a, b
-
-
-@lru_cache(maxsize=64)
-def _dot_rect(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
-              even: bool = False):
-    """The basis on the dot's cells, for the pump's capacitance system,
-    read-only: (a, s, b, b2t, i, k, flat), for the axial modes of
-    ``_eigenbasis(grid, boundary, even)``.
-
-    a holds the dot's rows of q_r (a C-ordered copy, as in
-    ``_dot_modes``) and s their weights sqrt(r); b holds the rows of q_z
-    of the dot's columns. In the even axial modes b holds only the
-    columns up to the mid-plane: an even state's source is even, so the
-    dot's columns fold over it. The capacitance matrix of a contour node,
-    K[(i, j), (k, l)] = sum_pq a_ip a_kp V_pq b_jq b_lq, is symmetric in
-    i <-> k and in j <-> l apart, so it is read from a table of its
-    distinct pairs: b2t holds the products b_jq b_lq of the pairs j <= l
-    as columns, (i, k) are the index arrays of the pairs i <= k, and
-    ``flat`` is the position of each entry of K in the flattened table.
-    """
-    rows, cols, _, _ = _dot(grid, geometry)
-    _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
+    a, s = q_r[rows].copy(), sqrt_r[rows]
+    readout = (s @ a, q_z[cols].sum(axis=0))
     if even:
         cols = slice(cols.start, (cols.start + cols.stop + 1) // 2)
-    a, b = q_r[rows].copy(), q_z[cols]
+    b = q_z[cols]
     i, k = np.triu_indices(len(a))
     j, l = np.triu_indices(len(b))
     pair_r = np.empty((len(a), len(a)), dtype=np.intp)
     pair_r[i, k] = pair_r[k, i] = np.arange(i.size)
     pair_z = np.empty((len(b), len(b)), dtype=np.intp)
     pair_z[j, l] = pair_z[l, j] = np.arange(j.size)
-    m = len(a) * len(b)
-    flat = (pair_r[:, None, :, None] * j.size
-            + pair_z[None, :, None, :]).reshape(m, m)
-    rect = (a, sqrt_r[rows], b, np.ascontiguousarray((b[j] * b[l]).T), i, k,
-            flat)
-    for x in rect:
+    rect = (a, s, b, np.ascontiguousarray((b[j] * b[l]).T), i, k, pair_r,
+            pair_z)
+    for x in (*readout, *rect):
         x.setflags(write=False)
-    return rect
+    return readout, rect
 
 
 def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
                 rect) -> np.ndarray:
     """Hold the dot at S = 1 for ``duration`` >= 0, exactly in time, on
     the modal coefficients ``coef`` (updated in place and returned) in
-    the modes of ``basis`` (an ``_eigenbasis``); ``rect`` is the clamp's
-    ``_dot_rect`` in that basis. Needs D > 0.
+    the modes of ``basis`` (an ``_eigenbasis``); ``rect`` is the pump's
+    tables of the clamp's ``_dot_modes`` in that basis. Needs D > 0.
 
     The duration t enters only through M = t (D lam - 1/T1), so at the
     contour node z (s = z / t) the modal part is V = 1 / (z - M) =
@@ -563,7 +561,7 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     second pass reads it. Non-finite values are checked once, at the end.
     """
     lam_r, _, lam_z, _, _ = basis
-    a, s, b, b2t, i, k, flat = rect
+    a, s, b, b2t, i, k, pair_r, pair_z = rect
     z, w = _POLES.T
     relax = 1.0 / cfg.t1_uniform if cfg.t1_uniform else 0.0
     fastest = -cfg.d_qd * (lam_r.min() + lam_z.min()) + relax
@@ -601,6 +599,9 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
             np.multiply(vk, c_b, out=p)
             read[node] += a_b @ (p @ b.T)
     rhs = s[:, None] / z[:, None, None] - (read[:, 0] + 1j * read[:, 1])
+    # the position of each entry of K in the flattened pair table
+    flat = (pair_r[:, None, :, None] * b2t.shape[1]
+            + pair_z[None, :, None, :]).reshape(a.shape[0] * len(b), -1)
     for node in range(z.size):
         cap = (pairs[node, 0] + 1j * pairs[node, 1]).ravel()[flat]
         _, _, u, info = zgesv(cap, rhs[node].ravel(), overwrite_a=True,
@@ -719,10 +720,7 @@ class DarkSampler:
             relax = self._factors(np.array([t], dtype=float))[0]
             values = self.field.values * relax[0]
         else:
-            # inline, not _from_modes: the scaled coefficients are freed
-            # as soon as the first product is formed
-            _, q_r, _, q_z, sqrt_r = self._basis
-            values = q_r @ self._coef_at(t) @ q_z.T / sqrt_r[:, None]
+            values = _from_modes(self._coef_at(t), self._basis)
         return PolarizationField(self._grid, values, self._t0 + t)
 
     def dot_averages(self, times, geometry: DotGeometry) -> np.ndarray:
@@ -732,8 +730,8 @@ class DarkSampler:
         if self._basis is None:
             return dot_average(self.field, geometry) * self._factors(t)[0]
         # sum of r * S over the dot, mode by mode, over the sum of r
-        a, b = _dot_modes(self._grid, geometry, self.cfg.boundary,
-                          self._even)
+        (a, b), _ = _dot_modes(self._grid, geometry, self.cfg.boundary,
+                               self._even)
         _, _, _, w_sum = _dot(self._grid, geometry)
         g = a[:, None] * self._coef * b / w_sum
         out = np.empty(t.size)
@@ -799,9 +797,9 @@ def _clamped(start: DarkSampler, elapsed: float, clamp: DotGeometry,
             f"grid, but the start carries only the even axial modes")
     t = start._t0 + elapsed + duration
     if cfg.d_qd > 0:
+        _, rect = _dot_modes(grid, clamp, cfg.boundary, even)
         coef = _exact_pump(start._coef_at(elapsed), start._basis, cfg,
-                           duration, _dot_rect(grid, clamp, cfg.boundary,
-                                               even))
+                           duration, rect)
         return DarkSampler._pumped(coef, grid, cfg, t, clamp, even)
     relax = math.exp(-duration / cfg.t1_uniform) if cfg.t1_uniform else 1.0
     values = start.field_at(elapsed).values * relax
@@ -862,7 +860,7 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
     _check_time("t_pump", t_pump)
     _, cols, _, _ = _dot(grid, geometry)
     even = cols.start + cols.stop == grid.nz
-    coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary, even))
+    coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary, even)[0])
             if cfg.d_qd > 0 else None)
     # the field coerces the boolean mask to exact 0.0 and 1.0
     indicator = (PolarizationField(grid, grid.dot_mask(geometry))

@@ -424,6 +424,19 @@ class TestSimulate:
         cols, _ = read_table(tmp_path / "out" / "decay.csv")
         assert "zeeman_uev" in cols
 
+    def test_zero_g_e_exits_2_before_solving(self, tmp_path, capsys,
+                                             monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved before checking g_e_abs")
+
+        monkeypatch.setattr("spindiff.cli.pumped_sampler", forbidden)
+        cfg = write_config(tmp_path, FAST_SOLVER
+                           + "\n[material]\ng_e_abs = 0\ng_h_abs = 1.4\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "g_e_abs > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_d_constant_column(self, tmp_path):
         cfg = write_config(tmp_path,
                            FAST_SOLVER.replace("d_cm2s = 1e-13",

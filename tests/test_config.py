@@ -176,6 +176,11 @@ class TestLoadConfig:
                            match="cannot read config .*bad.ini: .*0xff"):
             load_config(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + FULL.encode("utf-8"))
+        assert load_config(path) == load_config(write(tmp_path, FULL))
+
     def test_default_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
             load_config(write(tmp_path, "[DEFAULT]\nx = 1\n" + GEO))

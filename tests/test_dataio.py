@@ -77,6 +77,16 @@ class TestTableRoundTrip:
         with pytest.raises(ConfigError):
             read_table(path)
 
+    def test_repeated_column_rejected_naming_file_and_name(self, tmp_path):
+        # keyed by name, the last "value" would silently replace the first
+        path = tmp_path / "twice.csv"
+        path.write_text("# y_kind=zeeman_splitting_uev\ndelay_s,value,value\n"
+                        "0,98,1\n10,90,2\n", encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=r"twice\.csv:2: header repeats column "
+                                 r"'value'"):
+            read_table(path)
+
     def test_missing_header_rejected(self, tmp_path):
         # metadata and a blank line, but no header
         path = tmp_path / "bad.csv"
@@ -239,6 +249,19 @@ class TestMeasuredCsv:
         path.write_bytes(b"# y_kind=dot_average\ndelay_s,value\n0,1\xff\n")
         with pytest.raises(ConfigError, match="latin1.csv"):
             read_measured_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "# y_kind=dot_average\ndelay_s,value\n0,1\n2,0.5\n",
+        "delay_s,value\n# y_kind=dot_average\n0,1\n2,0.5\n",
+    ], ids=["metadata_first", "header_first"])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        # as a spreadsheet exports UTF-8
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        back = read_measured_csv(path)
+        assert back.y_kind is YKind.DOT_AVERAGE
+        assert back.t.tolist() == [0.0, 2.0]
+        assert back.y.tolist() == [1.0, 0.5]
 
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

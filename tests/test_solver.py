@@ -645,11 +645,12 @@ class TestPumpedSampler:
             values = np.zeros((grid.nr, grid.nz))
             values[grid.dot_mask(GEO)] = 1.0
             want = _to_modes(values, _eigenbasis(grid, boundary))
-            got = np.outer(*_dot_modes(grid, GEO, boundary))
+            got = np.outer(*_dot_modes(grid, GEO, boundary)[0])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_readout_vectors_are_read_only_and_checked(self):
-        a, b = _dot_modes(self.GRID, GEO, BoundaryMode.DIRICHLET_ZERO)
+        (a, b), _ = _dot_modes(self.GRID, GEO,
+                               BoundaryMode.DIRICHLET_ZERO)
         assert not (a.flags.writeable or b.flags.writeable)
         with pytest.raises(GeometryMismatch):
             _dot_modes(self.GRID, DotGeometry(radius=100.0, height=5.0),
@@ -768,6 +769,83 @@ class TestEvenAxialModes:
         start = simulate_pump(GEO, cfg, 0.5, grid)
         with pytest.raises(InvariantViolation, match="AsymmetricClamp"):
             _clamped(start, elapsed, DotGeometry(z_center=1.25), 0.5)
+
+
+class TestDotModes:
+    """``_dot_modes`` slices the basis on the dot once: its readout
+    vectors and its pump tables must be exactly what slicing the basis
+    directly gives, in either parity and for either boundary."""
+
+    GRIDS = TestEvenAxialModes.GRIDS
+    DOTS = TestEvenAxialModes.DOTS
+    # does not fold onto itself in either grid
+    OFF_CENTER = DotGeometry(radius=3.0, height=2.0, z_center=0.5)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_readout_vectors_are_the_sliced_basis(self, name, even,
+                                                  boundary):
+        grid = self.GRIDS[name]
+        _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
+        for geo in (self.DOTS[name], self.OFF_CENTER):
+            rows, cols, _, _ = _dot(grid, geo)
+            (ra, rb), _ = _dot_modes(grid, geo, boundary, even)
+            np.testing.assert_array_equal(ra,
+                                          sqrt_r[rows] @ q_r[rows].copy())
+            np.testing.assert_array_equal(rb, q_z[cols].sum(axis=0))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_pump_tables_match_rederivation(self, name, even, boundary):
+        grid, geo = self.GRIDS[name], self.DOTS[name]
+        _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
+        rows, cols, _, _ = _dot(grid, geo)
+        # an even source is even, so only the dot's columns at or below
+        # the mid-plane are unknowns
+        cols = [j for j in range(cols.start, cols.stop)
+                if not even or 2 * j <= grid.nz - 1]
+        a, b = q_r[rows], q_z[cols]
+        pairs_r = [(i, k) for i in range(len(a)) for k in range(i, len(a))]
+        pairs_z = [(j, l) for j in range(len(b)) for l in range(j, len(b))]
+
+        def position(pairs, n):
+            # the pair of (i, k) and of (k, i) is the same table entry
+            return np.array([[pairs.index((min(i, k), max(i, k)))
+                              for k in range(n)] for i in range(n)])
+
+        want = (a, sqrt_r[rows], b,
+                np.array([b[j] * b[l] for j, l in pairs_z]).T,
+                np.array([i for i, _ in pairs_r]),
+                np.array([k for _, k in pairs_r]),
+                position(pairs_r, len(a)), position(pairs_z, len(b)))
+        _, rect = _dot_modes(grid, geo, boundary, even)
+        assert len(rect) == len(want)
+        for got, expect in zip(rect, want):
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, expect)
+        assert rect[0].flags.c_contiguous and rect[3].flags.c_contiguous
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_field_at_is_one_transform_out(self, monkeypatch, name):
+        grid, geo = self.GRIDS[name], self.DOTS[name]
+        cfg = SolverConfig(d_qd=10.0, dt=0.05)
+        pumped = simulate_pump(geo, cfg, 0.5, grid)
+        free = DarkSampler(pumped.field, cfg)
+        calls = []
+        from_modes = solver._from_modes
+
+        def counting(coef, basis):
+            calls.append(coef.shape)
+            return from_modes(coef, basis)
+
+        monkeypatch.setattr(solver, "_from_modes", counting)
+        for sampler in (pumped, free):
+            calls.clear()
+            values = sampler.field_at(1.5).values
+            assert calls == [sampler._coef_at(0.0).shape]
+            assert values.shape == (grid.nr, grid.nz)
 
 
 class TestPumpAndDark:
