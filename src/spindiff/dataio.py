@@ -126,8 +126,9 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
 def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
                                                  dict[str, str]]:
     """Read a table written by write_table or write_snapshots: (columns,
-    metadata). Columns are keyed by name, so a header that repeats a
-    name is a ConfigError."""
+    metadata). Columns and metadata are keyed by name, so a header that
+    repeats a column name, or a second `# key=value` line with the same
+    key, is a ConfigError."""
     metadata: dict[str, str] = {}
     names: list[str] | None = None
     rows: list[list[float]] = []
@@ -140,7 +141,11 @@ def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],
                 body = line[1:].strip()
                 if "=" in body:
                     key, _, val = body.partition("=")
-                    metadata[key.strip()] = val.strip()
+                    key = key.strip()
+                    if key in metadata:
+                        raise ConfigError(f"{path}:{lineno}: metadata "
+                                          f"repeats key '{key}'")
+                    metadata[key] = val.strip()
                 continue
             if names is None:
                 names = [c.strip() for c in line.split(",")]

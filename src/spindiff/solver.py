@@ -49,10 +49,11 @@ caller drops the start. Who transforms between the grid and the
 modes: a ``DarkSampler`` built from a field (in, ``_to_modes``), and a
 sampler's ``field`` and ``field_at`` (out, both through ``_from_modes``,
 the one route from modes to a field), so ``evolve`` transforms its field
-in and out once, clamped or not. With D > 0 a pump-then-dark solve, the fit
-objective and ``kinetics.run_sequence`` make no transform, whatever the
-pump's duration, and the sampler builds the pumped field only when its
-``field`` is read.
+in and out once, clamped or not. A transform of a full field runs on the
+calling thread too, as tiles of its result (``_product``). With D > 0 a
+pump-then-dark solve, the fit objective and ``kinetics.run_sequence``
+make no transform, whatever the pump's duration, and the sampler builds
+the pumped field only when its ``field`` is read.
 
 Which axial modes a sampler carries. Every ``DarkSampler`` holds its own
 basis, which its pump, readouts and transforms read. A sampler
@@ -125,13 +126,15 @@ MAX_CELLS = 2 ** 14
 MAX_SAMPLES = 2 ** 24
 _D_FLOOR = 1e-30
 # Multiply-adds per matrix product that OpenBLAS keeps on one thread:
-# threads do not pay off on the thin products here and stall whenever
-# another process holds a core. The eigenbasis is built on one thread
-# too (``_eigenbasis``), so the pump and the readouts run on the calling
-# thread alone; only the dense grid <-> mode transforms of a full field
-# are threaded: on the production grid 400*400*200 multiply-adds per
-# product for a pumped state in the even axial modes, 400^3 for a field
-# handed in as values.
+# threads do not pay off on the thin products here, stall whenever
+# another process holds a core, and leave a woken worker spinning
+# through the single-threaded work after them. No product in this module
+# exceeds it: the pump and the readouts run over blocks of radial modes
+# or of times, and the grid <-> mode transforms over tiles of their
+# result (``_product``). With the eigenbasis built on one thread too
+# (``_eigenbasis``), the solver runs on the calling thread alone. Every
+# product is an ``np.matmul`` call, so one spy in tests/test_solver.py
+# sees them all.
 _ONE_THREAD_MADDS = 2 ** 18
 # The pump's inverse Laplace transform: rows (z_k, w_k) with
 # f(t) = sum_k Re(w_k F(z_k / t)) / t. The z_k are the 10 nodes with
@@ -460,10 +463,28 @@ def _check_time(name: str, t) -> None:
                                  f"{name} = {float(bad[0])}")
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two matrices on the calling thread: one product when it
+    takes at most ``_ONE_THREAD_MADDS`` multiply-adds (bit for bit
+    ``a @ b``), else square tiles of the result, of side
+    isqrt(_ONE_THREAD_MADDS / k) for the inner dimension k (25 x 25 at
+    k = 400), each one product written in place."""
+    (m, k), n = a.shape, b.shape[1]
+    if m * n * k <= _ONE_THREAD_MADDS:
+        return np.matmul(a, b)
+    side = max(1, math.isqrt(_ONE_THREAD_MADDS // k))
+    out = np.empty((m, n))
+    for i in range(0, m, side):
+        for j in range(0, n, side):
+            np.matmul(a[i:i + side], b[:, j:j + side],
+                      out=out[i:i + side, j:j + side])
+    return out
+
+
 def _to_modes(values: np.ndarray, basis) -> np.ndarray:
     """Modal coefficients q_r^T (sqrt(r) S) q_z of a field."""
     _, q_r, _, q_z, sqrt_r = basis
-    return q_r.T @ (sqrt_r[:, None] * values) @ q_z
+    return _product(_product(q_r.T, sqrt_r[:, None] * values), q_z)
 
 
 def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
@@ -473,9 +494,9 @@ def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
     handed in as a temporary (``DarkSampler.field_at``) are freed before
     the field is formed."""
     _, q_r, _, q_z, sqrt_r = basis
-    values = q_r @ coef
+    values = _product(q_r, coef)
     del coef
-    values = values @ q_z.T
+    values = _product(values, q_z.T)
     values /= sqrt_r[:, None]
     return values
 
@@ -512,7 +533,7 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
     rows, cols, _, _ = _dot(grid, geometry)
     _, q_r, _, q_z, sqrt_r = _eigenbasis(grid, boundary, even)
     a, s = q_r[rows].copy(), sqrt_r[rows]
-    readout = (s @ a, q_z[cols].sum(axis=0))
+    readout = (np.matmul(s, a), q_z[cols].sum(axis=0))
     if even:
         cols = slice(cols.start, (cols.start + cols.stop + 1) // 2)
     b = q_z[cols]
@@ -595,9 +616,9 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
         a_b, c_b, p = a[:, blk], coef[blk], prod[:, :blk.stop - blk.start]
         a2_b = a[i, blk] * a[k, blk]
         for node, vk in resolvents(blk):
-            pairs[node] += a2_b @ (vk @ b2t)
+            pairs[node] += np.matmul(a2_b, np.matmul(vk, b2t))
             np.multiply(vk, c_b, out=p)
-            read[node] += a_b @ (p @ b.T)
+            read[node] += np.matmul(a_b, np.matmul(p, b.T))
     rhs = s[:, None] / z[:, None, None] - (read[:, 0] + 1j * read[:, 1])
     # the position of each entry of K in the flattened pair table
     flat = (pair_r[:, None, :, None] * b2t.shape[1]
@@ -617,7 +638,7 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     for blk in blocks:
         a_t, c_b, p = a[:, blk].T, coef[blk], prod[:, :blk.stop - blk.start]
         for node, vk in enumerate(v) if keep else resolvents(blk):
-            np.matmul(a_t @ src[node], b, out=p)
+            np.matmul(np.matmul(a_t, src[node]), b, out=p)
             p *= vk
             c_b += p[0]
             c_b -= p[1]
@@ -739,7 +760,7 @@ class DarkSampler:
         rows = max(1, _ONE_THREAD_MADDS // g.size)
         for k in range(0, t.size, rows):
             _, e_r, e_z = self._factors(t[k:k + rows])
-            out[k:k + rows] = ((e_r @ g) * e_z).sum(axis=1)
+            out[k:k + rows] = (np.matmul(e_r, g) * e_z).sum(axis=1)
         zero = t == 0
         if zero.any():
             out[zero] = (1.0 if geometry == self._clamp

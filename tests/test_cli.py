@@ -549,6 +549,20 @@ class TestFitRise:
         assert main(["fit-rise", str(path), "--quiet", "--out",
                      str(tmp_path)]) == 4
 
+    def test_repeated_y_kind_exits_2_naming_file_and_key(self, tmp_path,
+                                                         capsys):
+        # read with the last y_kind, this was a Zeeman series and fitted
+        path = tmp_path / "kinds.csv"
+        path.write_text("# y_kind=dot_average\n# y_kind=zeeman_splitting_uev"
+                        "\ndelay_s,value\n0,60\n1,80\n2,90\n3,95\n"
+                        "4,97\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["fit-rise", str(path), "--quiet", "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kinds.csv:2" in err and "'y_kind'" in err
+        assert not (out / "rise_overlay.csv").exists()
+
 
 class TestFitD:
     FIT_CONFIG = """\

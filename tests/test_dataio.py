@@ -87,6 +87,17 @@ class TestTableRoundTrip:
                                  r"'value'"):
             read_table(path)
 
+    def test_repeated_metadata_key_rejected_naming_file_and_key(self,
+                                                                tmp_path):
+        # keyed by name, the second y_kind would silently replace the first
+        path = tmp_path / "kinds.csv"
+        path.write_text("# y_kind=dot_average\n# y_kind=zeeman_splitting_uev"
+                        "\ndelay_s,value\n0,1\n", encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=r"kinds\.csv:2: metadata repeats key "
+                                 r"'y_kind'"):
+            read_table(path)
+
     def test_missing_header_rejected(self, tmp_path):
         # metadata and a blank line, but no header
         path = tmp_path / "bad.csv"
@@ -235,6 +246,17 @@ class TestMeasuredCsv:
         path.write_text("# y_kind=wavelength\ndelay_s,value\n0,1\n",
                         encoding="utf-8")
         with pytest.raises(ConfigError):
+            read_measured_csv(path)
+
+    @pytest.mark.parametrize("second", ["y_kind=zeeman_splitting_uev",
+                                        "y_kind=dot_average", " y_kind = x"])
+    def test_repeated_y_kind_rejected(self, tmp_path, second):
+        # the same key twice, whether the values differ or not
+        path = tmp_path / "m.csv"
+        path.write_text(f"# y_kind=dot_average\ndelay_s,value\n#{second}\n"
+                        f"0,1\n1,0.5\n", encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match=r"m\.csv:3: metadata repeats key 'y_kind'"):
             read_measured_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):

@@ -32,7 +32,8 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
 from spindiff.solver import (MAX_CELLS, MAX_SAMPLES, _axial_coeffs,
                              _axial_modes,
                              _clamped, _dot, _dot_modes, _eigenbasis,
-                             _radial_coeffs, _radial_modes, _to_modes)
+                             _from_modes, _radial_coeffs, _radial_modes,
+                             _to_modes)
 
 GEO = DotGeometry()
 
@@ -846,6 +847,107 @@ class TestDotModes:
             values = sampler.field_at(1.5).values
             assert calls == [sampler._coef_at(0.0).shape]
             assert values.shape == (grid.nr, grid.nz)
+
+
+class TestOneThreadProducts:
+    """Every matrix product in ``solver`` is an ``np.matmul`` call of at
+    most ``_ONE_THREAD_MADDS`` multiply-adds, which OpenBLAS runs on the
+    calling thread; the grid <-> mode transforms tile larger products.
+    A product that fits in one tile is the single product, bit for bit,
+    and a tiled one agrees with it to round-off."""
+
+    PRODUCTION = build_grid(GEO, 0.5, 0.5, extent_factor=20.0)
+    # tiles of side 44 over 130 rows and 53 over 90 columns: neither
+    # dimension is a multiple of the tile side
+    ODD = Grid(nr=130, nz=90, dr=0.5, dz=0.5, z_min=-22.5)
+    # the grid of simulate's snapshots on the smallest configs
+    SMALL = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """The multiply-adds of each ``np.matmul`` call, as OpenBLAS
+        sees it: stacked matrices are multiplied one pair at a time."""
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            m = a.shape[-2] if a.ndim > 1 else 1
+            n = b.shape[-1] if b.ndim > 1 else 1
+            calls.append(m * n * a.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return calls
+
+    @staticmethod
+    def single(basis, coef=None, values=None):
+        """One product per factor: the field of ``coef`` or the modes of
+        ``values``."""
+        _, q_r, _, q_z, sqrt_r = basis
+        if coef is not None:
+            return q_r @ coef @ q_z.T / sqrt_r[:, None]
+        return q_r.T @ (sqrt_r[:, None] * values) @ q_z
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_transforms_tile_every_product(self, products, even):
+        g = self.PRODUCTION
+        basis = _eigenbasis(g, BoundaryMode.DIRICHLET_ZERO, even)
+        ne = basis[3].shape[1]
+        rng = np.random.default_rng(11)
+        _to_modes(rng.random((g.nr, g.nz)), basis)
+        _from_modes(rng.random((g.nr, ne)), basis)
+        # the tiles add up to the four whole products
+        assert sum(products) == g.nr * (g.nr * (g.nz + ne) + 2 * g.nz * ne)
+        assert max(products) <= solver._ONE_THREAD_MADDS
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_field_at_and_evolve_stay_under_the_bound(self, products, even):
+        g, cfg = self.PRODUCTION, SolverConfig(d_qd=10.0)
+        if even:
+            sampler = simulate_pump(GEO, cfg, 0.3, g)
+            assert sampler._even
+            sampler.field_at(1.0)
+        else:
+            field = PolarizationField(g, g.dot_mask(GEO))
+            DarkSampler(field, cfg).field_at(1.0)
+            evolve(field, cfg, 0.3)
+            evolve(field, cfg, 0.3, clamp=GEO)
+        ne = (g.nz + 1) // 2 if even else g.nz
+        # at least one whole transform out was seen
+        assert sum(products) >= g.nr * g.nz * (g.nr + ne)
+        assert max(products) <= solver._ONE_THREAD_MADDS
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("name", ["ODD", "PRODUCTION"])
+    def test_tiles_match_one_product(self, name, even):
+        g = getattr(self, name)
+        basis = _eigenbasis(g, BoundaryMode.DIRICHLET_ZERO, even)
+        ne = basis[3].shape[1]
+        rng = np.random.default_rng(12)
+        coef, values = rng.random((g.nr, ne)), rng.random((g.nr, g.nz))
+        for got, want in ((_from_modes(coef.copy(), basis),
+                           self.single(basis, coef=coef)),
+                          (_to_modes(values, basis),
+                           self.single(basis, values=values))):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name, even", [("SMALL", True), ("ODD", False),
+                                            ("ODD", True)])
+    def test_one_tile_is_the_single_product(self, monkeypatch, name, even):
+        g = getattr(self, name)
+        basis = _eigenbasis(g, BoundaryMode.DIRICHLET_ZERO, even)
+        ne = basis[3].shape[1]
+        if name == "ODD":
+            monkeypatch.setattr(solver, "_ONE_THREAD_MADDS", g.nr ** 2 * g.nz)
+        # every product of the two transforms fits in one tile
+        assert g.nr * g.nz * max(g.nr, ne) <= solver._ONE_THREAD_MADDS
+        rng = np.random.default_rng(13)
+        coef, values = rng.random((g.nr, ne)), rng.random((g.nr, g.nz))
+        np.testing.assert_array_equal(_from_modes(coef.copy(), basis),
+                                      self.single(basis, coef=coef))
+        np.testing.assert_array_equal(_to_modes(values, basis),
+                                      self.single(basis, values=values))
 
 
 class TestPumpAndDark:
