@@ -50,10 +50,16 @@ modes: a ``DarkSampler`` built from a field (in, ``_to_modes``), and a
 sampler's ``field`` and ``field_at`` (out, both through ``_from_modes``,
 the one route from modes to a field), so ``evolve`` transforms its field
 in and out once, clamped or not. A transform of a full field runs on the
-calling thread too, as tiles of its result (``_product``). With D > 0 a
-pump-then-dark solve, the fit objective and ``kinetics.run_sequence``
-make no transform, whatever the pump's duration, and the sampler builds
-the pumped field only when its ``field`` is read.
+calling thread too, as tiles of its result (``_product``). The way out
+forms, tile by tile, the rounding bound gamma_n |q_r| |c| |q_z|^T of
+its product (Higham, Accuracy and Stability of Numerical Algorithms,
+sec. 3.5) and sets every cell within that bound of 0 to exactly +0.0:
+far from the dot the field is much smaller than the product's rounding
+error, so those cells would otherwise hold signed round-off. Every
+other cell is the product bit for bit. With D > 0 a pump-then-dark
+solve, the fit objective and ``kinetics.run_sequence`` make no
+transform, whatever the pump's duration, and the sampler builds the
+pumped field only when its ``field`` is read.
 
 Which axial modes a sampler carries. Every ``DarkSampler`` holds its own
 basis, which its pump, readouts and transforms read. A sampler
@@ -130,9 +136,10 @@ _D_FLOOR = 1e-30
 # another process holds a core, and leave a woken worker spinning
 # through the single-threaded work after them. No product in this module
 # exceeds it: the pump and the readouts run over blocks of radial modes
-# or of times, and the grid <-> mode transforms over tiles of their
-# result (``_product``). With the eigenbasis built on one thread too
-# (``_eigenbasis``), the solver runs on the calling thread alone. Every
+# or of times, and the grid <-> mode transforms and the rounding bound of
+# the one out over tiles of their result (``_tiles``). With the
+# eigenbasis built on one thread too (``_eigenbasis``), the solver runs
+# on the calling thread alone. Every
 # product is an ``np.matmul`` call, so one spy in tests/test_solver.py
 # sees them all.
 _ONE_THREAD_MADDS = 2 ** 18
@@ -463,21 +470,34 @@ def _check_time(name: str, t) -> None:
                                  f"{name} = {float(bad[0])}")
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of two matrices on the calling thread: one product when it
-    takes at most ``_ONE_THREAD_MADDS`` multiply-adds (bit for bit
-    ``a @ b``), else square tiles of the result, of side
-    isqrt(_ONE_THREAD_MADDS / k) for the inner dimension k (25 x 25 at
-    k = 400), each one product written in place."""
-    (m, k), n = a.shape, b.shape[1]
+def _tiles(m: int, n: int, k: int):
+    """The (rows, cols) slices of the tiles of an m x n product of k
+    inner terms: the whole result when it takes at most
+    ``_ONE_THREAD_MADDS`` multiply-adds, else square tiles of side
+    isqrt(_ONE_THREAD_MADDS / k) (25 x 25 at k = 400), column block by
+    column block."""
     if m * n * k <= _ONE_THREAD_MADDS:
-        return np.matmul(a, b)
+        return [(slice(0, m), slice(0, n))]
     side = max(1, math.isqrt(_ONE_THREAD_MADDS // k))
+    return [(slice(i, i + side), slice(j, j + side))
+            for j in range(0, n, side) for i in range(0, m, side)]
+
+
+def _product(a: np.ndarray, b: np.ndarray,
+             absolute: bool = False) -> np.ndarray:
+    """a @ b of two matrices on the calling thread, one product per tile
+    of the result (``_tiles``), each written in place: one tile is
+    ``a @ b`` bit for bit. With ``absolute``, |a| @ |b|, the absolute
+    values taken per tile, of b once per column block, so neither |a|
+    nor |b| is held whole."""
+    (m, k), n = a.shape, b.shape[1]
     out = np.empty((m, n))
-    for i in range(0, m, side):
-        for j in range(0, n, side):
-            np.matmul(a[i:i + side], b[:, j:j + side],
-                      out=out[i:i + side, j:j + side])
+    y, last = None, None
+    for rows, cols in _tiles(m, n, k):
+        if cols != last:
+            y, last = (np.abs(b[:, cols]) if absolute else b[:, cols]), cols
+        x = np.abs(a[rows]) if absolute else a[rows]
+        np.matmul(x, y, out=out[rows, cols])
     return out
 
 
@@ -488,17 +508,43 @@ def _to_modes(values: np.ndarray, basis) -> np.ndarray:
 
 
 def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
-    """The field q_r c q_z^T / sqrt(r) of modal coefficients c: the one
-    route from modes to a field. ``coef`` is dropped after the first
-    product and the quotient is taken in place, so scaled coefficients
-    handed in as a temporary (``DarkSampler.field_at``) are freed before
-    the field is formed."""
+    """The field q_r c q_z^T / sqrt(r) of modal coefficients c, with its
+    certified zeros: the one route from modes to a field.
+
+    The computed S = q_r c q_z^T is within gamma_n B of the exact product
+    of the stored factors, cell by cell, where B = |q_r| |c| |q_z|^T,
+    gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.5). n
+    is the sum of the two inner dimensions, the radial and the axial
+    modes, plus one, which covers the rounding of gamma_n B itself. A
+    cell with |S| <= gamma_n B is no farther from 0 than its own rounding
+    error, so it carries no digit of the field: it is set to +0.0 before
+    the division by sqrt(r). Every other cell is the tiled product bit
+    for bit. The bound's second product runs in the tiles of S, beside
+    them, so no full B is held, and every product stays on the calling
+    thread.
+
+    ``coef`` is dropped after the first products and the quotient is
+    taken in place, so scaled coefficients handed in as a temporary
+    (``DarkSampler.field_at``) are freed before the field is formed."""
     _, q_r, _, q_z, sqrt_r = basis
+    n_r, n_e = coef.shape
     values = _product(q_r, coef)
+    n = n_r + n_e + 1
+    # gamma_n |q_r| |c|, the left factor of the bound
+    bound = _product(q_r, coef, absolute=True)
+    bound *= n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
     del coef
-    values = _product(values, q_z.T)
-    values /= sqrt_r[:, None]
-    return values
+    out = np.empty((len(q_r), len(q_z)))
+    abs_z, last = None, None
+    for rows, cols in _tiles(len(q_r), len(q_z), n_e):
+        if cols != last:
+            abs_z, last = np.abs(q_z[cols]).T, cols
+        s = out[rows, cols]
+        np.matmul(values[rows], q_z[cols].T, out=s)
+        s[np.abs(s) <= np.matmul(bound[rows], abs_z)] = 0.0
+    out /= sqrt_r[:, None]
+    return out
 
 
 @lru_cache(maxsize=64)

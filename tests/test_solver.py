@@ -28,12 +28,13 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       InvariantViolation, NumericalBlowup,
                       PolarizationField, SolverConfig,
                       auto_dt, build_grid, dark_sample_times, dot_average,
-                      evolve, simulate_dark, simulate_pump, step, total_spin)
+                      evolve, pumped_sampler, simulate_dark, simulate_pump,
+                      step, total_spin, write_snapshots)
 from spindiff.solver import (MAX_CELLS, MAX_SAMPLES, _axial_coeffs,
                              _axial_modes,
                              _clamped, _dot, _dot_modes, _eigenbasis,
-                             _from_modes, _radial_coeffs, _radial_modes,
-                             _to_modes)
+                             _from_modes, _product, _radial_coeffs,
+                             _radial_modes, _to_modes)
 
 GEO = DotGeometry()
 
@@ -896,8 +897,10 @@ class TestOneThreadProducts:
         rng = np.random.default_rng(11)
         _to_modes(rng.random((g.nr, g.nz)), basis)
         _from_modes(rng.random((g.nr, ne)), basis)
-        # the tiles add up to the four whole products
-        assert sum(products) == g.nr * (g.nr * (g.nz + ne) + 2 * g.nz * ne)
+        # the tiles add up to the four whole products of the transforms
+        # and the two of the rounding bound of the one out
+        assert sum(products) == (g.nr * (g.nr * (g.nz + ne) + 2 * g.nz * ne)
+                                 + g.nr * ne * (g.nr + g.nz))
         assert max(products) <= solver._ONE_THREAD_MADDS
 
     @pytest.mark.parametrize("even", [False, True])
@@ -948,6 +951,85 @@ class TestOneThreadProducts:
                                       self.single(basis, coef=coef))
         np.testing.assert_array_equal(_to_modes(values, basis),
                                       self.single(basis, values=values))
+
+
+class TestCertifiedZeros:
+    """``_from_modes`` sets a cell to +0.0 where the computed product S =
+    q_r c q_z^T is within gamma_n B of 0, B = |q_r| |c| |q_z|^T its
+    rounding bound (Higham, sec. 3.5), and leaves every other cell the
+    tiled product, bit for bit."""
+
+    PRODUCTION = TestOneThreadProducts.PRODUCTION
+    ODD = TestOneThreadProducts.ODD
+
+    @staticmethod
+    def unflushed(coef, basis):
+        """(S, gamma_n B): the tiled product before the flush and before
+        the division by sqrt(r), and its rounding bound, formed here as
+        one product per factor."""
+        _, q_r, _, q_z, _ = basis
+        n = sum(coef.shape) + 1
+        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        return (_product(_product(q_r, coef), q_z.T),
+                gamma * (np.abs(q_r) @ np.abs(coef) @ np.abs(q_z).T))
+
+    def modes(self, name):
+        """(coef, basis): the simulate-slow protocol's pumped state 4 s
+        into the dark, in the even modes of the production grid, or a
+        narrow Gaussian's modes on the ODD grid, in all its modes."""
+        if name == "PRODUCTION":
+            sampler = pumped_sampler(2e-15, 0.4, GEO, self.PRODUCTION)
+            return sampler._coef_at(4.0), sampler._basis
+        basis = _eigenbasis(self.ODD, BoundaryMode.DIRICHLET_ZERO)
+        return _to_modes(gaussian_field(self.ODD, 2.0), basis), basis
+
+    @pytest.mark.parametrize("name", ["PRODUCTION", "ODD"])
+    def test_only_cells_within_the_bound_are_zeroed(self, name):
+        coef, basis = self.modes(name)
+        got = _from_modes(coef.copy(), basis)
+        s, bound = self.unflushed(coef, basis)
+        zero = got == 0
+        assert zero.mean() > 0.5
+        assert np.all(np.abs(s[zero]) <= bound[zero])
+        above = np.abs(s) > bound
+        np.testing.assert_array_equal(got[above],
+                                      (s / basis[4][:, None])[above])
+
+    def test_a_flushed_cell_is_written_as_0(self, tmp_path):
+        g, geo = TestModalPump.SMALL, TestModalPump.DOT
+        pumped = simulate_pump(geo, SolverConfig(d_qd=0.01), 0.3, g)
+        values = pumped.field.values
+        zero = values == 0
+        assert zero.any() and not np.signbit(values[zero]).any()
+        path = tmp_path / "snap.csv"
+        write_snapshots(path, [0.0], g.r_centers, g.z_centers, [values])
+        s = [line.rsplit(",", 1)[1] for line in path.read_text().split()[1:]]
+        assert s.count("0") == zero.sum()
+        assert not any(x.startswith("-") for x in s)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("d", [0.1, 0.01])
+    def test_no_farther_from_expm_oracle(self, expm_clamped, d, boundary):
+        g, geo = TestModalPump.SMALL, TestModalPump.DOT
+        cfg = SolverConfig(d_qd=d, boundary=boundary)
+        mask = g.dot_mask(geo)
+        want = expm_clamped(mask, g, cfg, 0.3, mask)
+        pumped = simulate_pump(geo, cfg, 0.3, g)
+        raw = self.unflushed(pumped._coef, pumped._basis)[0]
+        raw /= pumped._basis[4][:, None]
+        raw[mask] = 1.0
+        got = pumped.field.values
+        # the semi-discrete field is positive, down to 1e-44 here
+        assert want.min() > 0 and (raw < 0).any()
+        assert got.min() >= 0
+        assert np.abs(got - want).max() <= np.abs(raw - want).max()
+
+    def test_production_snapshots_are_mostly_exact_zeros(self):
+        sampler = pumped_sampler(2e-15, 0.4, GEO, self.PRODUCTION)
+        for t in (0.0, 4.0):
+            values = sampler.field_at(t).values
+            assert values.min() >= 0
+            assert np.mean(values == 0) > 0.95
 
 
 class TestPumpAndDark:
