@@ -49,7 +49,8 @@ class MissingGFactor(SpinDiffError):
 
 
 class NotIdentifiable(SpinDiffError):
-    """Fit input carries no usable signal (constant data, flat objective)."""
+    """Fit input carries no usable signal (constant data, flat objective,
+    a time constant the samples do not resolve)."""
 
     exit_code = 4
 

@@ -23,6 +23,10 @@ from .units import diffusion_cm2s_to_nm2s
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_D_TOL = 1e-3  # resolves D to ~0.2%, far inside fit tolerances
 _SCAN_PER_DECADE = 2  # candidates per decade of the D bounds
+# the tau the samples resolve: from a tenth of the finest sample spacing
+# to 100 times the span; a fitted tau outside that is not identified
+_TAU_MIN_PER_SPACING = 0.1
+_TAU_MAX_PER_SPAN = 100.0
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,11 @@ def _fit_tau(series: DecaySeries, model, min_points: int, what: str,
     """Least-squares fit of ``model(t, *params, tau)`` to ``series``:
     the fitted parameters (tau last, bounded below by 1e-12), the fitted
     curve at the series' times and the residual RMS. ``guess(y)`` starts
-    the parameters before tau; tau starts at a third of the time span."""
+    the parameters before tau; tau starts at a third of the time span.
+    A fitted tau below ``_TAU_MIN_PER_SPACING`` times the finest sample
+    spacing or above ``_TAU_MAX_PER_SPAN`` times the span raises
+    NotIdentifiable: the samples do not resolve it (a straight line
+    fits as a tau of 1e4-1e8 times its span)."""
     t, y = series.t, series.y
     if len(t) < min_points:
         raise InvariantViolation("TooFewPoints",
@@ -196,6 +204,12 @@ def _fit_tau(series: DecaySeries, model, min_points: int, what: str,
                             maxfev=20000)
     except RuntimeError as exc:
         raise FitDiverged(f"{what} fit did not converge: {exc}") from exc
+    lo = _TAU_MIN_PER_SPACING * float(np.diff(t).min())
+    hi = _TAU_MAX_PER_SPAN * float(t[-1] - t[0])
+    if not lo <= popt[-1] <= hi:
+        raise NotIdentifiable(
+            f"{what} time tau = {popt[-1]:.6g} s lies outside [{lo:.6g}, "
+            f"{hi:.6g}] s, the range the samples resolve")
     fitted = model(t, *popt)
     return popt, fitted, float(np.sqrt(np.mean((y - fitted) ** 2)))
 

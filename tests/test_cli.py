@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, emitted files, round trips.
 
-All commands run in-process through spindiff.cli.main. Solver-backed
-commands use a coarse, small-extent grid to stay fast.
+Commands run in-process through spindiff.cli.main, except the two
+tests that start ``python`` in a new process (``run_python``). This is
+the one home of the CLI's checks; CI's console step only installs the
+script and runs it. Solver-backed commands use a coarse, small-extent
+grid to stay fast.
 """
 import os
 import subprocess
@@ -321,20 +324,52 @@ class TestSimulate:
         # the sample count is checked before the output directory is made
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("d", ["1e-13", "0"])
-    def test_endless_pump_simulates(self, tmp_path, d):
+    @pytest.mark.parametrize("d, t_pump", [
+        ("1e-13", "1e300"), ("0", "1e300"), ("1e-13", "0"),
+    ], ids=["1e-13", "0", "zero-pump"])
+    def test_endless_pump_simulates(self, tmp_path, d, t_pump):
         # no step count to overflow: a 1e300 s pump, even at a 1e-300 s
-        # step, is the steady state, and the dot starts at exactly 1
+        # step, is the steady state; a 0 s pump runs none and sets the
+        # dot to 1; either way the dot starts at exactly 1
         cfg = write_config(tmp_path, FAST_SOLVER.replace(
             "d_cm2s = 1e-13", f"d_cm2s = {d}").replace(
             "dt_s = 0.05", "dt_s = 1e-300").replace(
-            "[protocol]\n", "[protocol]\nt_pump_s = 1e300\n"))
+            "[protocol]\n", f"[protocol]\nt_pump_s = {t_pump}\n"))
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "out"), "--quiet"]) == 0
         cols, _ = read_table(tmp_path / "out" / "decay.csv")
         assert cols["dot_average"][0] == 1.0
         assert np.all(np.isfinite(cols["dot_average"]))
         assert np.all(np.diff(cols["dot_average"]) <= 0.0)
+
+    def test_slow_halo_writes_no_negative_cell(self, tmp_path):
+        # at 2e-15 most of the halo is round-off around 0; a cell within
+        # its own rounding bound of 0 is written as exactly 0, not -0
+        cfg = write_config(tmp_path, FAST_SOLVER.replace(
+            "d_cm2s = 1e-13", "d_cm2s = 2e-15") + "snapshot_times_s = 4, 0\n")
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+        cols, _ = read_table(tmp_path / "out" / "decay.csv")
+        assert cols["dot_average"][0] == 1.0
+        text = (tmp_path / "out" / "field_snapshots.csv").read_text(
+            encoding="utf-8")
+        rows = [line for line in text.splitlines()
+                if not line.startswith("#")][1:]
+        grid = build_grid(DotGeometry(radius=10.0, height=5.0), 1.0, 0.625,
+                          6.0)
+        assert len(rows) == 2 * grid.nr * grid.nz
+        assert not [row for row in rows if row.split(",")[3].startswith("-")]
+
+    def test_singular_capacitance_exits_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        # LAPACK's info > 0: a zero pivot, no solution
+        monkeypatch.setattr("spindiff.solver.zgesv",
+                            lambda *args, **kwargs: (None, None, None, 1))
+        cfg = write_config(tmp_path, FAST_SOLVER)
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 3
+        assert ("singular capacitance system at node"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("old, new, count", [
         ("radius_nm = 10", "radius_nm = 1e300", "6e+300"),
@@ -560,8 +595,31 @@ class TestFitRise:
         assert main(["fit-rise", str(path), "--quiet", "--out",
                      str(out)]) == 2
         err = capsys.readouterr().err
-        assert "kinds.csv:2" in err and "'y_kind'" in err
+        assert "kinds.csv:2: metadata repeats key 'y_kind'" in err
         assert not (out / "rise_overlay.csv").exists()
+
+    def test_repeated_column_exits_2_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text("# y_kind=zeeman_splitting_uev\ndelay_s,value,value\n"
+                        "0,98,1\n10,90,2\n20,85,3\n30,80,4\n40,75,5\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["fit-rise", str(path), "--quiet", "--out",
+                     str(out)]) == 2
+        assert "twice.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_straight_line_exits_4(self, tmp_path, capsys):
+        # a rise that never bends: tau would be 54,230 s over a 6 s span
+        t = np.arange(0.0, 6.01, 0.2)
+        path = tmp_path / "line.csv"
+        write_measured_csv(path, DecaySeries(
+            t=t, y=2.0 + 3.0 * t, y_kind=YKind.ZEEMAN_SPLITTING_UEV))
+        out = tmp_path / "out"
+        assert main(["fit-rise", str(path), "--quiet", "--out",
+                     str(out)]) == 4
+        assert "lies outside [0.02, 600] s" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFitD:
@@ -716,13 +774,29 @@ t_pump_s = 10
         assert "sigma[2] = 0" in err
 
 
+def run_python(*args):
+    """``python *args`` in a new process that imports spindiff from src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize takes about a third of a second to import and only
     # the exponential fits use it
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = ("import sys, spindiff.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = run_python("-c", "import sys, spindiff.cli; "
+                           "print('scipy.optimize' in sys.modules)")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"
+
+
+def test_module_run_exits_with_mains_status():
+    # python -m spindiff.cli, as the installed script does, hands main's
+    # return value to the process
+    bad = run_python("-m", "spindiff.cli", "convert", "nan")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    good = run_python("-m", "spindiff.cli", "convert", "66")
+    assert good.returncode == 0
+    assert good.stdout == "polarization_degree = 0.5\n"

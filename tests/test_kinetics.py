@@ -414,6 +414,24 @@ class TestRiseFit:
             fit_exponential_rise(self.make_series(1.3))
 
 
+# every 0.2 s over 6 s: the samples resolve a tau in [0.02, 600] s
+T_RESOLVED = np.arange(0.0, 6.01, 0.2)
+
+
+@pytest.mark.parametrize("fit, y", [
+    # a straight line: curve_fit stops at a tau of 54,230 s, rms 7.9e-5
+    (fit_exponential_rise, 2.0 + 3.0 * T_RESOLVED),
+    # the same line as a decay: a tau of 4.9e8 s
+    (fit_exponential_decay, 2.0 + 3.0 * T_RESOLVED),
+    # a rise over before the second sample: 0.0089 s, rms 1.1e-9
+    (fit_exponential_rise, 38.0 * (1.0 - np.exp(-T_RESOLVED / 0.006))),
+], ids=["rise-line", "decay-line", "rise-too-fast"])
+def test_unresolved_tau_not_identifiable(fit, y):
+    with pytest.raises(NotIdentifiable,
+                       match=r"tau = \S+ s lies outside \[0\.02, 600\] s"):
+        fit(DecaySeries(t=T_RESOLVED, y=y))
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: RiseFit(amplitude=1.0, tau=0.0, offset=0.0, residual_rms=0.0),
      "NonPositiveTau"),

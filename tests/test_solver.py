@@ -17,6 +17,8 @@ Oracles used here, all closed-form:
     derivation from the optimized cotangent contour and a least-squares
     fit (``fitted_table``), and against the 32-node contour (``talbot``).
 """
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
@@ -520,6 +522,15 @@ class TestModalPump:
         simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
         # the dot's 6 rows times its 2 columns up to the mid-plane
         assert calls == [(12, 12)] * 10
+
+    def test_singular_capacitance_raises(self, monkeypatch):
+        # LAPACK's info > 0: a zero pivot, no solution
+        monkeypatch.setattr(solver, "zgesv",
+                            lambda *args, **kwargs: (None, None, None, 1))
+        node = re.escape(f"at node {solver._POLES[0, 0]} of a pump of 0.3 s")
+        with pytest.raises(NumericalBlowup,
+                           match=f"singular capacitance system {node}"):
+            simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
 
     def test_row_blocks_match_one_block(self, monkeypatch, expm_clamped):
         # one radial mode per block instead of all 16 in one
