@@ -11,7 +11,10 @@ closed-form DST-II or DCT-II vectors, cached per parity
 (``_axial_modes``); the radial ones come from LAPACK's MRRR tridiagonal
 solver (``stemr``), solved once per (grid, boundary)
 (``_radial_modes``). Both are built on the calling thread, with no
-threaded BLAS:
+threaded BLAS. ``stemr`` and the pump's LU solve come from the OpenBLAS
+that numpy vendors, bound without scipy (``_lapack``, whose import
+retires numpy's idle BLAS worker pool), or from scipy where numpy
+vendors none:
 
   * Dot unclamped (dark delays, probes): any interval is propagated
     exactly. There is no time step and no time-discretization error;
@@ -24,12 +27,12 @@ threaded BLAS:
     the diagonal W(s) = 1 / (s - D lam + 1/T1), and the source is the
     solution of one small system on the dot's cells, the capacitance
     matrix Read o W o Lift (Buzbee, Dorr, George & Golub, SIAM J. Numer.
-    Anal. 8, 1971). The inverse transform is a weighted sum over 10
-    nodes of the optimized cotangent contour of Weideman & Trefethen
-    (Math. Comp. 76, 2007) and their conjugates, with least-squares
-    weights (``_POLES``): it matches e^x on x <= 0 to 3.8e-14. The pump
-    has no time step; the staircase dot boundary makes it first-order in
-    dr.
+    Anal. 8, 1971), solved by LU (``_lapack.lu_solve``). The inverse
+    transform is a weighted sum over 10 nodes of the optimized cotangent
+    contour of Weideman & Trefethen (Math. Comp. 76, 2007) and their
+    conjugates, with least-squares weights (``_POLES``): it matches e^x
+    on x <= 0 to 3.8e-14. The pump has no time step; the staircase dot
+    boundary makes it first-order in dr.
 
 One routine advances a field with the dot clamped, ``_clamped``: its
 start is a ``DarkSampler`` plus the time elapsed since that sampler's
@@ -114,9 +117,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgesv
 
+from ._lapack import lu_solve, stemr
 from .domain import DecaySeries, DotGeometry, YKind, reject_non_finite
 from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
                      NumericalBlowup)
@@ -409,14 +411,14 @@ def _radial_modes(grid: Grid, boundary: BoundaryMode):
     orthogonal. Weighting the radial operator with sqrt(r) makes it
     symmetric, with off-diagonal sqrt(hi[i] * lo[i+1]); its eigenpairs
     come from LAPACK's MRRR driver ``stemr`` (Dhillon & Parlett, Linear
-    Algebra Appl. 387, 2004), which uses no level-3 BLAS and so wakes no
-    BLAS worker thread. The default divide-and-conquer driver ``stevd``
-    runs on threaded BLAS and leaves a worker spinning through the
-    single-threaded pump. q_r comes back Fortran-ordered.
+    Algebra Appl. 387, 2004; ``_lapack.stemr``), which uses no level-3
+    BLAS and so wakes no BLAS worker thread. The default
+    divide-and-conquer driver ``stevd`` runs on threaded BLAS and leaves
+    a worker spinning through the single-threaded pump. q_r comes back
+    Fortran-ordered.
     """
     lo, di, hi = _radial_coeffs(grid.nr, grid.dr, boundary)
-    lam_r, q_r = eigh_tridiagonal(di, np.sqrt(hi[:-1] * lo[1:]),
-                                  lapack_driver="stemr")
+    lam_r, q_r = stemr(di, np.sqrt(hi[:-1] * lo[1:]))
     return lam_r, q_r, np.sqrt(grid.r_centers)
 
 
@@ -559,8 +561,8 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
     ra^T c rb for modal coefficients c, and the dot indicator's
     coefficients are the outer product of ra and rb: the dot is a
     rectangle of rows and columns. The rows of q_r are taken as a
-    C-ordered copy: ``eigh_tridiagonal`` returns q_r Fortran-ordered, and
-    a strided slice rounds differently. q_z is C-ordered already.
+    C-ordered copy: ``stemr`` returns q_r Fortran-ordered, and a strided
+    slice rounds differently. q_z is C-ordered already.
 
     rect = (a, s, b, b2t, i, k, pair_r, pair_z) holds the pump's tables.
     a is that copy of the dot's rows of q_r and s their weights sqrt(r);
@@ -609,13 +611,15 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     ``_MAX_STIFFNESS`` lifetimes of the fastest mode is cut to that. With
     Read(c) = a c b^T (the dot's values times s) and Lift(u) = a^T u b
     (a source u on the dot's cells), the source of the node solves
-    K u = s / z - Read(V c), K = Read o V o Lift (LAPACK ``zgesv``, which
-    stays on one thread and allocates less than the symmetric ``zsysv``),
-    so that the dot reads 1 at every t > 0, whatever it read at the
-    start. The pumped coefficients are the exact free part exp(M) c plus
-    sum_k Re(w_k V_k Lift(u_k)) over the 10 nodes z_k of ``_POLES``
-    and their weights w_k: the inverse Laplace transform
-    f(t) = sum_k Re(w_k F(z_k / t)) / t, one ``zgesv`` per node.
+    K u = s / z - Read(V c), K = Read o V o Lift (``_lapack.lu_solve``:
+    LAPACK's unblocked ``zgetf2`` and ``zgetrs`` from numpy's OpenBLAS,
+    which stay on one thread where that library's ``zgesv`` threads from
+    100 unknowns), so that the dot reads 1 at every t > 0, whatever it
+    read at the start. A zero pivot raises ``NumericalBlowup``. The
+    pumped coefficients are the exact free part exp(M) c plus
+    sum_k Re(w_k V_k Lift(u_k)) over the 10 nodes z_k of ``_POLES`` and
+    their weights w_k: the inverse Laplace transform
+    f(t) = sum_k Re(w_k F(z_k / t)) / t, one LU solve per node.
 
     Every product runs over blocks of radial modes and stays under
     ``_ONE_THREAD_MADDS``; V is split into its real and imaginary parts,
@@ -671,8 +675,7 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
             + pair_z[None, :, None, :]).reshape(a.shape[0] * len(b), -1)
     for node in range(z.size):
         cap = (pairs[node, 0] + 1j * pairs[node, 1]).ravel()[flat]
-        _, _, u, info = zgesv(cap, rhs[node].ravel(), overwrite_a=True,
-                              overwrite_b=True)
+        u, info = lu_solve(cap, rhs[node].ravel())
         if info:
             raise NumericalBlowup(f"singular capacitance system at node "
                                   f"{z[node]} of a pump of {duration} s")

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, emitted files, round trips.
 
-Commands run in-process through spindiff.cli.main, except the two
+Commands run in-process through spindiff.cli.main, except the three
 tests that start ``python`` in a new process (``run_python``). This is
 the one home of the CLI's checks; CI's console step only installs the
 script and runs it. Solver-backed commands use a coarse, small-extent
 grid to stay fast.
 """
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from spindiff import _lapack
 from spindiff import (DarkSampler, DecaySeries, DotGeometry, YKind,
                       build_grid, read_fit_report, read_table,
                       write_measured_csv, write_table)
@@ -363,8 +365,8 @@ class TestSimulate:
     def test_singular_capacitance_exits_3(self, tmp_path, capsys,
                                           monkeypatch):
         # LAPACK's info > 0: a zero pivot, no solution
-        monkeypatch.setattr("spindiff.solver.zgesv",
-                            lambda *args, **kwargs: (None, None, None, 1))
+        monkeypatch.setattr("spindiff.solver.lu_solve",
+                            lambda a, b: (None, 1))
         cfg = write_config(tmp_path, FAST_SOLVER)
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "out"), "--quiet"]) == 3
@@ -789,6 +791,56 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                            "print('scipy.optimize' in sys.modules)")
     assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+COLD_IMPORT = """\
+import json, os, sys
+import numpy
+
+
+def threads():
+    # Linux lists each thread of the process here
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else None
+
+
+def scipy_modules():
+    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
+
+pool = threads()
+from spindiff.cli import main
+loaded, after_import = scipy_modules(), threads()
+status = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2],
+               "--quiet"])
+after_simulate = threads()
+# the production grid's pump: 100 unknowns per capacitance system
+from spindiff import DotGeometry, SolverConfig, build_grid, simulate_pump
+simulate_pump(DotGeometry(), SolverConfig(d_qd=10.0), 1.0,
+              build_grid(DotGeometry(), 0.5, 0.5))
+print(json.dumps({"pool": pool, "after_import": after_import,
+                  "after_simulate": after_simulate,
+                  "after_production_pump": threads(), "status": status,
+                  "scipy": loaded + scipy_modules()}))
+"""
+
+
+@pytest.mark.skipif(_lapack.LIBRARY is None,
+                    reason="numpy vendors no OpenBLAS to bind: the solver "
+                           "runs on scipy")
+def test_cold_import_loads_no_scipy_and_retires_blas_pool(tmp_path):
+    # the solver binds the OpenBLAS numpy loaded and retires its idle
+    # worker pool on import; a simulate and a production pump run on the
+    # calling thread alone
+    cfg = write_config(tmp_path, FAST_SOLVER)
+    out = run_python("-c", COLD_IMPORT, cfg, str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["status"] == 0
+    assert got["scipy"] == []
+    if got["pool"] is not None:
+        assert (got["after_import"] == got["after_simulate"]
+                == got["after_production_pump"] == 1), got
 
 
 def test_module_run_exits_with_mains_status():

@@ -18,13 +18,14 @@ Oracles used here, all closed-form:
     fit (``fitted_table``), and against the 32-node contour (``talbot``).
 """
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.linalg.lapack import zgesv
 
-from spindiff import solver
+from spindiff import _lapack, solver
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
                       GeometryMismatch, GridTooCoarse, Grid,
                       InvariantViolation, NumericalBlowup,
@@ -333,18 +334,73 @@ class TestEigenbasis:
     @pytest.mark.parametrize("size", list(GRIDS))
     def test_one_radial_solve_pinned_to_mrrr(self, monkeypatch, size,
                                              boundary):
-        # the default driver of a future scipy must not bring back a
-        # solver on threaded BLAS
+        # one call of the MRRR driver, which stays on the calling thread;
+        # the divide-and-conquer driver runs on threaded BLAS
         drivers = []
 
-        def spy(*args, **kwargs):
-            drivers.append(kwargs.get("lapack_driver"))
-            return eigh_tridiagonal(*args, **kwargs)
+        def spy(*args):
+            drivers.append("stemr")
+            return _lapack.stemr(*args)
 
-        monkeypatch.setattr(solver, "eigh_tridiagonal", spy)
+        monkeypatch.setattr(solver, "stemr", spy)
         # past the cache, so every call solves for the radial modes
         _radial_modes.__wrapped__(self.GRIDS[size], boundary)
         assert drivers == ["stemr"]
+
+
+class TestLapack:
+    """The solver's two LAPACK routines (``spindiff._lapack``) against
+    scipy's: the radial eigenpairs bit for bit, the capacitance solve to
+    the forward-error bound of two backward-stable LU solves."""
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("nr, dr", [(400, 0.5), (50, 1.0)])
+    def test_stemr_bitwise_scipy(self, nr, dr, boundary):
+        # the radial operators of the production and the fit-d grids
+        lo, di, hi = _radial_coeffs(nr, dr, boundary)
+        e = np.sqrt(hi[:-1] * lo[1:])
+        lam, q = _lapack.stemr(di, e)
+        want_lam, want_q = eigh_tridiagonal(di, e, lapack_driver="stemr")
+        np.testing.assert_array_equal(lam, want_lam)
+        np.testing.assert_array_equal(q, want_q)
+        assert q.flags.f_contiguous
+
+    def test_lu_solve_matches_zgesv_on_production_system(self, monkeypatch):
+        # the 100-unknown capacitance systems of a 10 s pump at 1e-12
+        # cm2/s on the 400x400 grid, the largest condition number (378)
+        # of the production pumps
+        systems = []
+
+        def kept(a, b):
+            systems.append((a.copy(), b.copy()))
+            return _lapack.lu_solve(a, b)
+
+        monkeypatch.setattr(solver, "lu_solve", kept)
+        simulate_pump(GEO, SolverConfig(d_qd=1e2), 10.0,
+                      build_grid(GEO, 0.5, 0.5))
+        assert len(systems) == 10
+        for a, b in systems:
+            assert a.shape == (100, 100)
+            x, info = _lapack.lu_solve(a.copy(), b.copy())
+            _, _, want, want_info = zgesv(a, b)
+            assert info == want_info == 0
+            # each solve's relative forward error is at most about
+            # n u cond(a) in the max norm
+            bound = 2 * len(b) * 2.0 ** -53 * np.linalg.cond(a, np.inf)
+            assert max_abs(x - want) <= bound * max_abs(want)
+
+    def test_lu_solve_reports_singular_matrix(self):
+        a = np.ones((3, 3), dtype=complex)
+        _, info = _lapack.lu_solve(a, np.ones(3, dtype=complex))
+        assert info > 0
+
+    @pytest.mark.skipif(_lapack.LIBRARY is None,
+                        reason="numpy vendors no OpenBLAS to bind: scipy "
+                               "checks the shapes")
+    def test_lu_solve_rejects_mismatched_shapes(self):
+        # the shapes are checked before any pointer reaches LAPACK
+        with pytest.raises(ValueError, match="n x n matrix and an n-vector"):
+            _lapack.lu_solve(np.eye(3), np.ones(2))
 
 
 class TestModalPropagation:
@@ -514,23 +570,58 @@ class TestModalPump:
     def test_one_zgesv_per_node(self, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return zgesv(*args, **kwargs)
+        def counted(a, b):
+            calls.append(a.shape)
+            return _lapack.lu_solve(a, b)
 
-        monkeypatch.setattr(solver, "zgesv", counted)
+        monkeypatch.setattr(solver, "lu_solve", counted)
         simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
         # the dot's 6 rows times its 2 columns up to the mid-plane
         assert calls == [(12, 12)] * 10
 
     def test_singular_capacitance_raises(self, monkeypatch):
         # LAPACK's info > 0: a zero pivot, no solution
-        monkeypatch.setattr(solver, "zgesv",
-                            lambda *args, **kwargs: (None, None, None, 1))
+        monkeypatch.setattr(solver, "lu_solve", lambda a, b: (None, 1))
         node = re.escape(f"at node {solver._POLES[0, 0]} of a pump of 0.3 s")
         with pytest.raises(NumericalBlowup,
                            match=f"singular capacitance system {node}"):
             simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
+
+    def test_singular_matrix_raises(self, monkeypatch):
+        # a capacitance matrix made singular before LAPACK factors it
+        monkeypatch.setattr(solver, "lu_solve", lambda a, b: _lapack.lu_solve(
+            np.zeros_like(a), b))
+        with pytest.raises(NumericalBlowup, match="singular capacitance"):
+            simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_scipy_routines_match_expm_oracle(self, monkeypatch,
+                                              expm_clamped, boundary):
+        # the route where numpy vendors no OpenBLAS to bind; fresh
+        # caches, so the basis and the pump's tables are built on it
+        calls = []
+
+        def counted(name, routine):
+            def call(*args):
+                calls.append(name)
+                return routine(*args)
+            return call
+
+        eig, solve = _lapack._scipy_routines()
+        monkeypatch.setattr(solver, "stemr", counted("stemr", eig))
+        monkeypatch.setattr(solver, "lu_solve", counted("lu_solve", solve))
+        for name in ("_radial_modes", "_dot_modes"):
+            cached = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lru_cache(maxsize=8)(
+                cached.__wrapped__))
+        g, geo = self.SMALL, self.DOT
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=0.7, boundary=boundary)
+        mask = g.dot_mask(geo)
+        pumped = simulate_pump(geo, cfg, 0.45, g)
+        assert calls == ["stemr"] + ["lu_solve"] * 10
+        np.testing.assert_allclose(pumped.field.values,
+                                   expm_clamped(mask, g, cfg, 0.45, mask),
+                                   rtol=0, atol=1e-12)
 
     def test_row_blocks_match_one_block(self, monkeypatch, expm_clamped):
         # one radial mode per block instead of all 16 in one
