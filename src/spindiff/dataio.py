@@ -11,7 +11,8 @@ optional) with the series kind declared as `# y_kind=...` metadata.
 
 Field snapshots use the columns `t_s,r_nm,z_nm,s`, r-major, one block of
 nr x nz rows per snapshot time; `write_snapshots` writes them in this
-format without expanding the coordinate columns.
+format without expanding the coordinate columns, and a radial row of
++0.0 as joined text, with no %.17g to fill.
 
 A file that cannot be read or written is a ConfigError that names it.
 """
@@ -96,15 +97,20 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
     expanded columns.
 
     Each t, r and z is formatted once: a block of whole radial rows is one
-    template with the coordinates as literal text and `s` as the only
-    placeholder, filled by one % call. Raises ValueError when a field's
+    template with the coordinates as literal text, written at once. A
+    radial row whose cells are all +0.0 (bit pattern 0) is joined text
+    that prints `0` in every cell; every other row has `s` as its only
+    placeholder, and a block that holds one is filled by one % call, so
+    a block of zero rows takes none. Raises ValueError when a field's
     shape is not (len(r), len(z)) or the fields do not match the times
     one to one.
     """
     # the leading "" makes prefix.join(z_rows) put the prefix before
-    # every z piece: "t,r,z,%.17g\n" per row, with s the only placeholder
+    # every z piece: "t,r,z,%.17g\n" per row, with s the only placeholder;
+    # z_zero is the same row with s printed as the 0 of +0.0
     z_rows = ["", *(f"{_FMT % zj},{_FMT}\n"
                     for zj in np.asarray(z, float).tolist())]
+    z_zero = [row.replace(_FMT, "0") for row in z_rows]
     r_text = [_FMT % ri for ri in np.asarray(r, float).tolist()]
     shape = (len(r_text), len(z_rows) - 1)
     per_block = max(1, _BLOCK_ROWS // max(1, shape[1]))
@@ -117,10 +123,15 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
                 raise ValueError(f"field shape {values.shape}, want {shape}")
             t_text = _FMT % t
             for i in range(0, shape[0], per_block):
-                template = "".join(f"{t_text},{ri},".join(z_rows)
-                                   for ri in r_text[i:i + per_block])
-                fh.write(template
-                         % tuple(values[i:i + per_block].ravel().tolist()))
+                rows = values[i:i + per_block]
+                digits = rows.view(np.uint64).any(axis=1)
+                template = "".join(
+                    f"{t_text},{ri},".join(z_rows if row else z_zero)
+                    for ri, row in zip(r_text[i:i + per_block],
+                                       digits.tolist()))
+                if digits.any():
+                    template %= tuple(rows[digits].ravel().tolist())
+                fh.write(template)
 
 
 def read_table(path: str | os.PathLike) -> tuple[dict[str, np.ndarray],

@@ -1,13 +1,16 @@
 """Table and measured-CSV round trips, strict ingestion checks."""
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spindiff import (ConfigError, DecaySeries, DiffusionFit, YKind,
-                      read_fit_report, read_measured_csv, read_table,
-                      write_fit_report, write_measured_csv, write_snapshots,
-                      write_table)
+from spindiff import dataio
+from spindiff import (ConfigError, DecaySeries, DiffusionFit, DotGeometry,
+                      YKind, build_grid, pumped_sampler, read_fit_report,
+                      read_measured_csv, read_table, write_fit_report,
+                      write_measured_csv, write_snapshots, write_table)
 
 
 class TestTableRoundTrip:
@@ -172,6 +175,101 @@ class TestSnapshots:
         assert back_meta == meta
         for name, want in self.expanded(times, r, z, fields).items():
             assert back[name].tobytes() == want.tobytes()
+
+    # 10 radial rows of 1000 cells: blocks of rows 0-3, 4-7 and 8-9
+    SPARSE_NR, SPARSE_NZ = 10, 1000
+
+    @staticmethod
+    def sparse_field(kind, nr, nz):
+        """A field of the given kind with whole radial rows that print
+        `0` in every cell, or that almost do."""
+        rng = np.random.default_rng(5)
+        s = rng.standard_normal((nr, nz)) * 10.0 ** rng.integers(
+            -300, 300, (nr, nz))
+        # the first and last rows, and rows 3 and 4 on both sides of the
+        # boundary between the first two blocks
+        s[[0, 3, 4, nr - 1]] = 0.0
+        if kind == "zero_rows":
+            return s
+        if kind == "negative_zero_row":
+            s[5] = -0.0
+            return s
+        if kind == "hidden":
+            # +0.0 rows, each with one cell that does not print as 0
+            s[:] = 0.0
+            for row, (col, x) in enumerate([(0, -0.0), (nz - 1, 5e-324),
+                                            (7, np.nan), (3, np.inf),
+                                            (4, -np.inf), (1, -5e-324)]):
+                s[row + 2, col] = x
+            return s
+        if kind == "no_digit":
+            return np.zeros((nr, nz))
+        if kind == "fortran":
+            return np.asfortranarray(s)
+        if kind == "strided":
+            big = np.ones((2 * nr, 3 * nz))
+            big[::2, ::3] = s
+            return big[::2, ::3]
+        assert kind == "integer"
+        n = rng.integers(-3, 3, (nr, nz))
+        n[[0, 3, 4, nr - 1]] = 0
+        return n
+
+    @pytest.mark.parametrize("kind", ["zero_rows", "negative_zero_row",
+                                      "hidden", "no_digit", "fortran",
+                                      "strided", "integer"])
+    def test_sparse_bytes_match_write_table(self, tmp_path, kind):
+        nr, nz = self.SPARSE_NR, self.SPARSE_NZ
+        r = (np.arange(nr) + 0.5) * 0.5
+        z = np.linspace(-12.3, 7.1, nz)
+        fields = [self.sparse_field(kind, nr, nz), np.zeros((nr, nz))]
+        write_snapshots(tmp_path / "new.csv", (0.0, 2.5), r, z, fields)
+        write_table(tmp_path / "ref.csv",
+                    self.expanded((0.0, 2.5), r, z, fields))
+        raw = (tmp_path / "new.csv").read_bytes()
+        assert raw == (tmp_path / "ref.csv").read_bytes()
+        if kind == "negative_zero_row":
+            assert raw.count(b",-0\n") == nz
+
+    def test_each_write_holds_at_most_one_block(self, tmp_path, monkeypatch):
+        # the whole snapshot is never joined: each block of radial rows
+        # is written on its own, which keeps the extra memory to a block
+        writes = []
+
+        @contextmanager
+        def recording(path):
+            yield SimpleNamespace(write=writes.append)
+
+        nr, nz = self.SPARSE_NR, self.SPARSE_NZ
+        r, z = np.arange(nr) + 0.5, np.linspace(-1.0, 1.0, nz)
+        fields = [self.sparse_field("zero_rows", nr, nz), np.zeros((nr, nz))]
+        write_table(tmp_path / "ref.csv", self.expanded((0.0, 2.5), r, z,
+                                                        fields))
+        monkeypatch.setattr(dataio, "_writing", recording)
+        write_snapshots(tmp_path / "s.csv", (0.0, 2.5), r, z, fields)
+        per_block = dataio._BLOCK_ROWS // nz
+        assert writes[0] == "t_s,r_nm,z_nm,s\n"
+        assert [w.count("\n") for w in writes[1:]] == [
+            per_block * nz, per_block * nz, (nr % per_block) * nz] * 2
+        assert "".join(writes) == (tmp_path / "ref.csv").read_text("utf-8")
+
+    def test_production_snapshots_match_write_table(self, tmp_path):
+        # the simulate-slow benchmark's field: D = 2e-15 cm2/s on the
+        # 400x400 grid, where most radial rows are exact zeros
+        geo = DotGeometry(radius=10.0, height=5.0)
+        grid = build_grid(geo, 0.5, 0.5, 20.0)
+        dark = pumped_sampler(2e-15, 0.4, geo, grid)
+        times = (0.0, 4.0)
+        fields = [dark.field_at(t).values for t in times]
+        for f in fields:
+            assert np.count_nonzero(np.any(f != 0, axis=1)) < grid.nr // 4
+        meta = {"d_cm2s": "2e-15"}
+        write_snapshots(tmp_path / "new.csv", times, grid.r_centers,
+                        grid.z_centers, fields, meta)
+        write_table(tmp_path / "ref.csv", self.expanded(
+            times, grid.r_centers, grid.z_centers, fields), meta)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     def test_wrong_field_shape_rejected(self, tmp_path):
         r, z = np.array([0.5, 1.5]), np.array([-1.0, 0.0, 1.0])
