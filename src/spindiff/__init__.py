@@ -12,10 +12,9 @@ from .dataio import (read_fit_report, read_measured_csv, read_table,
 from .domain import (DecaySeries, DotGeometry, Helicity, MaterialParams,
                      PulseSegment, PulseSequence, SegmentKind, YKind,
                      paper_decay_sequence, validate_material)
-from .errors import (ConfigError, FitDiverged, GeometryMismatch,
-                     GridTooCoarse, InvariantViolation, MissingGFactor,
-                     NotIdentifiable, NumericalBlowup, SpinDiffError,
-                     UnphysicalShift)
+from .errors import (ConfigError, GeometryMismatch, GridTooCoarse,
+                     InvariantViolation, MissingGFactor, NotIdentifiable,
+                     NumericalBlowup, SpinDiffError, UnphysicalShift)
 from .kinetics import (DecayFit, DiffusionFit, RiseFit,
                        fit_diffusion_coefficient, fit_exponential_decay,
                        fit_exponential_rise, pumped_sampler, run_sequence,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryMode", "ConfigError", "DarkSampler", "DecayFit", "DecaySeries",
-    "DiffusionFit", "DotGeometry", "FitDiverged", "GeometryMismatch", "Grid",
+    "DiffusionFit", "DotGeometry", "GeometryMismatch", "Grid",
     "GridTooCoarse",
     "Helicity", "InvariantViolation", "MaterialParams", "MissingGFactor",
     "MU_B_UEV_PER_T", "NotIdentifiable", "NumericalBlowup",

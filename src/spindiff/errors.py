@@ -55,12 +55,6 @@ class NotIdentifiable(SpinDiffError):
     exit_code = 4
 
 
-class FitDiverged(SpinDiffError):
-    """Nonlinear fit failed to converge within the iteration budget."""
-
-    exit_code = 3
-
-
 class ConfigError(SpinDiffError):
     """Config file or measured-data file violates the documented schema,
     or a file cannot be read or written."""

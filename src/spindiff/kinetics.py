@@ -2,9 +2,12 @@
 
 Runs erase/pump/dark/probe sequences against the diffusion solver,
 produces decay series of the dot-average polarization, and provides the
-two fits used against measured data: exponential rise times and the
-diffusion coefficient (a coarse scan in log10 D refined by Brent's
-method, an affine nuisance pair absorbed by linear least squares).
+fits used against measured data: exponential rise and decay times, and
+the diffusion coefficient. Every fit runs one search over the log10 of
+its nonlinear parameter, tau or D: a coarse scan (``_scan``) refined by
+Brent's method between the neighbors of the best candidate
+(``_refine``), with the linear parameters solved by least squares at
+each point (``_lsq``).
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .domain import (DecaySeries, DotGeometry, PulseSequence, SegmentKind,
                      YKind)
-from .errors import FitDiverged, InvariantViolation, NotIdentifiable
+from .errors import InvariantViolation, NotIdentifiable
 from .solver import (DarkSampler, Grid, SolverConfig, _clamped, _dot,
                      dark_sample_times, simulate_pump)
 from .units import diffusion_cm2s_to_nm2s
@@ -27,6 +30,8 @@ _SCAN_PER_DECADE = 2  # candidates per decade of the D bounds
 # to 100 times the span; a fitted tau outside that is not identified
 _TAU_MIN_PER_SPACING = 0.1
 _TAU_MAX_PER_SPAN = 100.0
+_TAU_SCAN_PER_DECADE = 4  # candidates per decade of the tau scan
+_LOG_TAU_TOL = 1e-9  # resolves tau to ~2e-9, far inside any noise
 
 
 @dataclass(frozen=True)
@@ -177,41 +182,52 @@ def time_to_level(series: DecaySeries, level: float) -> float:
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
-def _fit_tau(series: DecaySeries, model, min_points: int, what: str,
-             guess) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares fit of ``model(t, *params, tau)`` to ``series``:
-    the fitted parameters (tau last, bounded below by 1e-12), the fitted
-    curve at the series' times and the residual RMS. ``guess(y)`` starts
-    the parameters before tau; tau starts at a third of the time span.
-    A fitted tau below ``_TAU_MIN_PER_SPACING`` times the finest sample
-    spacing or above ``_TAU_MAX_PER_SPAN`` times the span raises
-    NotIdentifiable: the samples do not resolve it (a straight line
-    fits as a tau of 1e4-1e8 times its span)."""
+def _fit_tau(series: DecaySeries, model, linear: int, what: str
+             ) -> tuple[tuple[float, ...], np.ndarray, float]:
+    """Least-squares fit of ``model(t, *params, tau)``, linear in its
+    ``linear`` leading ``params``, to ``series``, which needs one point
+    more than the model has parameters: the fitted parameters (tau last),
+    the fitted curve at the series' times and the residual RMS.
+
+    The samples resolve a tau from ``_TAU_MIN_PER_SPACING`` times the
+    finest sample spacing to ``_TAU_MAX_PER_SPAN`` times the span. The
+    search scans log10 tau from a decade below that range to a decade
+    above it (``_TAU_SCAN_PER_DECADE`` candidates per decade) and refines
+    to ``_LOG_TAU_TOL``. At each tau the linear parameters are solved by
+    least squares on the model's columns, the model at each unit vector
+    of them. A candidate whose columns or parameters overflow scores
+    +inf: at a short tau, a time before 0 overflows the columns, and
+    times all far after 0 overflow the amplitude. A fitted tau outside
+    the resolved range raises NotIdentifiable: a straight line, for one,
+    fits as a tau far beyond its span."""
     t, y = series.t, series.y
-    if len(t) < min_points:
+    if len(t) < linear + 2:
         raise InvariantViolation("TooFewPoints",
-                                 f"need >= {min_points} points, got {len(t)}")
+                                 f"need >= {linear + 2} points, got {len(t)}")
     if np.ptp(y) == 0:
         raise NotIdentifiable(f"constant series has no {what} time")
 
-    from scipy.optimize import curve_fit  # slow to import, rarely used
+    def columns(tau: float) -> np.ndarray:
+        return np.column_stack([model(t, *u, tau) for u in np.eye(linear)])
 
-    p0 = (*guess(y), max(float(t[-1] - t[0]) / 3.0, 1e-6))
-    lower = [-np.inf] * (len(p0) - 1) + [1e-12]
-    try:
-        popt, _ = curve_fit(model, t, y, p0=p0,
-                            bounds=(lower, [np.inf] * len(p0)),
-                            maxfev=20000)
-    except RuntimeError as exc:
-        raise FitDiverged(f"{what} fit did not converge: {exc}") from exc
+    def sse(log_tau: float) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = columns(10.0 ** log_tau)
+            value = _lsq(a, y)[1] if np.isfinite(a).all() else math.inf
+        return value if math.isfinite(value) else math.inf
+
     lo = _TAU_MIN_PER_SPACING * float(np.diff(t).min())
     hi = _TAU_MAX_PER_SPAN * float(t[-1] - t[0])
-    if not lo <= popt[-1] <= hi:
+    log_tau, _ = _refine(sse, *_scan(sse, lo / 10.0, hi * 10.0,
+                                     _TAU_SCAN_PER_DECADE), _LOG_TAU_TOL)
+    tau = 10.0 ** log_tau
+    if not lo <= tau <= hi:
         raise NotIdentifiable(
-            f"{what} time tau = {popt[-1]:.6g} s lies outside [{lo:.6g}, "
+            f"{what} time tau = {tau:.6g} s lies outside [{lo:.6g}, "
             f"{hi:.6g}] s, the range the samples resolve")
-    fitted = model(t, *popt)
-    return popt, fitted, float(np.sqrt(np.mean((y - fitted) ** 2)))
+    params = (*_lsq(columns(tau), y)[0].tolist(), tau)
+    fitted = model(t, *params)
+    return params, fitted, float(np.sqrt(np.mean((y - fitted) ** 2)))
 
 
 def fit_exponential_rise(series: DecaySeries) -> RiseFit:
@@ -219,11 +235,9 @@ def fit_exponential_rise(series: DecaySeries) -> RiseFit:
     def model(t, offset, amplitude, tau):
         return offset + amplitude * (1.0 - np.exp(-t / tau))
 
-    (offset, amplitude, tau), fitted, rms = _fit_tau(
-        series, model, 4, "rise", lambda y: (float(y[0]), float(y[-1] - y[0])))
-    return RiseFit(amplitude=float(amplitude), tau=float(tau),
-                   offset=float(offset), residual_rms=rms,
-                   model=tuple(fitted.tolist()))
+    (offset, amplitude, tau), fitted, rms = _fit_tau(series, model, 2, "rise")
+    return RiseFit(amplitude=amplitude, tau=tau, offset=offset,
+                   residual_rms=rms, model=tuple(fitted.tolist()))
 
 
 def fit_exponential_decay(series: DecaySeries) -> DecayFit:
@@ -231,10 +245,8 @@ def fit_exponential_decay(series: DecaySeries) -> DecayFit:
     def model(t, amplitude, tau):
         return amplitude * np.exp(-t / tau)
 
-    (amplitude, tau), _, rms = _fit_tau(series, model, 3, "decay",
-                                        lambda y: (float(y[0]),))
-    return DecayFit(amplitude=float(amplitude), tau=float(tau),
-                    residual_rms=rms)
+    (amplitude, tau), _, rms = _fit_tau(series, model, 1, "decay")
+    return DecayFit(amplitude=amplitude, tau=tau, residual_rms=rms)
 
 
 def pumped_sampler(d_cm2s: float, t_pump: float, geometry: DotGeometry,
@@ -251,16 +263,39 @@ def pumped_sampler(d_cm2s: float, t_pump: float, geometry: DotGeometry,
     return simulate_pump(geometry, cfg, t_pump, grid)
 
 
-def _affine_lsq(p: np.ndarray, y: np.ndarray, weight: np.ndarray | None = None
-                ) -> tuple[float, float, float]:
-    """Best (scale, offset) for y ~ offset + scale*p, plus the SSE; with
-    ``weight``, each residual is multiplied by its weight (1/sigma)."""
-    a = np.column_stack([p, np.ones_like(p)])
+def _lsq(a: np.ndarray, y: np.ndarray, weight: np.ndarray | None = None
+         ) -> tuple[np.ndarray, float]:
+    """Best coefficients for y ~ a @ coef, plus the SSE; with ``weight``,
+    each residual is multiplied by its weight (1/sigma)."""
     if weight is not None:
         a, y = a * weight[:, None], y * weight
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     res = y - a @ coef
-    return float(coef[0]), float(coef[1]), float(res @ res)
+    return coef, float(res @ res)
+
+
+def _scan(f, lo: float, hi: float, per_decade: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of a log10 grid from ``lo`` to ``hi``, both
+    included, at ``per_decade`` per decade, and ``f`` at each."""
+    logs = np.linspace(math.log10(lo), math.log10(hi),
+                       int(np.ceil(per_decade * math.log10(hi / lo))) + 1)
+    return logs, np.array([f(l) for l in logs])
+
+
+def _refine(f, logs: np.ndarray, values: np.ndarray, tol: float
+            ) -> tuple[float, float]:
+    """Brent's method (``_brent``) to ``tol`` between the neighbors of
+    the least of the scanned ``values``, from that candidate, or from the
+    golden point when it is an end of the scan."""
+    best = int(np.argmin(values))
+    a = float(logs[max(best - 1, 0)])
+    b = float(logs[min(best + 1, len(logs) - 1)])
+    x, fx = float(logs[best]), float(values[best])
+    if not a < x < b:
+        x = a + (1.0 - _GOLDEN) * (b - a)
+        fx = f(x)
+    return _brent(f, a, b, x, fx, tol / 2)
 
 
 def _brent(f, a: float, b: float, x: float, fx: float, tol: float
@@ -314,17 +349,18 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                               ) -> DiffusionFit:
     """Fit the diffusion coefficient to a measured decay series.
 
-    Scans log10 D on a coarse grid (``_SCAN_PER_DECADE`` candidates per
-    decade, both bounds included), solving scale and offset by linear
-    least squares at each candidate, then refines between the neighbors
-    of the best candidate by Brent's method (``_brent``) to
-    ``_LOG_D_TOL`` in log10 D. The model is the dot average of
-    ``pumped_sampler`` at the measured times, with uniform relaxation
-    ``t1_uniform`` (``dt`` is accepted and plays no part: the pump is
-    exact in time); the fit keeps each curve it solves. When the series
-    carries a ``sigma``, each residual is divided by its sigma. A flat
-    objective across the scan raises NotIdentifiable; a minimum pinned
-    at a search bound is reported via the ``BoundaryMinimum`` warning.
+    Scans log10 D on a coarse grid (``_scan``, ``_SCAN_PER_DECADE``
+    candidates per decade, both bounds included), solving scale and
+    offset by linear least squares (``_lsq``) at each candidate, then
+    refines between the neighbors of the best candidate by Brent's
+    method (``_refine``) to ``_LOG_D_TOL`` in log10 D. The model is the
+    dot average of ``pumped_sampler`` at the measured times, with
+    uniform relaxation ``t1_uniform`` (``dt`` is accepted and plays no
+    part: the pump is exact in time); the fit keeps each curve it
+    solves. When the series carries a ``sigma``, each residual is
+    divided by its sigma. A flat objective across the scan raises
+    NotIdentifiable; a minimum pinned at a search bound is reported via
+    the ``BoundaryMinimum`` warning.
     """
     t, y = measured.t, measured.y
     if len(t) < 5:
@@ -336,18 +372,16 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
     if not (0 < d_lo < d_hi and d_hi / d_lo < math.inf):
         raise InvariantViolation("BadBounds", f"d_bounds = {d_bounds}, need "
                                  "0 < low < high with a finite high / low")
-    decades = math.log10(d_hi / d_lo)
-    curves: dict[float, np.ndarray] = {}  # log10 D -> forward model at t
+    # log10 D -> the columns [forward model, 1] at t of each solved D
+    columns: dict[float, np.ndarray] = {}
 
     def objective(log_d: float) -> float:
-        p = curves[log_d] = pumped_sampler(10.0 ** log_d, t_pump, geometry,
-                                           grid, dt, t1_uniform
-                                           ).dot_averages(t, geometry)
-        return _affine_lsq(p, y, weight)[2]
+        p = pumped_sampler(10.0 ** log_d, t_pump, geometry, grid, dt,
+                           t1_uniform).dot_averages(t, geometry)
+        a = columns[log_d] = np.column_stack([p, np.ones_like(p)])
+        return _lsq(a, y, weight)[1]
 
-    logs = np.linspace(math.log10(d_lo), math.log10(d_hi),
-                       int(np.ceil(_SCAN_PER_DECADE * decades)) + 1)
-    sses = np.array([objective(l) for l in logs])
+    logs, sses = _scan(objective, d_lo, d_hi, _SCAN_PER_DECADE)
     # flat objective: no candidate is meaningfully better, either in
     # relative terms or because every candidate fits to round-off
     y_w = y if weight is None else y * weight
@@ -357,21 +391,9 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
         raise NotIdentifiable(
             "objective is flat across the candidate grid; the data do not "
             "constrain the diffusion coefficient")
-    best = int(np.argmin(sses))
-
-    # Brent between the neighbors of the best candidate, from that
-    # candidate, or from the golden point when it is a bound
-    a = float(logs[max(best - 1, 0)])
-    b = float(logs[min(best + 1, len(logs) - 1)])
-    x = float(logs[best])
-    if a < x < b:
-        fx = float(sses[best])
-    else:
-        x = a + (1.0 - _GOLDEN) * (b - a)
-        fx = objective(x)
-    log_best, _ = _brent(objective, a, b, x, fx, _LOG_D_TOL / 2)
-    p = curves[log_best]
-    scale, offset, sse = _affine_lsq(p, y, weight)
+    log_best, _ = _refine(objective, logs, sses, _LOG_D_TOL)
+    coef, sse = _lsq(columns[log_best], y, weight)
+    (scale, offset), p = coef.tolist(), columns[log_best][:, 0]
 
     warnings: tuple[str, ...] = ()
     edge = _LOG_D_TOL * 2
@@ -382,5 +404,5 @@ def fit_diffusion_coefficient(measured: DecaySeries, t_pump: float,
                         sse=sse, d_grid=tuple(10.0 ** logs),
                         warnings=warnings,
                         sse_grid=tuple(float(x) for x in sses),
-                        forward_solves=len(curves),
+                        forward_solves=len(columns),
                         model=tuple((offset + scale * p).tolist()))

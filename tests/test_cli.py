@@ -612,7 +612,8 @@ class TestFitRise:
         assert not out.exists()
 
     def test_straight_line_exits_4(self, tmp_path, capsys):
-        # a rise that never bends: tau would be 54,230 s over a 6 s span
+        # a rise that never bends: the least squares put tau past 100
+        # times the 6 s span
         t = np.arange(0.0, 6.01, 0.2)
         path = tmp_path / "line.csv"
         write_measured_csv(path, DecaySeries(
@@ -785,8 +786,8 @@ def run_python(*args):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize takes about a third of a second to import and only
-    # the exponential fits use it
+    # scipy.optimize takes about a third of a second to import, and no
+    # fit uses it: every fit runs the package's own search
     out = run_python("-c", "import sys, spindiff.cli; "
                            "print('scipy.optimize' in sys.modules)")
     assert out.returncode == 0
@@ -814,6 +815,7 @@ loaded, after_import = scipy_modules(), threads()
 status = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2],
                "--quiet"])
 after_simulate = threads()
+rise = main(["fit-rise", sys.argv[3], "--out", sys.argv[2], "--quiet"])
 # the production grid's pump: 100 unknowns per capacitance system
 from spindiff import DotGeometry, SolverConfig, build_grid, simulate_pump
 simulate_pump(DotGeometry(), SolverConfig(d_qd=10.0), 1.0,
@@ -821,6 +823,7 @@ simulate_pump(DotGeometry(), SolverConfig(d_qd=10.0), 1.0,
 print(json.dumps({"pool": pool, "after_import": after_import,
                   "after_simulate": after_simulate,
                   "after_production_pump": threads(), "status": status,
+                  "rise": rise,
                   "scipy": loaded + scipy_modules()}))
 """
 
@@ -831,12 +834,18 @@ print(json.dumps({"pool": pool, "after_import": after_import,
 def test_cold_import_loads_no_scipy_and_retires_blas_pool(tmp_path):
     # the solver binds the OpenBLAS numpy loaded and retires its idle
     # worker pool on import; a simulate and a production pump run on the
-    # calling thread alone
+    # calling thread alone, and neither they nor a rise fit load scipy
     cfg = write_config(tmp_path, FAST_SOLVER)
-    out = run_python("-c", COLD_IMPORT, cfg, str(tmp_path / "out"))
+    rise = tmp_path / "rise.csv"
+    t = np.arange(0.0, 6.01, 0.2)
+    write_measured_csv(rise, DecaySeries(
+        t=t, y=38.0 * (1.0 - np.exp(-t / 1.3)),
+        y_kind=YKind.ZEEMAN_SPLITTING_UEV))
+    out = run_python("-c", COLD_IMPORT, cfg, str(tmp_path / "out"),
+                     str(rise))
     assert out.returncode == 0, out.stderr
-    got = json.loads(out.stdout)
-    assert got["status"] == 0
+    got = json.loads(out.stdout.splitlines()[-1])  # after fit-rise's lines
+    assert got["status"] == got["rise"] == 0
     assert got["scipy"] == []
     if got["pool"] is not None:
         assert (got["after_import"] == got["after_simulate"]
