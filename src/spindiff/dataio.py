@@ -11,8 +11,9 @@ optional) with the series kind declared as `# y_kind=...` metadata.
 
 Field snapshots use the columns `t_s,r_nm,z_nm,s`, r-major, one block of
 nr x nz rows per snapshot time; `write_snapshots` writes them in this
-format without expanding the coordinate columns, and a radial row of
-+0.0 as joined text, with no %.17g to fill.
+format without expanding the coordinate columns, and the +0.0 cells
+outside each radial row's run of nonzero bit patterns as joined text,
+with no %.17g to fill.
 
 A file that cannot be read or written is a ConfigError that names it.
 """
@@ -97,13 +98,14 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
     expanded columns.
 
     Each t, r and z is formatted once: a block of whole radial rows is one
-    template with the coordinates as literal text, written at once. A
-    radial row whose cells are all +0.0 (bit pattern 0) is joined text
-    that prints `0` in every cell; every other row has `s` as its only
-    placeholder, and a block that holds one is filled by one % call, so
-    a block of zero rows takes none. Raises ValueError when a field's
-    shape is not (len(r), len(z)) or the fields do not match the times
-    one to one.
+    template with the coordinates as literal text, written at once. In a
+    radial row, only the run of cells from the first to the last one
+    whose bit pattern is not 0 has `s` as a placeholder; the +0.0 cells
+    before and after that run, and every cell of a row of +0.0, are
+    joined text that prints `0`. A block that holds a run is filled by
+    one % call, so a block of zero rows takes none. Raises ValueError
+    when a field's shape is not (len(r), len(z)) or the fields do not
+    match the times one to one.
     """
     # the leading "" makes prefix.join(z_rows) put the prefix before
     # every z piece: "t,r,z,%.17g\n" per row, with s the only placeholder;
@@ -121,16 +123,29 @@ def write_snapshots(path: str | os.PathLike, times: Sequence[float],
             values = np.asarray(field, dtype=float)
             if values.shape != shape:
                 raise ValueError(f"field shape {values.shape}, want {shape}")
+            if not values.size:
+                continue
             t_text = _FMT % t
+            # each row's run of cells from its first to its last nonzero
+            # bit pattern, [first, stop), empty in a row of +0.0
+            nonzero = values.view(np.uint64) != 0
+            first = nonzero.argmax(axis=1).tolist()
+            stop = np.where(nonzero.any(axis=1),
+                            shape[1] - nonzero[:, ::-1].argmax(axis=1),
+                            0).tolist()
+            del nonzero
             for i in range(0, shape[0], per_block):
-                rows = values[i:i + per_block]
-                digits = rows.view(np.uint64).any(axis=1)
+                end = min(i + per_block, shape[0])
                 template = "".join(
-                    f"{t_text},{ri},".join(z_rows if row else z_zero)
-                    for ri, row in zip(r_text[i:i + per_block],
-                                       digits.tolist()))
-                if digits.any():
-                    template %= tuple(rows[digits].ravel().tolist())
+                    f"{t_text},{ri},".join(
+                        z_zero[:j + 1] + z_rows[j + 1:k + 1] + z_zero[k + 1:]
+                        if k else z_zero)
+                    for ri, j, k in zip(r_text[i:end], first[i:end],
+                                        stop[i:end]))
+                runs = [values[n, first[n]:stop[n]]
+                        for n in range(i, end) if stop[n]]
+                if runs:
+                    template %= tuple(np.concatenate(runs).tolist())
                 fh.write(template)
 
 

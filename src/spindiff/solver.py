@@ -45,10 +45,11 @@ at once. It returns the ``DarkSampler`` of the pumped state, which keeps
 the pumped coefficients.
 ``evolve(clamp=)`` hands it a ``DarkSampler`` built from its field and
 reads the result's ``field``; ``simulate_pump`` hands it the sampler of
-an unpolarized medium's dot indicator (at D > 0 its coefficients are the
-outer product of the readout vectors), and ``kinetics.run_sequence``
-the last pumped sampler with the dark time since, to pump again. Each
-caller drops the start. Who transforms between the grid and the
+an unpolarized medium's dot indicator (at D > 0 with zero coefficients:
+the clamp sets the dot at once, and the pump skips a zero start's
+readout and free decay), and ``kinetics.run_sequence`` the last pumped
+sampler with the dark time since, to pump again. Each caller drops the
+start. Who transforms between the grid and the
 modes: a ``DarkSampler`` built from a field (in, ``_to_modes``), and a
 sampler's ``field`` and ``field_at`` (out, both through ``_from_modes``,
 the one route from modes to a field), so ``evolve`` transforms its field
@@ -77,7 +78,9 @@ sampler, and every one ``_clamped`` makes from it, holds only the
 ceil(nz / 2) even modes, so each pump, readout and field transform
 makes half the passes over the coefficients, and the pump's capacitance
 system folds the dot's columns over the mid-plane: 20 x 5 unknowns on
-the production grid, not 20 x 10. A clamp that is not
+the production grid, not 20 x 10. The even modes are exactly symmetric
+(``_axial_modes`` reflects the rows past the mid-plane), so the way out
+forms a field only up to the mid-plane and mirrors it. A clamp that is not
 mirror-symmetric would feed the odd modes; ``_clamped`` rejects it for
 an even start (``AsymmetricClamp``).
 
@@ -382,22 +385,37 @@ def _axial_modes(nz: int, dz: float, boundary: BoundaryMode,
     lam_k = -(4 / dz^2) sin^2(k pi / 2n). The integer (2j + 1) k is
     reduced mod 4n before it is scaled by pi / 2n: an unreduced angle
     loses digits to its size (largest entry of q^T q - I at n = 400:
-    2.0e-14 to 2.8e-14 unreduced, 2.7e-15 to 2.9e-15 reduced). Reflecting
-    j to n - 1 - j multiplies mode k by (-1)^(k+1) for the sines and
-    (-1)^k for the cosines, so the symmetric modes are every other one
-    from the first, k = 1, 3, ... and k = 0, 2, ...: the even modes are
-    columns ``0::2`` of the full q and lam, entry for entry.
+    2.0e-14 to 2.8e-14 unreduced, 2.7e-15 to 2.9e-15 reduced). So an
+    entry is one of the 4n values sqrt(2/n) sin(m pi / 2n), m = 0..4n-1
+    (or cos), each evaluated once, as a table.
+
+    Reflecting j to n - 1 - j multiplies mode k by (-1)^(k+1) for the
+    sines and (-1)^k for the cosines. The table gives the rows up to the
+    mid-plane, j < ceil(n / 2), and the rows past it are those rows
+    reflected with that sign, so each mode is exactly symmetric or
+    antisymmetric (but the middle row of an odd n, which is its own
+    mirror: there an antisymmetric mode holds the round-off of
+    sin(k pi / 2) or cos(k pi / 2), not 0). The symmetric modes are every
+    other one from the first, k = 1, 3, ... and k = 0, 2, ...: the even
+    modes are columns ``0::2`` of the full q and lam, entry for entry.
     """
     dirichlet = boundary is BoundaryMode.DIRICHLET_ZERO
     k = np.arange(1, nz + 1) if dirichlet else np.arange(nz)
     if even:
         k = k[::2]
-    angle = np.outer(2 * np.arange(nz) + 1, k) % (4 * nz) * (np.pi / (2 * nz))
-    q = math.sqrt(2.0 / nz) * (np.sin(angle) if dirichlet else np.cos(angle))
+    angle = np.arange(4 * nz) * (np.pi / (2 * nz))
+    table = math.sqrt(2.0 / nz) * (np.sin(angle) if dirichlet
+                                   else np.cos(angle))
+    half = (nz + 1) // 2
+    q = np.empty((nz, k.size))
+    q[:half] = table[np.outer(2 * np.arange(half) + 1, k) % (4 * nz)]
     if not dirichlet:
-        q[:, 0] = 1.0 / math.sqrt(nz)
+        q[:half, 0] = 1.0 / math.sqrt(nz)
     elif k[-1] == nz:
-        q[:, -1] = (-1.0) ** np.arange(nz) / math.sqrt(nz)
+        q[:half, -1] = (-1.0) ** np.arange(half) / math.sqrt(nz)
+    # row n - 1 - j of mode k is sign_k times row j
+    sign = (-1.0) ** (k + 1) if dirichlet else (-1.0) ** k
+    q[half:] = q[nz - half - 1::-1] * sign
     lam = -4.0 / (dz * dz) * np.sin(k * (np.pi / (2 * nz))) ** 2
     return lam, q
 
@@ -489,17 +507,20 @@ def _product(a: np.ndarray, b: np.ndarray,
              absolute: bool = False) -> np.ndarray:
     """a @ b of two matrices on the calling thread, one product per tile
     of the result (``_tiles``), each written in place: one tile is
-    ``a @ b`` bit for bit. With ``absolute``, |a| @ |b|, the absolute
-    values taken per tile, of b once per column block, so neither |a|
-    nor |b| is held whole."""
+    ``a @ b`` bit for bit. With ``absolute``, |a| @ |b|: |b| is taken
+    once and |a| once per row block, the same tiles visited row block by
+    row block, so |a| is never held whole."""
     (m, k), n = a.shape, b.shape[1]
     out = np.empty((m, n))
-    y, last = None, None
-    for rows, cols in _tiles(m, n, k):
-        if cols != last:
-            y, last = (np.abs(b[:, cols]) if absolute else b[:, cols]), cols
-        x = np.abs(a[rows]) if absolute else a[rows]
-        np.matmul(x, y, out=out[rows, cols])
+    tiles = _tiles(m, n, k)
+    if absolute:
+        b = np.abs(b)
+        tiles.sort(key=lambda tile: tile[0].start)
+    x, last = None, None
+    for rows, cols in tiles:
+        if rows != last:
+            x, last = (np.abs(a[rows]) if absolute else a[rows]), rows
+        np.matmul(x, b[:, cols], out=out[rows, cols])
     return out
 
 
@@ -526,26 +547,46 @@ def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
     them, so no full B is held, and every product stays on the calling
     thread.
 
+    In the even axial modes (fewer modes than rows of q_z) the field is
+    mirror-symmetric: q_z's rows j and nz - 1 - j are equal
+    (``_axial_modes``), and so are the columns j and nz - 1 - j of the
+    exact S and B. So only the column blocks of the tiles that hold one
+    of the first ceil(nz / 2) columns are formed and bounded (216 of 400
+    columns on the production grid), and those columns, divided by
+    sqrt(r), are copied into their mirrors: the field is exactly
+    symmetric. OpenBLAS rounds a cell by the shape of the tile that holds
+    it, so with the full width's tiles each column formed is the
+    full-width tiled product bit for bit.
+
     ``coef`` is dropped after the first products and the quotient is
     taken in place, so scaled coefficients handed in as a temporary
     (``DarkSampler.field_at``) are freed before the field is formed."""
     _, q_r, _, q_z, sqrt_r = basis
     n_r, n_e = coef.shape
-    values = _product(q_r, coef)
+    nz = len(q_z)
+    width = (nz + 1) // 2 if n_e < nz else nz
     n = n_r + n_e + 1
     # gamma_n |q_r| |c|, the left factor of the bound
     bound = _product(q_r, coef, absolute=True)
     bound *= n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    values = _product(q_r, coef)
     del coef
-    out = np.empty((len(q_r), len(q_z)))
+    out = np.empty((len(q_r), nz))
     abs_z, last = None, None
-    for rows, cols in _tiles(len(q_r), len(q_z), n_e):
+    for rows, cols in _tiles(len(q_r), nz, n_e):
+        if cols.start >= width:
+            break
         if cols != last:
             abs_z, last = np.abs(q_z[cols]).T, cols
         s = out[rows, cols]
         np.matmul(values[rows], q_z[cols].T, out=s)
         s[np.abs(s) <= np.matmul(bound[rows], abs_z)] = 0.0
-    out /= sqrt_r[:, None]
+        s /= sqrt_r[rows, None]
+    # numpy stages the overlapping mirror copy through a temporary of
+    # half the field: free the products first
+    del values, bound
+    if width < nz:
+        out[:, width:] = out[:, nz - width - 1::-1]
     return out
 
 
@@ -630,6 +671,9 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     V of every node takes no more values than ``_ONE_THREAD_MADDS`` (a
     50x80 grid, not a 400x400 one), V is kept per node instead, and the
     second pass reads it. Non-finite values are checked once, at the end.
+    A start of zero coefficients (``simulate_pump``'s) reads 0 and stays
+    0 while free, so for it the first pass forms no Read(V c) and the
+    free part exp(M) c is not taken: the result is the same, bit for bit.
     """
     lam_r, _, lam_z, _, _ = basis
     a, s, b, b2t, i, k, pair_r, pair_z = rect
@@ -660,6 +704,8 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
             np.multiply(den, -zk.imag, out=vk[1])
             yield node, vk
 
+    # a zero start (``simulate_pump``'s) reads 0 and stays 0 when free
+    moving = coef.any()
     pairs = np.zeros((z.size, 2, i.size, b2t.shape[1]))
     read = np.zeros((z.size, 2, len(a), len(b)))
     for blk in blocks:
@@ -667,8 +713,9 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
         a2_b = a[i, blk] * a[k, blk]
         for node, vk in resolvents(blk):
             pairs[node] += np.matmul(a2_b, np.matmul(vk, b2t))
-            np.multiply(vk, c_b, out=p)
-            read[node] += np.matmul(a_b, np.matmul(p, b.T))
+            if moving:
+                np.multiply(vk, c_b, out=p)
+                read[node] += np.matmul(a_b, np.matmul(p, b.T))
     rhs = s[:, None] / z[:, None, None] - (read[:, 0] + 1j * read[:, 1])
     # the position of each entry of K in the flattened pair table
     flat = (pair_r[:, None, :, None] * b2t.shape[1]
@@ -682,8 +729,9 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
         rhs[node] = u.reshape(rhs.shape[1:])
     rhs *= w[:, None, None]
     src = np.stack([rhs.real, rhs.imag], axis=1)
-    coef *= np.exp(m_r)[:, None]
-    coef *= np.exp(m_z)
+    if moving:
+        coef *= np.exp(m_r)[:, None]
+        coef *= np.exp(m_z)
     for blk in blocks:
         a_t, c_b, p = a[:, blk].T, coef[blk], prod[:, :blk.stop - blk.start]
         for node, vk in enumerate(v) if keep else resolvents(blk):
@@ -915,23 +963,32 @@ def simulate_pump(geometry: DotGeometry, cfg: SolverConfig, t_pump: float,
     hold it at S = 1 for ``t_pump`` while diffusion feeds the halo.
     Returns the ``DarkSampler`` of the pumped field.
 
-    The start is the sampler of the dot indicator, built once. With D > 0
-    it holds the indicator's modal coefficients, the outer product of the
-    readout vectors (``_dot_modes``), in the even axial modes alone when
-    the dot's columns are mirror-symmetric on the grid; the exact 0/1
-    field is built only where it is the state (D = 0) or is read as is
-    (``t_pump`` = 0). An instant pump returns that sampler and runs no
+    The start is the sampler of the dot indicator, built once, in the
+    even axial modes alone when the dot's columns are mirror-symmetric on
+    the grid; the exact 0/1 field is built only where it is the state
+    (D = 0) or is read as is (``t_pump`` = 0). An instant pump returns
+    that sampler, whose coefficients at D > 0 are the indicator's, the
+    outer product of the readout vectors (``_dot_modes``), and runs no
     pump. A longer one hands it to the clamped routine of ``evolve``
-    (``_clamped``), which consumes it: with D > 0 no grid <-> mode
-    transform is made, and the field is built only when the returned
-    sampler's ``field`` is read. A pump from a polarized state
+    (``_clamped``), which consumes it. The clamp sets the dot to S = 1
+    at once, so the pump only needs the unpolarized halo: at D > 0 that
+    start holds zero coefficients, for which ``_exact_pump`` skips the
+    start's readout and free decay (its ``field`` still reads the
+    indicator, as the dot is set on read). No grid <-> mode transform is
+    made, and the field is built only when the returned sampler's
+    ``field`` is read. A pump from a polarized state
     (``kinetics.run_sequence``) hands its sampler to ``_clamped``
     directly."""
     _check_time("t_pump", t_pump)
     _, cols, _, _ = _dot(grid, geometry)
     even = cols.start + cols.stop == grid.nz
-    coef = (np.outer(*_dot_modes(grid, geometry, cfg.boundary, even)[0])
-            if cfg.d_qd > 0 else None)
+    coef = None
+    if cfg.d_qd > 0:
+        ra, rb = _dot_modes(grid, geometry, cfg.boundary, even)[0]
+        # a pump sets the dot to S = 1 at once: its start is the
+        # unpolarized medium, whose coefficients are zero
+        coef = (np.outer(ra, rb) if t_pump == 0
+                else np.zeros((ra.size, rb.size)))
     # the field coerces the boolean mask to exact 0.0 and 1.0
     indicator = (PolarizationField(grid, grid.dot_mask(geometry))
                  if coef is None or t_pump == 0 else None)

@@ -157,11 +157,12 @@ class TestSnapshots:
         ((0.0, 2.5, 2.5), 7, 11),
         ((1.0, 4.0), 5, 1000),     # 4 radial rows per block, one partial
         ((4.0,), 3, 4097),         # one radial row is above the block
+        ((0.0, 2.5), 3, 0),        # no z: a snapshot of no rows
     ])
     def test_bytes_match_write_table(self, tmp_path, times, nr, nz):
         r = (np.arange(nr) + 0.5) * 0.5
         z = np.linspace(-12.3, 7.1, nz)
-        assert np.any(z < 0)
+        assert np.any(z < 0) or not nz
         fields = self.fields(times, nr, nz)
         meta = {"d_cm2s": "2e-15"}
         write_snapshots(tmp_path / "new.csv", times, r, z, iter(fields), meta)
@@ -230,6 +231,28 @@ class TestSnapshots:
         assert raw == (tmp_path / "ref.csv").read_bytes()
         if kind == "negative_zero_row":
             assert raw.count(b",-0\n") == nz
+
+    @pytest.mark.parametrize("x", [-0.0, 5e-324, np.nan, np.inf])
+    def test_run_ends_match_write_table(self, tmp_path, x):
+        # a row's cells from its first to its last nonzero bit pattern go
+        # through %.17g, the +0.0 cells outside that run are joined text:
+        # x opens a run, closes one, does both, or is alone in its row
+        nr, nz = self.SPARSE_NR, self.SPARSE_NZ
+        s = np.zeros((nr, nz))
+        s[1, 10], s[1, 11:20] = x, np.linspace(1.0, 2.0, 9)
+        s[2, 30:40], s[2, 40] = np.linspace(-1.0, 1.0, 10), x
+        s[5, 0] = s[5, nz - 1] = x
+        s[6, 500] = x
+        s[7, 0] = x
+        s[8, nz - 1] = x
+        r = (np.arange(nr) + 0.5) * 0.5
+        z = np.linspace(-12.3, 7.1, nz)
+        fields = [s, s[::-1]]
+        write_snapshots(tmp_path / "new.csv", (0.0, 2.5), r, z, fields)
+        write_table(tmp_path / "ref.csv",
+                    self.expanded((0.0, 2.5), r, z, fields))
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     def test_each_write_holds_at_most_one_block(self, tmp_path, monkeypatch):
         # the whole snapshot is never joined: each block of radial rows

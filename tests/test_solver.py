@@ -567,6 +567,38 @@ class TestModalPump:
                                        contour.field.values, rtol=0,
                                        atol=1e-13)
 
+    @pytest.mark.parametrize("t1", [None, 0.7])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_zero_start_matches_indicator_start(self, monkeypatch,
+                                                expm_clamped, boundary, t1):
+        # simulate_pump starts from zero coefficients: the clamp sets the
+        # dot at once, so the indicator's start gives the same pump
+        g, geo = self.SMALL, self.DOT
+        cfg = SolverConfig(d_qd=10.0, t1_uniform=t1, boundary=boundary)
+        (ra, rb), _ = _dot_modes(g, geo, boundary, True)
+        products = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            products.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        pumped = simulate_pump(geo, cfg, 0.45, g)
+        zero_start = len(products)
+        start = DarkSampler._pumped(np.outer(ra, rb), g, cfg, 0.0, geo, True)
+        indicator = _clamped(start, 0.0, geo, 0.45)
+        # the zero start makes no Read(V c), two products per node
+        assert len(products) - zero_start == zero_start + 2 * 10
+        np.testing.assert_allclose(pumped._coef_at(0.0),
+                                   indicator._coef_at(0.0), rtol=0,
+                                   atol=1e-13)
+        mask = g.dot_mask(geo)
+        want = expm_clamped(mask, g, cfg, 0.45, mask)
+        for got in (pumped, indicator):
+            np.testing.assert_allclose(got.field.values, want, rtol=0,
+                                       atol=1e-13)
+
     def test_one_zgesv_per_node(self, monkeypatch):
         calls = []
 
@@ -809,6 +841,52 @@ class TestEvenAxialModes:
         values[grid.dot_mask(geometry)] = 1.0
         return PolarizationField(grid, values)
 
+    @staticmethod
+    def direct_modes(nz, boundary, even):
+        """The closed-form axial modes evaluated entry by entry, each at
+        its own reduced angle (2j + 1) k mod 4n: the reference that
+        ``_axial_modes``'s table reproduces."""
+        dirichlet = boundary is BoundaryMode.DIRICHLET_ZERO
+        k = np.arange(1, nz + 1) if dirichlet else np.arange(nz)
+        if even:
+            k = k[::2]
+        angle = (np.outer(2 * np.arange(nz) + 1, k) % (4 * nz)
+                 * (np.pi / (2 * nz)))
+        q = np.sqrt(2.0 / nz) * (np.sin(angle) if dirichlet
+                                 else np.cos(angle))
+        if not dirichlet:
+            q[:, 0] = 1.0 / np.sqrt(nz)
+        elif k[-1] == nz:
+            q[:, -1] = (-1.0) ** np.arange(nz) / np.sqrt(nz)
+        return q
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("nz", [7, 10, 80, 400])
+    def test_table_is_the_direct_formula(self, nz, boundary, even):
+        # bit for bit on the rows up to the mid-plane, which the table
+        # gives; the rows past it are their reflections, a few ulps from
+        # the direct values, whose larger angles carry more round-off
+        q = _axial_modes(nz, 0.5, boundary, even)[1]
+        want = self.direct_modes(nz, boundary, even)
+        half = (nz + 1) // 2
+        np.testing.assert_array_equal(q[:half], want[:half])
+        assert max_abs(q - want) <= 8 * np.spacing(max_abs(want))
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    @pytest.mark.parametrize("nz", [12, 13, 91, 400])
+    def test_modes_are_exactly_even_or_odd(self, nz, boundary):
+        q = _axial_modes(nz, 0.5, boundary)[1]
+        even, odd = q[:, ::2], q[:, 1::2]
+        np.testing.assert_array_equal(even[::-1], even)
+        # the middle row of an odd nz is its own mirror: there an odd
+        # mode holds the round-off of sin(k pi / 2) or cos(k pi / 2)
+        off_middle = np.arange(nz) != nz // 2 if nz % 2 else slice(None)
+        np.testing.assert_array_equal(odd[::-1][off_middle],
+                                      -odd[off_middle])
+        if nz % 2:
+            assert 0 < max_abs(odd[nz // 2]) <= 2.0 ** -52
+
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
     @pytest.mark.parametrize("nz", [12, 13, 400])
     def test_even_modes_are_every_other_column(self, nz, boundary):
@@ -816,8 +894,8 @@ class TestEvenAxialModes:
         lam_even, q_even = _axial_modes(nz, 0.5, boundary, True)
         np.testing.assert_array_equal(lam_even, lam[::2])
         np.testing.assert_array_equal(q_even, q[:, ::2])
-        # each is symmetric about the mid-plane
-        assert max_abs(q_even[::-1] - q_even) <= 1e-14
+        # each is exactly symmetric about the mid-plane
+        np.testing.assert_array_equal(q_even[::-1], q_even)
 
     @pytest.mark.parametrize("t1", [None, 0.8])
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
@@ -1009,10 +1087,15 @@ class TestOneThreadProducts:
         rng = np.random.default_rng(11)
         _to_modes(rng.random((g.nr, g.nz)), basis)
         _from_modes(rng.random((g.nr, ne)), basis)
-        # the tiles add up to the four whole products of the transforms
-        # and the two of the rounding bound of the one out
-        assert sum(products) == (g.nr * (g.nr * (g.nz + ne) + 2 * g.nz * ne)
-                                 + g.nr * ne * (g.nr + g.nz))
+        # the tiles add up to the two whole products in, the first product
+        # out and that of its rounding bound; the product against q_z and
+        # that of the bound run over the column blocks that hold a column
+        # up to the mid-plane: in the even modes the 6 blocks of side
+        # isqrt(2**18 // 200) = 36 that cover columns 0-199, and in the
+        # full basis all columns
+        formed = 6 * 36 if even else g.nz
+        assert sum(products) == (g.nr * g.nz * (g.nr + ne)
+                                 + 2 * g.nr * ne * (g.nr + formed))
         assert max(products) <= solver._ONE_THREAD_MADDS
 
     @pytest.mark.parametrize("even", [False, True])
@@ -1102,6 +1185,36 @@ class TestCertifiedZeros:
         s, bound = self.unflushed(coef, basis)
         zero = got == 0
         assert zero.mean() > 0.5
+        assert np.all(np.abs(s[zero]) <= bound[zero])
+        above = np.abs(s) > bound
+        np.testing.assert_array_equal(got[above],
+                                      (s / basis[4][:, None])[above])
+
+    # nz = 91: the dot's columns 43-47 are mirror-symmetric about the
+    # middle column 45, and the products are tiled (130 x 91 x 46 cells)
+    ODD_NZ = Grid(nr=130, nz=91, dr=0.5, dz=0.5, z_min=-22.75)
+
+    @pytest.mark.parametrize("name", ["PRODUCTION", "ODD_NZ"])
+    def test_even_field_is_mirror_symmetric(self, name):
+        # the even modes' field is formed up to the mid-plane and mirrored:
+        # exactly symmetric, and in every cell it forms that is above the
+        # bound, the full-width tiled product. Past the mid-plane that
+        # product is the mirror to round-off only: OpenBLAS rounds a
+        # column by the width of the tile that holds it (here 75 columns
+        # against the last tile's 16)
+        g = getattr(self, name)
+        geo = DotGeometry(radius=5.0, height=2.0)
+        sampler = (pumped_sampler(2e-15, 0.4, GEO, g) if name == "PRODUCTION"
+                   else simulate_pump(geo, SolverConfig(d_qd=0.5), 0.4, g))
+        assert sampler._even
+        coef, basis = sampler._coef_at(4.0), sampler._basis
+        got = _from_modes(coef.copy(), basis)
+        np.testing.assert_array_equal(got[:, ::-1], got)
+        s, bound = self.unflushed(coef, basis)
+        half = (slice(None), slice(0, (g.nz + 1) // 2))
+        got, s, bound = got[half], s[half], bound[half]
+        zero = got == 0
+        assert 0.3 < zero.mean() < 1
         assert np.all(np.abs(s[zero]) <= bound[zero])
         above = np.abs(s) > bound
         np.testing.assert_array_equal(got[above],
