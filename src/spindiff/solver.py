@@ -8,13 +8,13 @@ of advancing time work in the eigenbasis of the two 1-D operators, the
 fast-diagonalization method of Lynch, Rice & Thomas (Numer. Math. 6,
 1964), built on first use (``_eigenbasis``). The axial modes are
 closed-form DST-II or DCT-II vectors, cached per parity
-(``_axial_modes``); the radial ones come from LAPACK's MRRR tridiagonal
-solver (``stemr``), solved once per (grid, boundary)
-(``_radial_modes``). Both are built on the calling thread, with no
-threaded BLAS. ``stemr`` and the pump's LU solve come from the OpenBLAS
-that numpy vendors, bound without scipy (``_lapack``, whose import
-retires numpy's idle BLAS worker pool), or from scipy where numpy
-vendors none:
+(``_axial_modes``); the radial ones come from LAPACK's
+divide-and-conquer tridiagonal solver (``stevd``), solved once per
+(grid, boundary) (``_radial_modes``). ``stevd`` comes from the OpenBLAS
+that numpy vendors, bound without scipy (``_lapack``), or from scipy
+where numpy vendors none. Importing ``_lapack`` pins that OpenBLAS to
+one thread for the whole process, so every product, solve and
+eigensolve here runs on the calling thread, whatever its size:
 
   * Dot unclamped (dark delays, probes): any interval is propagated
     exactly. There is no time step and no time-discretization error;
@@ -27,7 +27,7 @@ vendors none:
     the diagonal W(s) = 1 / (s - D lam + 1/T1), and the source is the
     solution of one small system on the dot's cells, the capacitance
     matrix Read o W o Lift (Buzbee, Dorr, George & Golub, SIAM J. Numer.
-    Anal. 8, 1971), solved by LU (``_lapack.lu_solve``). The inverse
+    Anal. 8, 1971), solved by LU (``np.linalg.solve``). The inverse
     transform is a weighted sum over 10 nodes of the optimized cotangent
     contour of Weideman & Trefethen (Math. Comp. 76, 2007) and their
     conjugates, with least-squares weights (``_POLES``): it matches e^x
@@ -53,11 +53,12 @@ start. Who transforms between the grid and the
 modes: a ``DarkSampler`` built from a field (in, ``_to_modes``), and a
 sampler's ``field`` and ``field_at`` (out, both through ``_from_modes``,
 the one route from modes to a field), so ``evolve`` transforms its field
-in and out once, clamped or not. A transform of a full field runs on the
-calling thread too, as tiles of its result (``_product``). The way out
-forms, tile by tile, the rounding bound gamma_n |q_r| |c| |q_z|^T of
-its product (Higham, Accuracy and Stability of Numerical Algorithms,
-sec. 3.5) and sets every cell within that bound of 0 to exactly +0.0:
+in and out once, clamped or not. The way in is one product per factor;
+the way out runs in blocks of rows of the field, sized for cache and
+memory (``_BLOCK_VALUES``). It forms, block by block, the rounding bound
+gamma_n |q_r| |c| |q_z|^T of its product (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 3.5) and sets every cell within
+that bound of 0 to exactly +0.0:
 far from the dot the field is much smaller than the product's rounding
 error, so those cells would otherwise hold signed round-off. Every
 other cell is the product bit for bit. With D > 0 a pump-then-dark
@@ -121,7 +122,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._lapack import lu_solve, stemr
+from ._lapack import stevd
 from .domain import DecaySeries, DotGeometry, YKind, reject_non_finite
 from .errors import (GeometryMismatch, GridTooCoarse, InvariantViolation,
                      NumericalBlowup)
@@ -136,18 +137,16 @@ MAX_CELLS = 2 ** 14
 # float64 values.
 MAX_SAMPLES = 2 ** 24
 _D_FLOOR = 1e-30
-# Multiply-adds per matrix product that OpenBLAS keeps on one thread:
-# threads do not pay off on the thin products here, stall whenever
-# another process holds a core, and leave a woken worker spinning
-# through the single-threaded work after them. No product in this module
-# exceeds it: the pump and the readouts run over blocks of radial modes
-# or of times, and the grid <-> mode transforms and the rounding bound of
-# the one out over tiles of their result (``_tiles``). With the
-# eigenbasis built on one thread too (``_eigenbasis``), the solver runs
-# on the calling thread alone. Every
-# product is an ``np.matmul`` call, so one spy in tests/test_solver.py
-# sees them all.
-_ONE_THREAD_MADDS = 2 ** 18
+# Multiply-adds per product of the pump's blocks of radial modes, and
+# the most values of the resolvents it keeps: a cache budget. On the
+# production grid it makes blocks of 83 modes; one pump took 10.4 ms so,
+# 11.6 ms in blocks of 166, 14.8 ms in blocks of 332 and 12.6 ms whole.
+_PUMP_BLOCK_MADDS = 2 ** 18
+# Most float64 values (1 MiB) that the buffers of one block hold: the
+# rows of the field that ``_from_modes`` forms at once (109 on the
+# production grid), or the times that ``dot_averages`` reads at once. A
+# budget for cache and memory.
+_BLOCK_VALUES = 2 ** 17
 # The pump's inverse Laplace transform: rows (z_k, w_k) with
 # f(t) = sum_k Re(w_k F(z_k / t)) / t. The z_k are the 10 nodes with
 # Im z > 0 nearest the real axis of the 24-node optimized cotangent
@@ -423,20 +422,19 @@ def _axial_modes(nz: int, dz: float, boundary: BoundaryMode,
 @lru_cache(maxsize=8)
 def _radial_modes(grid: Grid, boundary: BoundaryMode):
     """(lam_r, q_r, sqrt_r): the eigenpairs of the radial operator per
-    unit D, built on the calling thread, and the weights sqrt(r).
+    unit D, and the weights sqrt(r).
 
     A_r = diag(1/sqrt_r) q_r diag(lam_r) q_r^T diag(sqrt_r), q_r
     orthogonal. Weighting the radial operator with sqrt(r) makes it
     symmetric, with off-diagonal sqrt(hi[i] * lo[i+1]); its eigenpairs
-    come from LAPACK's MRRR driver ``stemr`` (Dhillon & Parlett, Linear
-    Algebra Appl. 387, 2004; ``_lapack.stemr``), which uses no level-3
-    BLAS and so wakes no BLAS worker thread. The default
-    divide-and-conquer driver ``stevd`` runs on threaded BLAS and leaves
-    a worker spinning through the single-threaded pump. q_r comes back
+    come from LAPACK's divide-and-conquer driver ``stevd`` (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; ``_lapack.stevd``).
+    At nr = 400 it takes 7.1-7.6 ms against the MRRR driver's 9.3 ms,
+    and its q_r is orthogonal to 2.4e-15, not 5.4e-13. q_r comes back
     Fortran-ordered.
     """
     lo, di, hi = _radial_coeffs(grid.nr, grid.dr, boundary)
-    lam_r, q_r = stemr(di, np.sqrt(hi[:-1] * lo[1:]))
+    lam_r, q_r = stevd(di, np.sqrt(hi[:-1] * lo[1:]))
     return lam_r, q_r, np.sqrt(grid.r_centers)
 
 
@@ -490,44 +488,10 @@ def _check_time(name: str, t) -> None:
                                  f"{name} = {float(bad[0])}")
 
 
-def _tiles(m: int, n: int, k: int):
-    """The (rows, cols) slices of the tiles of an m x n product of k
-    inner terms: the whole result when it takes at most
-    ``_ONE_THREAD_MADDS`` multiply-adds, else square tiles of side
-    isqrt(_ONE_THREAD_MADDS / k) (25 x 25 at k = 400), column block by
-    column block."""
-    if m * n * k <= _ONE_THREAD_MADDS:
-        return [(slice(0, m), slice(0, n))]
-    side = max(1, math.isqrt(_ONE_THREAD_MADDS // k))
-    return [(slice(i, i + side), slice(j, j + side))
-            for j in range(0, n, side) for i in range(0, m, side)]
-
-
-def _product(a: np.ndarray, b: np.ndarray,
-             absolute: bool = False) -> np.ndarray:
-    """a @ b of two matrices on the calling thread, one product per tile
-    of the result (``_tiles``), each written in place: one tile is
-    ``a @ b`` bit for bit. With ``absolute``, |a| @ |b|: |b| is taken
-    once and |a| once per row block, the same tiles visited row block by
-    row block, so |a| is never held whole."""
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n))
-    tiles = _tiles(m, n, k)
-    if absolute:
-        b = np.abs(b)
-        tiles.sort(key=lambda tile: tile[0].start)
-    x, last = None, None
-    for rows, cols in tiles:
-        if rows != last:
-            x, last = (np.abs(a[rows]) if absolute else a[rows]), rows
-        np.matmul(x, b[:, cols], out=out[rows, cols])
-    return out
-
-
 def _to_modes(values: np.ndarray, basis) -> np.ndarray:
     """Modal coefficients q_r^T (sqrt(r) S) q_z of a field."""
     _, q_r, _, q_z, sqrt_r = basis
-    return _product(_product(q_r.T, sqrt_r[:, None] * values), q_z)
+    return np.matmul(np.matmul(q_r.T, sqrt_r[:, None] * values), q_z)
 
 
 def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
@@ -542,51 +506,44 @@ def _from_modes(coef: np.ndarray, basis) -> np.ndarray:
     modes, plus one, which covers the rounding of gamma_n B itself. A
     cell with |S| <= gamma_n B is no farther from 0 than its own rounding
     error, so it carries no digit of the field: it is set to +0.0 before
-    the division by sqrt(r). Every other cell is the tiled product bit
-    for bit. The bound's second product runs in the tiles of S, beside
-    them, so no full B is held, and every product stays on the calling
-    thread.
+    the division by sqrt(r). Every other cell is the product bit for
+    bit.
+
+    The field is formed in blocks of rows, as many as ``_BLOCK_VALUES``
+    allows: each block forms its rows of q_r c, of S and of the bound,
+    all inner terms at once, so no full q_r c or B is held. On the
+    production grid one field took 4.2 ms in blocks of 100 rows, 5.0 ms
+    in whole products and 9.2 ms in the 25 x 25 tiles that kept every
+    product under OpenBLAS's threading threshold before the pin
+    (``_lapack``).
 
     In the even axial modes (fewer modes than rows of q_z) the field is
     mirror-symmetric: q_z's rows j and nz - 1 - j are equal
     (``_axial_modes``), and so are the columns j and nz - 1 - j of the
-    exact S and B. So only the column blocks of the tiles that hold one
-    of the first ceil(nz / 2) columns are formed and bounded (216 of 400
-    columns on the production grid), and those columns, divided by
-    sqrt(r), are copied into their mirrors: the field is exactly
-    symmetric. OpenBLAS rounds a cell by the shape of the tile that holds
-    it, so with the full width's tiles each column formed is the
-    full-width tiled product bit for bit.
-
-    ``coef`` is dropped after the first products and the quotient is
-    taken in place, so scaled coefficients handed in as a temporary
-    (``DarkSampler.field_at``) are freed before the field is formed."""
+    exact S and B. So only the first ceil(nz / 2) columns are formed and
+    bounded, and those columns, divided by sqrt(r), are copied into
+    their mirrors, block by block: the field is exactly symmetric."""
     _, q_r, _, q_z, sqrt_r = basis
     n_r, n_e = coef.shape
     nz = len(q_z)
     width = (nz + 1) // 2 if n_e < nz else nz
     n = n_r + n_e + 1
-    # gamma_n |q_r| |c|, the left factor of the bound
-    bound = _product(q_r, coef, absolute=True)
-    bound *= n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
-    values = _product(q_r, coef)
-    del coef
-    out = np.empty((len(q_r), nz))
-    abs_z, last = None, None
-    for rows, cols in _tiles(len(q_r), nz, n_e):
-        if cols.start >= width:
-            break
-        if cols != last:
-            abs_z, last = np.abs(q_z[cols]).T, cols
-        s = out[rows, cols]
-        np.matmul(values[rows], q_z[cols].T, out=s)
-        s[np.abs(s) <= np.matmul(bound[rows], abs_z)] = 0.0
+    gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    z_t = q_z[:width].T
+    abs_c, abs_zt = np.abs(coef), np.abs(z_t)
+    out = np.empty((n_r, nz))
+    # values per row: |q_r|, q_r c, gamma_n |q_r| |c|, the bound and |S|
+    step = max(1, _BLOCK_VALUES // (n_r + 2 * (n_e + width)))
+    for i in range(0, n_r, step):
+        rows = slice(i, i + step)
+        s = out[rows, :width]
+        np.matmul(np.matmul(q_r[rows], coef), z_t, out=s)
+        bound = np.matmul(np.abs(q_r[rows]), abs_c)
+        bound *= gamma
+        s[np.abs(s) <= np.matmul(bound, abs_zt)] = 0.0
         s /= sqrt_r[rows, None]
-    # numpy stages the overlapping mirror copy through a temporary of
-    # half the field: free the products first
-    del values, bound
-    if width < nz:
-        out[:, width:] = out[:, nz - width - 1::-1]
+        if width < nz:
+            out[rows, width:] = s[:, nz - width - 1::-1]
     return out
 
 
@@ -602,7 +559,7 @@ def _dot_modes(grid: Grid, geometry: DotGeometry, boundary: BoundaryMode,
     ra^T c rb for modal coefficients c, and the dot indicator's
     coefficients are the outer product of ra and rb: the dot is a
     rectangle of rows and columns. The rows of q_r are taken as a
-    C-ordered copy: ``stemr`` returns q_r Fortran-ordered, and a strided
+    C-ordered copy: ``stevd`` returns q_r Fortran-ordered, and a strided
     slice rounds differently. q_z is C-ordered already.
 
     rect = (a, s, b, b2t, i, k, pair_r, pair_z) holds the pump's tables.
@@ -652,23 +609,21 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     ``_MAX_STIFFNESS`` lifetimes of the fastest mode is cut to that. With
     Read(c) = a c b^T (the dot's values times s) and Lift(u) = a^T u b
     (a source u on the dot's cells), the source of the node solves
-    K u = s / z - Read(V c), K = Read o V o Lift (``_lapack.lu_solve``:
-    LAPACK's unblocked ``zgetf2`` and ``zgetrs`` from numpy's OpenBLAS,
-    which stay on one thread where that library's ``zgesv`` threads from
-    100 unknowns), so that the dot reads 1 at every t > 0, whatever it
-    read at the start. A zero pivot raises ``NumericalBlowup``. The
+    K u = s / z - Read(V c), K = Read o V o Lift (``np.linalg.solve``,
+    LAPACK's ``zgesv``), so that the dot reads 1 at every t > 0, whatever
+    it read at the start. A zero pivot raises ``NumericalBlowup``. The
     pumped coefficients are the exact free part exp(M) c plus
     sum_k Re(w_k V_k Lift(u_k)) over the 10 nodes z_k of ``_POLES`` and
     their weights w_k: the inverse Laplace transform
     f(t) = sum_k Re(w_k F(z_k / t)) / t, one LU solve per node.
 
     Every product runs over blocks of radial modes and stays under
-    ``_ONE_THREAD_MADDS``; V is split into its real and imaginary parts,
+    ``_PUMP_BLOCK_MADDS``; V is split into its real and imaginary parts,
     so each is a real product. A first pass sums the pair table of each
     node's K and Read(V c) over the blocks; a second pass adds the
     source's part, computing V again. The buffers are a few blocks in
     size, and no larger than the modes. When the modes are one block and
-    V of every node takes no more values than ``_ONE_THREAD_MADDS`` (a
+    V of every node takes no more values than ``_PUMP_BLOCK_MADDS`` (a
     50x80 grid, not a 400x400 one), V is kept per node instead, and the
     second pass reads it. Non-finite values are checked once, at the end.
     A start of zero coefficients (``simulate_pump``'s) reads 0 and stays
@@ -683,9 +638,9 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     t = min(duration, _MAX_STIFFNESS / fastest)
     m_r, m_z = t * (cfg.d_qd * lam_r - relax), t * cfg.d_qd * lam_z
     nr, ne = coef.shape
-    n = min(nr, max(1, _ONE_THREAD_MADDS // b2t.shape[1] // max(ne, i.size)))
+    n = min(nr, max(1, _PUMP_BLOCK_MADDS // b2t.shape[1] // max(ne, i.size)))
     blocks = [slice(r, min(r + n, nr)) for r in range(0, nr, n)]
-    keep = len(blocks) == 1 and z.size * nr * ne <= _ONE_THREAD_MADDS
+    keep = len(blocks) == 1 and z.size * nr * ne <= _PUMP_BLOCK_MADDS
     inv, prod = np.empty((n, ne)), np.empty((2, n, ne))
     v = np.empty((z.size if keep else 1, 2, n, ne))
 
@@ -710,7 +665,8 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
     read = np.zeros((z.size, 2, len(a), len(b)))
     for blk in blocks:
         a_b, c_b, p = a[:, blk], coef[blk], prod[:, :blk.stop - blk.start]
-        a2_b = a[i, blk] * a[k, blk]
+        a2_b = a[i, blk]
+        a2_b *= a[k, blk]
         for node, vk in resolvents(blk):
             pairs[node] += np.matmul(a2_b, np.matmul(vk, b2t))
             if moving:
@@ -722,10 +678,12 @@ def _exact_pump(coef: np.ndarray, basis, cfg: SolverConfig, duration: float,
             + pair_z[None, :, None, :]).reshape(a.shape[0] * len(b), -1)
     for node in range(z.size):
         cap = (pairs[node, 0] + 1j * pairs[node, 1]).ravel()[flat]
-        u, info = lu_solve(cap, rhs[node].ravel())
-        if info:
-            raise NumericalBlowup(f"singular capacitance system at node "
-                                  f"{z[node]} of a pump of {duration} s")
+        try:
+            u = np.linalg.solve(cap, rhs[node].ravel())
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBlowup(
+                f"singular capacitance system at node {z[node]} of a pump "
+                f"of {duration} s") from exc
         rhs[node] = u.reshape(rhs.shape[1:])
     rhs *= w[:, None, None]
     src = np.stack([rhs.real, rhs.imag], axis=1)
@@ -828,7 +786,10 @@ class DarkSampler:
         if t == 0:
             return self._coef
         _, e_r, e_z = self._factors(np.array([t], dtype=float))
-        return e_r.T * self._coef * e_z
+        # in place: one temporary of the coefficients' size, not two
+        coef = e_r.T * self._coef
+        coef *= e_z
+        return coef
 
     def field_at(self, t: float) -> PolarizationField:
         """The field ``t`` after the sampler's start."""
@@ -851,10 +812,12 @@ class DarkSampler:
         (a, b), _ = _dot_modes(self._grid, geometry, self.cfg.boundary,
                                self._even)
         _, _, _, w_sum = _dot(self._grid, geometry)
-        g = a[:, None] * self._coef * b / w_sum
+        g = a[:, None] * self._coef
+        g *= b
+        g /= w_sum
         out = np.empty(t.size)
-        # blocks of times keep E_r @ g on one thread and bound the memory
-        rows = max(1, _ONE_THREAD_MADDS // g.size)
+        # blocks of times bound the memory of E_r, E_z and E_r @ g
+        rows = max(1, _BLOCK_VALUES // (g.shape[0] + 2 * g.shape[1]))
         for k in range(0, t.size, rows):
             _, e_r, e_z = self._factors(t[k:k + rows])
             out[k:k + rows] = (np.matmul(e_r, g) * e_z).sum(axis=1)

@@ -364,9 +364,11 @@ class TestSimulate:
 
     def test_singular_capacitance_exits_3(self, tmp_path, capsys,
                                           monkeypatch):
-        # LAPACK's info > 0: a zero pivot, no solution
-        monkeypatch.setattr("spindiff.solver.lu_solve",
-                            lambda a, b: (None, 1))
+        # LAPACK's info > 0, a zero pivot: numpy raises LinAlgError
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
         cfg = write_config(tmp_path, FAST_SOLVER)
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "out"), "--quiet"]) == 3
@@ -817,12 +819,15 @@ status = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2],
 after_simulate = threads()
 rise = main(["fit-rise", sys.argv[3], "--out", sys.argv[2], "--quiet"])
 # the production grid's pump: 100 unknowns per capacitance system
-from spindiff import DotGeometry, SolverConfig, build_grid, simulate_pump
+from spindiff import (DotGeometry, SolverConfig, _lapack, build_grid,
+                      simulate_pump)
 simulate_pump(DotGeometry(), SolverConfig(d_qd=10.0), 1.0,
               build_grid(DotGeometry(), 0.5, 0.5))
 print(json.dumps({"pool": pool, "after_import": after_import,
                   "after_simulate": after_simulate,
                   "after_production_pump": threads(), "status": status,
+                  "blas_threads":
+                      _lapack._lib.scipy_openblas_get_num_threads64_(),
                   "rise": rise,
                   "scipy": loaded + scipy_modules()}))
 """
@@ -832,9 +837,10 @@ print(json.dumps({"pool": pool, "after_import": after_import,
                     reason="numpy vendors no OpenBLAS to bind: the solver "
                            "runs on scipy")
 def test_cold_import_loads_no_scipy_and_retires_blas_pool(tmp_path):
-    # the solver binds the OpenBLAS numpy loaded and retires its idle
-    # worker pool on import; a simulate and a production pump run on the
-    # calling thread alone, and neither they nor a rise fit load scipy
+    # the solver binds the OpenBLAS numpy loaded, pins it to one thread
+    # and retires its idle worker pool on import; a simulate and a
+    # production pump run on the calling thread alone, the pin holds after
+    # them, and neither they nor a rise fit load scipy
     cfg = write_config(tmp_path, FAST_SOLVER)
     rise = tmp_path / "rise.csv"
     t = np.arange(0.0, 6.01, 0.2)
@@ -847,6 +853,7 @@ def test_cold_import_loads_no_scipy_and_retires_blas_pool(tmp_path):
     got = json.loads(out.stdout.splitlines()[-1])  # after fit-rise's lines
     assert got["status"] == got["rise"] == 0
     assert got["scipy"] == []
+    assert got["blas_threads"] == 1
     if got["pool"] is not None:
         assert (got["after_import"] == got["after_simulate"]
                 == got["after_production_pump"] == 1), got

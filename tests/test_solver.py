@@ -17,13 +17,16 @@ Oracles used here, all closed-form:
     derivation from the optimized cotangent contour and a least-squares
     fit (``fitted_table``), and against the 32-node contour (``talbot``).
 """
+import json
+import os
 import re
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
-from scipy.linalg.lapack import zgesv
 
 from spindiff import _lapack, solver
 from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
@@ -36,7 +39,7 @@ from spindiff import (BoundaryMode, DarkSampler, DotGeometry,
 from spindiff.solver import (MAX_CELLS, MAX_SAMPLES, _axial_coeffs,
                              _axial_modes,
                              _clamped, _dot, _dot_modes, _eigenbasis,
-                             _from_modes, _product, _radial_coeffs,
+                             _from_modes, _radial_coeffs,
                              _radial_modes, _to_modes)
 
 GEO = DotGeometry()
@@ -304,7 +307,8 @@ def max_abs(x):
 
 class TestEigenbasis:
     """The basis on the production grid and on a small grid of odd nz:
-    the closed-form axial modes and the MRRR radial modes diagonalize
+    the closed-form axial modes and the divide-and-conquer radial modes
+    diagonalize
     the assembled operators and are orthogonal to round-off."""
 
     GRIDS = {"400x400": build_grid(GEO, 0.5, 0.5),
@@ -331,76 +335,55 @@ class TestEigenbasis:
         assert max_abs(q_r.T @ q_r - np.eye(g.nr)) <= 1e-12
 
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
+    def test_production_radial_modes_orthogonal(self, boundary):
+        # divide and conquer keeps the production modes orthogonal to a
+        # few units of round-off: 2.4e-15 at nr = 400, where the MRRR
+        # driver reached 5.4e-13
+        g = self.GRIDS["400x400"]
+        _, q_r, _, _, _ = _eigenbasis(g, boundary)
+        assert max_abs(q_r.T @ q_r - np.eye(g.nr)) <= 1e-14
+
+    @pytest.mark.parametrize("boundary", list(BoundaryMode))
     @pytest.mark.parametrize("size", list(GRIDS))
-    def test_one_radial_solve_pinned_to_mrrr(self, monkeypatch, size,
-                                             boundary):
-        # one call of the MRRR driver, which stays on the calling thread;
-        # the divide-and-conquer driver runs on threaded BLAS
+    def test_one_radial_solve_by_stevd(self, monkeypatch, size, boundary):
         drivers = []
 
         def spy(*args):
-            drivers.append("stemr")
-            return _lapack.stemr(*args)
+            drivers.append("stevd")
+            return _lapack.stevd(*args)
 
-        monkeypatch.setattr(solver, "stemr", spy)
+        monkeypatch.setattr(solver, "stevd", spy)
         # past the cache, so every call solves for the radial modes
         _radial_modes.__wrapped__(self.GRIDS[size], boundary)
-        assert drivers == ["stemr"]
+        assert drivers == ["stevd"]
 
 
 class TestLapack:
-    """The solver's two LAPACK routines (``spindiff._lapack``) against
-    scipy's: the radial eigenpairs bit for bit, the capacitance solve to
-    the forward-error bound of two backward-stable LU solves."""
+    """The radial eigensolver (``spindiff._lapack``) against scipy's, bit
+    for bit."""
 
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
     @pytest.mark.parametrize("nr, dr", [(400, 0.5), (50, 1.0)])
-    def test_stemr_bitwise_scipy(self, nr, dr, boundary):
-        # the radial operators of the production and the fit-d grids
+    def test_stevd_bitwise_scipy(self, nr, dr, boundary):
+        # the radial operators of the production and the fit-d grids, on
+        # both routes
         lo, di, hi = _radial_coeffs(nr, dr, boundary)
         e = np.sqrt(hi[:-1] * lo[1:])
-        lam, q = _lapack.stemr(di, e)
-        want_lam, want_q = eigh_tridiagonal(di, e, lapack_driver="stemr")
-        np.testing.assert_array_equal(lam, want_lam)
-        np.testing.assert_array_equal(q, want_q)
-        assert q.flags.f_contiguous
+        want_lam, want_q = eigh_tridiagonal(di, e, lapack_driver="stevd")
+        for stevd in (_lapack.stevd, _lapack._scipy_stevd):
+            lam, q = stevd(di, e)
+            np.testing.assert_array_equal(lam, want_lam)
+            np.testing.assert_array_equal(q, want_q)
+            assert q.flags.f_contiguous
 
-    def test_lu_solve_matches_zgesv_on_production_system(self, monkeypatch):
-        # the 100-unknown capacitance systems of a 10 s pump at 1e-12
-        # cm2/s on the 400x400 grid, the largest condition number (378)
-        # of the production pumps
-        systems = []
-
-        def kept(a, b):
-            systems.append((a.copy(), b.copy()))
-            return _lapack.lu_solve(a, b)
-
-        monkeypatch.setattr(solver, "lu_solve", kept)
-        simulate_pump(GEO, SolverConfig(d_qd=1e2), 10.0,
-                      build_grid(GEO, 0.5, 0.5))
-        assert len(systems) == 10
-        for a, b in systems:
-            assert a.shape == (100, 100)
-            x, info = _lapack.lu_solve(a.copy(), b.copy())
-            _, _, want, want_info = zgesv(a, b)
-            assert info == want_info == 0
-            # each solve's relative forward error is at most about
-            # n u cond(a) in the max norm
-            bound = 2 * len(b) * 2.0 ** -53 * np.linalg.cond(a, np.inf)
-            assert max_abs(x - want) <= bound * max_abs(want)
-
-    def test_lu_solve_reports_singular_matrix(self):
-        a = np.ones((3, 3), dtype=complex)
-        _, info = _lapack.lu_solve(a, np.ones(3, dtype=complex))
-        assert info > 0
-
-    @pytest.mark.skipif(_lapack.LIBRARY is None,
-                        reason="numpy vendors no OpenBLAS to bind: scipy "
-                               "checks the shapes")
-    def test_lu_solve_rejects_mismatched_shapes(self):
-        # the shapes are checked before any pointer reaches LAPACK
-        with pytest.raises(ValueError, match="n x n matrix and an n-vector"):
-            _lapack.lu_solve(np.eye(3), np.ones(2))
+    @pytest.mark.parametrize("route", ["stevd", "_scipy_stevd"])
+    def test_stevd_reports_failure(self, route):
+        # LAPACKE rejects a NaN argument (info = -4), scipy's wrapper
+        # passes it to dstevd, which fails to converge (info > 0)
+        d, e = np.full(8, -2.0), np.ones(7)
+        d[3] = np.nan
+        with pytest.raises(NumericalBlowup, match="dstevd: info = "):
+            getattr(_lapack, route)(d, e)
 
 
 class TestModalPropagation:
@@ -489,12 +472,12 @@ class TestModalPropagation:
                                    rtol=1e-15, atol=0)
 
     def test_times_beyond_one_block(self):
-        # more times than one block holds on this grid (2^18 / 120)
+        # more times than one block holds on this grid (2^17 / 34 = 3855)
         cfg = SolverConfig(d_qd=1.5, t1_uniform=4.0)
         sampler = DarkSampler(self.random_field(9), cfg)
         times = np.linspace(0.0, 3.0, 5001)
         got = sampler.dot_averages(times, self.GEO)
-        for i in (0, 1, 2183, 2184, 2185, 4368, 5000):
+        for i in (0, 1, 3854, 3855, 3856, 5000):
             want = dot_average(sampler.field_at(times[i]), self.GEO)
             assert got[i] == pytest.approx(want, rel=0, abs=1e-13)
 
@@ -602,18 +585,23 @@ class TestModalPump:
     def test_one_zgesv_per_node(self, monkeypatch):
         calls = []
 
+        solve = np.linalg.solve
+
         def counted(a, b):
             calls.append(a.shape)
-            return _lapack.lu_solve(a, b)
+            return solve(a, b)
 
-        monkeypatch.setattr(solver, "lu_solve", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
         # the dot's 6 rows times its 2 columns up to the mid-plane
         assert calls == [(12, 12)] * 10
 
     def test_singular_capacitance_raises(self, monkeypatch):
-        # LAPACK's info > 0: a zero pivot, no solution
-        monkeypatch.setattr(solver, "lu_solve", lambda a, b: (None, 1))
+        # LAPACK's info > 0, a zero pivot: numpy raises LinAlgError
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
         node = re.escape(f"at node {solver._POLES[0, 0]} of a pump of 0.3 s")
         with pytest.raises(NumericalBlowup,
                            match=f"singular capacitance system {node}"):
@@ -621,14 +609,15 @@ class TestModalPump:
 
     def test_singular_matrix_raises(self, monkeypatch):
         # a capacitance matrix made singular before LAPACK factors it
-        monkeypatch.setattr(solver, "lu_solve", lambda a, b: _lapack.lu_solve(
-            np.zeros_like(a), b))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(np.zeros_like(a), b))
         with pytest.raises(NumericalBlowup, match="singular capacitance"):
             simulate_pump(self.DOT, SolverConfig(d_qd=10.0), 0.3, self.SMALL)
 
     @pytest.mark.parametrize("boundary", list(BoundaryMode))
-    def test_scipy_routines_match_expm_oracle(self, monkeypatch,
-                                              expm_clamped, boundary):
+    def test_scipy_route_matches_expm_oracle(self, monkeypatch,
+                                             expm_clamped, boundary):
         # the route where numpy vendors no OpenBLAS to bind; fresh
         # caches, so the basis and the pump's tables are built on it
         calls = []
@@ -639,9 +628,10 @@ class TestModalPump:
                 return routine(*args)
             return call
 
-        eig, solve = _lapack._scipy_routines()
-        monkeypatch.setattr(solver, "stemr", counted("stemr", eig))
-        monkeypatch.setattr(solver, "lu_solve", counted("lu_solve", solve))
+        monkeypatch.setattr(solver, "stevd",
+                            counted("stevd", _lapack._scipy_stevd))
+        monkeypatch.setattr(np.linalg, "solve",
+                            counted("solve", np.linalg.solve))
         for name in ("_radial_modes", "_dot_modes"):
             cached = getattr(solver, name)
             monkeypatch.setattr(solver, name, lru_cache(maxsize=8)(
@@ -650,7 +640,7 @@ class TestModalPump:
         cfg = SolverConfig(d_qd=10.0, t1_uniform=0.7, boundary=boundary)
         mask = g.dot_mask(geo)
         pumped = simulate_pump(geo, cfg, 0.45, g)
-        assert calls == ["stemr"] + ["lu_solve"] * 10
+        assert calls == ["stevd"] + ["solve"] * 10
         np.testing.assert_allclose(pumped.field.values,
                                    expm_clamped(mask, g, cfg, 0.45, mask),
                                    rtol=0, atol=1e-12)
@@ -660,7 +650,7 @@ class TestModalPump:
         g = self.SMALL
         cfg = SolverConfig(d_qd=10.0, t1_uniform=0.7)
         one = _clamped(self.start(cfg, True)[1], 0.0, self.DOT, 0.3)
-        monkeypatch.setattr(solver, "_ONE_THREAD_MADDS", 1)
+        monkeypatch.setattr(solver, "_PUMP_BLOCK_MADDS", 1)
         values, start = self.start(cfg, True)
         rows = _clamped(start, 0.0, self.DOT, 0.3)
         # the two block orders differ by round-off only: each node's term
@@ -1040,35 +1030,64 @@ class TestDotModes:
             assert values.shape == (grid.nr, grid.nz)
 
 
-class TestOneThreadProducts:
-    """Every matrix product in ``solver`` is an ``np.matmul`` call of at
-    most ``_ONE_THREAD_MADDS`` multiply-adds, which OpenBLAS runs on the
-    calling thread; the grid <-> mode transforms tile larger products.
-    A product that fits in one tile is the single product, bit for bit,
-    and a tiled one agrees with it to round-off."""
+PINNED = """\
+import json, os, time
+import numpy as np
+from spindiff import _lapack
+pinned = _lapack._lib.scipy_openblas_get_num_threads64_()
+from spindiff import DotGeometry, SolverConfig, build_grid, simulate_pump
+# the production pump (100 unknowns per capacitance system) and a field
+geo = DotGeometry()
+simulate_pump(geo, SolverConfig(d_qd=10.0), 1.0,
+              build_grid(geo, 0.5, 0.5)).field_at(4.0)
+a = np.random.default_rng(1).random((1000, 1000))
+cpu, wall = time.process_time(), time.perf_counter()
+np.matmul(a, a)
+cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+# Linux lists each thread of the process here
+task = "/proc/self/task"
+print(json.dumps({"pinned": pinned, "cpu": cpu, "wall": wall,
+                  "threads": len(os.listdir(task)) if os.path.isdir(task)
+                  else None}))
+"""
+
+
+@pytest.mark.skipif(_lapack.LIBRARY is None,
+                    reason="numpy vendors no OpenBLAS to bind: nothing is "
+                           "pinned")
+class TestOneThread:
+    """Importing spindiff pins numpy's OpenBLAS to one thread for the
+    whole process, so every product runs on the calling thread, whatever
+    its size, in a new process that loads no scipy."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", PINNED], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    def test_import_pins_openblas_to_one_thread(self, pinned):
+        assert pinned["pinned"] == 1
+
+    def test_pump_and_large_product_stay_on_one_thread(self, pinned):
+        # a 1000 x 1000 product, 2**30 multiply-adds, would wake the
+        # worker pool without the pin: two threads take twice the cpu
+        # time of the wall time
+        assert pinned["cpu"] <= 1.25 * pinned["wall"], pinned
+        if pinned["threads"] is not None:
+            assert pinned["threads"] == 1, pinned
+
+
+class TestTransforms:
+    """The way into the modes is the single product of each factor, bit
+    for bit; the way out runs in blocks of rows, which agree with the
+    single product to round-off."""
 
     PRODUCTION = build_grid(GEO, 0.5, 0.5, extent_factor=20.0)
-    # tiles of side 44 over 130 rows and 53 over 90 columns: neither
-    # dimension is a multiple of the tile side
     ODD = Grid(nr=130, nz=90, dr=0.5, dz=0.5, z_min=-22.5)
-    # the grid of simulate's snapshots on the smallest configs
-    SMALL = build_grid(GEO, 1.0, 0.625, extent_factor=5.0)
-
-    @pytest.fixture
-    def products(self, monkeypatch):
-        """The multiply-adds of each ``np.matmul`` call, as OpenBLAS
-        sees it: stacked matrices are multiplied one pair at a time."""
-        calls = []
-        matmul = np.matmul
-
-        def spy(a, b, *args, **kwargs):
-            m = a.shape[-2] if a.ndim > 1 else 1
-            n = b.shape[-1] if b.ndim > 1 else 1
-            calls.append(m * n * a.shape[-1])
-            return matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", spy)
-        return calls
 
     @staticmethod
     def single(basis, coef=None, values=None):
@@ -1079,71 +1098,24 @@ class TestOneThreadProducts:
             return q_r @ coef @ q_z.T / sqrt_r[:, None]
         return q_r.T @ (sqrt_r[:, None] * values) @ q_z
 
-    @pytest.mark.parametrize("even", [False, True])
-    def test_transforms_tile_every_product(self, products, even):
-        g = self.PRODUCTION
-        basis = _eigenbasis(g, BoundaryMode.DIRICHLET_ZERO, even)
-        ne = basis[3].shape[1]
-        rng = np.random.default_rng(11)
-        _to_modes(rng.random((g.nr, g.nz)), basis)
-        _from_modes(rng.random((g.nr, ne)), basis)
-        # the tiles add up to the two whole products in, the first product
-        # out and that of its rounding bound; the product against q_z and
-        # that of the bound run over the column blocks that hold a column
-        # up to the mid-plane: in the even modes the 6 blocks of side
-        # isqrt(2**18 // 200) = 36 that cover columns 0-199, and in the
-        # full basis all columns
-        formed = 6 * 36 if even else g.nz
-        assert sum(products) == (g.nr * g.nz * (g.nr + ne)
-                                 + 2 * g.nr * ne * (g.nr + formed))
-        assert max(products) <= solver._ONE_THREAD_MADDS
-
-    @pytest.mark.parametrize("even", [False, True])
-    def test_field_at_and_evolve_stay_under_the_bound(self, products, even):
-        g, cfg = self.PRODUCTION, SolverConfig(d_qd=10.0)
-        if even:
-            sampler = simulate_pump(GEO, cfg, 0.3, g)
-            assert sampler._even
-            sampler.field_at(1.0)
-        else:
-            field = PolarizationField(g, g.dot_mask(GEO))
-            DarkSampler(field, cfg).field_at(1.0)
-            evolve(field, cfg, 0.3)
-            evolve(field, cfg, 0.3, clamp=GEO)
-        ne = (g.nz + 1) // 2 if even else g.nz
-        # at least one whole transform out was seen
-        assert sum(products) >= g.nr * g.nz * (g.nr + ne)
-        assert max(products) <= solver._ONE_THREAD_MADDS
-
+    @pytest.mark.parametrize("block_values", [None, 3000])
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("name", ["ODD", "PRODUCTION"])
-    def test_tiles_match_one_product(self, name, even):
+    def test_row_blocks_match_one_product(self, monkeypatch, name, even,
+                                          block_values):
+        # the default blocks, and blocks of a few rows: 1 and 2 on the
+        # production grid, 6 and 9 on the ODD grid, whose last block is
+        # short
+        if block_values:
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", block_values)
         g = getattr(self, name)
         basis = _eigenbasis(g, BoundaryMode.DIRICHLET_ZERO, even)
         ne = basis[3].shape[1]
         rng = np.random.default_rng(12)
         coef, values = rng.random((g.nr, ne)), rng.random((g.nr, g.nz))
-        for got, want in ((_from_modes(coef.copy(), basis),
-                           self.single(basis, coef=coef)),
-                          (_to_modes(values, basis),
-                           self.single(basis, values=values))):
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=1e-13 * np.abs(want).max())
-
-    @pytest.mark.parametrize("name, even", [("SMALL", True), ("ODD", False),
-                                            ("ODD", True)])
-    def test_one_tile_is_the_single_product(self, monkeypatch, name, even):
-        g = getattr(self, name)
-        basis = _eigenbasis(g, BoundaryMode.DIRICHLET_ZERO, even)
-        ne = basis[3].shape[1]
-        if name == "ODD":
-            monkeypatch.setattr(solver, "_ONE_THREAD_MADDS", g.nr ** 2 * g.nz)
-        # every product of the two transforms fits in one tile
-        assert g.nr * g.nz * max(g.nr, ne) <= solver._ONE_THREAD_MADDS
-        rng = np.random.default_rng(13)
-        coef, values = rng.random((g.nr, ne)), rng.random((g.nr, g.nz))
-        np.testing.assert_array_equal(_from_modes(coef.copy(), basis),
-                                      self.single(basis, coef=coef))
+        want = self.single(basis, coef=coef)
+        np.testing.assert_allclose(_from_modes(coef.copy(), basis), want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
         np.testing.assert_array_equal(_to_modes(values, basis),
                                       self.single(basis, values=values))
 
@@ -1152,21 +1124,28 @@ class TestCertifiedZeros:
     """``_from_modes`` sets a cell to +0.0 where the computed product S =
     q_r c q_z^T is within gamma_n B of 0, B = |q_r| |c| |q_z|^T its
     rounding bound (Higham, sec. 3.5), and leaves every other cell the
-    tiled product, bit for bit."""
+    row-blocked product, bit for bit."""
 
-    PRODUCTION = TestOneThreadProducts.PRODUCTION
-    ODD = TestOneThreadProducts.ODD
+    PRODUCTION = TestTransforms.PRODUCTION
+    ODD = TestTransforms.ODD
 
     @staticmethod
     def unflushed(coef, basis):
-        """(S, gamma_n B): the tiled product before the flush and before
-        the division by sqrt(r), and its rounding bound, formed here as
-        one product per factor."""
+        """(S, gamma_n B): the product of ``_from_modes`` before the flush
+        and before the division by sqrt(r), in its blocks of rows and up
+        to its width (the mid-plane in the even modes, mirrored past it),
+        and its rounding bound, formed here as one product per factor."""
         _, q_r, _, q_z, _ = basis
-        n = sum(coef.shape) + 1
+        (n_r, n_e), nz = coef.shape, len(q_z)
+        n = n_r + n_e + 1
         gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
-        return (_product(_product(q_r, coef), q_z.T),
-                gamma * (np.abs(q_r) @ np.abs(coef) @ np.abs(q_z).T))
+        width = (nz + 1) // 2 if n_e < nz else nz
+        step = max(1, solver._BLOCK_VALUES // (n_r + 2 * (n_e + width)))
+        s = np.vstack([q_r[i:i + step] @ coef @ q_z[:width].T
+                       for i in range(0, n_r, step)])
+        if width < nz:
+            s = np.hstack([s, s[:, nz - width - 1::-1]])
+        return s, gamma * (np.abs(q_r) @ np.abs(coef) @ np.abs(q_z).T)
 
     def modes(self, name):
         """(coef, basis): the simulate-slow protocol's pumped state 4 s
@@ -1191,17 +1170,14 @@ class TestCertifiedZeros:
                                       (s / basis[4][:, None])[above])
 
     # nz = 91: the dot's columns 43-47 are mirror-symmetric about the
-    # middle column 45, and the products are tiled (130 x 91 x 46 cells)
+    # middle column 45
     ODD_NZ = Grid(nr=130, nz=91, dr=0.5, dz=0.5, z_min=-22.75)
 
     @pytest.mark.parametrize("name", ["PRODUCTION", "ODD_NZ"])
     def test_even_field_is_mirror_symmetric(self, name):
         # the even modes' field is formed up to the mid-plane and mirrored:
         # exactly symmetric, and in every cell it forms that is above the
-        # bound, the full-width tiled product. Past the mid-plane that
-        # product is the mirror to round-off only: OpenBLAS rounds a
-        # column by the width of the tile that holds it (here 75 columns
-        # against the last tile's 16)
+        # bound, the row-blocked product
         g = getattr(self, name)
         geo = DotGeometry(radius=5.0, height=2.0)
         sampler = (pumped_sampler(2e-15, 0.4, GEO, g) if name == "PRODUCTION"
